@@ -161,7 +161,6 @@ def _build_parser() -> _Parser:
     p_search.add_argument("--degree", type=int, required=True)
     p_search.add_argument("--delta", default="3/4")
     p_search.add_argument("--radius", type=int, default=1)
-    p_search.add_argument("--strategy", choices=("cvp", "full"), default="cvp")
 
     p_const = sub.add_parser("constant", help="catalog constants")
     cgroup = p_const.add_mutually_exclusive_group(required=True)
@@ -277,7 +276,6 @@ def _cmd_search(args, report: RunReport) -> None:
         args.degree,
         delta=delta,
         radius=args.radius,
-        strategy=args.strategy,
         prefilter_depth=_prefilter_depth(),
     )
     if found is None:

@@ -10,7 +10,6 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
 
 from .farey import FareyPair
 from .numpoly import parse_rational, format_rational
@@ -20,21 +19,21 @@ PROVEN_EQUAL = "PROVEN-EQUAL"
 
 
 def _iroot(n: int, k: int) -> tuple[int, bool]:
-    """Integer k-th root: (floor(n ** (1/k)), exact?)."""
+    """Integer k-th root: (floor(n ** (1/k)), exact?).
+
+    Integer Newton iteration from the overestimate 2**ceil(bits/k); the
+    iterates decrease strictly until they reach the floor root.
+    """
     if n < 0:
         raise ValueError("negative radicand")
-    if n in (0, 1) or k == 1:
+    if n < 2 or k == 1:
         return n, True
-    if k == 2:
-        r = isqrt(n)
-        return r, r * r == n
-    r = int(round(n ** (1.0 / k)))
-    # Newton correction around the float seed.
-    while r > 1 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r, r**k == n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r, r**k == n
+        r = s
 
 
 def _rational_kth_root(q: Fraction, k: int) -> Fraction | None:

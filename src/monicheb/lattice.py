@@ -17,7 +17,7 @@ from fractions import Fraction
 from .certify import Verdict, verify_witness, DEFAULT_PREFILTER_DEPTH
 from .construct import pair_polynomial
 from .farey import FareyPair
-from .numpoly import IntPoly, Interval, Poly, RatPoly, poly_integrate_product
+from .numpoly import IntPoly, Interval, poly_integrate_product
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,15 @@ class ReductionResult:
     """LLL output: reduced form, unimodular transform, and GS data.
 
     Column j of U holds the coordinates of the j-th reduced vector in the
-    original basis, so gram_reduced = U^T G U exactly.
+    original basis, so gram_reduced = U^T G U exactly.  mu and norms (the
+    squared GS lengths) describe the Gram-Schmidt orthogonalization of the
+    reduced basis.
     """
 
     gram_reduced: GramMatrix
     transform: tuple[tuple[int, ...], ...]
     mu: tuple[tuple[Fraction, ...], ...]
+    norms: tuple[Fraction, ...]
     delta: Fraction
 
     @property
@@ -172,7 +175,7 @@ def lll_reduce(gram: GramMatrix, delta=Fraction(3, 4)) -> ReductionResult:
     )
     transform = tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
     mu_out = tuple(tuple(row) for row in mu)
-    return ReductionResult(GramMatrix(reduced), transform, mu_out, delta)
+    return ReductionResult(GramMatrix(reduced), transform, mu_out, tuple(norms), delta)
 
 
 def det_unimodular(transform) -> int:
@@ -222,18 +225,8 @@ def build_search_basis(pair: FareyPair, n: int) -> SearchBasis:
     return SearchBasis(pair, n, p, v, tuple(members))
 
 
-def _gram_schmidt_polys(polys, interval: Interval) -> list[RatPoly]:
-    """Exact GS orthogonalization of polynomials under the L2 form."""
-    out: list[RatPoly] = []
-    for p in polys:
-        g = p.to_rat() if isinstance(p, IntPoly) else p
-        for q in out:
-            coeff = poly_integrate_product(g, q, interval) / poly_integrate_product(
-                q, q, interval
-            )
-            g = g - coeff * q
-        out.append(g)
-    return out
+# Largest offset box search_witness accepts: degree 12 at radius 1.
+MAX_OFFSETS = 3**10
 
 
 def search_witness(
@@ -241,65 +234,51 @@ def search_witness(
     n: int,
     delta=Fraction(3, 4),
     radius: int = 1,
-    strategy: str = "cvp",
     prefilter_depth: int = DEFAULT_PREFILTER_DEPTH,
 ) -> IntPoly | None:
     """Search the degree-n coset for a certified witness polynomial.
 
-    Default strategy reduces the endpoint-vanishing sublattice under the
-    interval L2 form, runs Babai's nearest plane against -p, and then
-    tries integer offsets of magnitude <= radius around that center,
-    ordered by quadratic-form length (lexicographic tie-break).  The
-    "full" strategy instead reduces the whole basis including p and scans
-    reduced vectors whose p-coordinate is +-1, mirroring the original
-    reduce-then-scan computation.  Returns the first certified candidate.
+    Reduces the endpoint-vanishing sublattice (v, x v, ...) under the
+    interval L2 form and runs Babai's nearest plane toward -p on the
+    reduction's own Gram-Schmidt data: the projections of -p onto the GS
+    vectors come from one exact inner product per reduced polynomial and
+    the mu recurrence.  Candidates p + sum (center_i + off_i) b_i are then
+    tried for every integer offset with |off_i| <= radius, ordered by
+    quadratic-form length (lexicographic tie-break), and the first one that
+    certifies is returned.  Raises ValueError for a negative radius and when
+    the (2 radius + 1)**(n - 2) offsets would exceed MAX_OFFSETS.
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if (2 * radius + 1) ** (n - 2) > MAX_OFFSETS:
+        raise ValueError(
+            f"radius {radius} at degree {n} gives more than {MAX_OFFSETS} offsets"
+        )
     basis = build_search_basis(pair, n)
     interval = pair.interval()
-
-    def certified(f: IntPoly) -> bool:
-        record = verify_witness(pair, f, prefilter_depth)
-        return record.certificate.verdict is Verdict.CERTIFIED_AT_MOST
-
-    if strategy == "full":
-        red = lll_reduce(gram_matrix(basis.members, interval), delta)
-        for j in range(red.dim):
-            coords = red.basis_vector(j)
-            if abs(coords[0]) != 1:
-                continue
-            f = IntPoly()
-            for c, member in zip(coords, basis.members):
-                f = f + c * member
-            if coords[0] == -1:
-                f = -f
-            if certified(f):
-                return f
-        return None
-    if strategy != "cvp":
-        raise ValueError(f"unknown strategy: {strategy!r}")
-
     sub = basis.members[1:]
     dim = len(sub)
     red = lll_reduce(gram_matrix(sub, interval), delta)
     reduced_polys = []
     for j in range(dim):
-        coords = red.basis_vector(j)
         poly = IntPoly()
-        for c, member in zip(coords, sub):
+        for c, member in zip(red.basis_vector(j), sub):
             poly = poly + c * member
         reduced_polys.append(poly)
 
-    # Babai nearest plane toward -p.
-    gs = _gram_schmidt_polys(reduced_polys, interval)
-    residual = -basis.p.to_rat()
+    # Babai nearest plane toward -p: y_i is the coordinate of the residual
+    # along the i-th GS vector.
+    target = -basis.p
+    r: list[Fraction] = []  # r_i = <-p, b_i*>
+    for i, b in enumerate(reduced_polys):
+        t = poly_integrate_product(target, b, interval)
+        r.append(t - sum(red.mu[i][j] * r[j] for j in range(i)))
+    y = [ri / ni for ri, ni in zip(r, red.norms)]
     center = [0] * dim
     for i in range(dim - 1, -1, -1):
-        coeff = poly_integrate_product(residual, gs[i], interval) / (
-            poly_integrate_product(gs[i], gs[i], interval)
-        )
-        q = round(coeff)
-        center[i] = q
-        residual = residual - q * reduced_polys[i].to_rat()
+        center[i] = round(y[i])
+        for j in range(i):
+            y[j] -= center[i] * red.mu[i][j]
 
     def offset_key(off):
         return (red.gram_reduced.form(off, off), off)
@@ -312,7 +291,8 @@ def search_witness(
             c = center[i] + off[i]
             if c:
                 f = f + c * reduced_polys[i]
-        if certified(f):
+        record = verify_witness(pair, f, prefilter_depth)
+        if record.certificate.verdict is Verdict.CERTIFIED_AT_MOST:
             return f
     return None
 

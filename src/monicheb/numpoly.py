@@ -337,27 +337,22 @@ def poly_eval(p: Poly, x: Rat) -> Fraction:
     return Fraction(p(x))
 
 
-def poly_affine_compose(p: Poly, alpha: Rat, beta: Rat) -> RatPoly:
-    """Return q with q(x) = p(alpha*x + beta).
+def poly_compose(p: Poly, q: Poly) -> RatPoly:
+    """General composition p(q(x)), e.g. for the pullbacks x**2 and x*(1-x).
 
     Horner-style synthetic substitution: fold the coefficients of p from
-    the top against the linear polynomial alpha*x + beta, so no binomial
-    bookkeeping is needed.  Degree is preserved whenever alpha != 0.
+    the top against q, so no binomial bookkeeping is needed.
     """
-    inner = RatPoly([beta, alpha])
-    acc = RatPoly()
-    for c in reversed(as_rat_coeffs(p)):
-        acc = acc * inner + RatPoly([c])
-    return acc
-
-
-def poly_compose(p: Poly, q: Poly) -> RatPoly:
-    """General composition p(q(x)), e.g. for the pullbacks x**2 and x*(1-x)."""
     inner = as_ratpoly(q)
     acc = RatPoly()
     for c in reversed(as_rat_coeffs(p)):
         acc = acc * inner + RatPoly([c])
     return acc
+
+
+def poly_affine_compose(p: Poly, alpha: Rat, beta: Rat) -> RatPoly:
+    """Return q with q(x) = p(alpha*x + beta); degree is preserved when alpha != 0."""
+    return poly_compose(p, RatPoly([beta, alpha]))
 
 
 def poly_integrate_product(p: Poly, q: Poly, interval: Interval) -> Fraction:

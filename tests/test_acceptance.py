@@ -220,6 +220,7 @@ def test_criterion_5_lll_property_suite():
             for j in range(dim):
                 assert gram.form(cols[i], cols[j]) == result.gram_reduced.entries[i][j]
         norms, mu = _gram_schmidt(result.gram_reduced)
+        assert list(result.norms) == norms
         for i in range(dim):
             for j in range(i):
                 assert mu[i][j] == result.mu[i][j]

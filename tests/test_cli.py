@@ -149,6 +149,19 @@ class TestSearchCommand:
         report = run(["search", "--interval", "1/3", "2/5", "--degree", "3"])
         assert report.exit_code == EXIT_USAGE
 
+    def test_negative_radius_usage_error(self):
+        report = run(["search", "--interval", "1/3", "2/5", "--degree", "4", "--radius", "-1"])
+        assert report.exit_code == EXIT_USAGE
+        assert "error=radius must be nonnegative" in report.lines
+
+    def test_oversized_offset_box_usage_error(self):
+        report = run(["search", "--interval", "1/3", "3/8", "--degree", "14", "--radius", "1"])
+        assert report.exit_code == EXIT_USAGE
+
+    def test_strategy_flag_removed(self):
+        report = run(["search", "--interval", "1/3", "2/5", "--degree", "4", "--strategy", "full"])
+        assert report.exit_code == EXIT_USAGE
+
 
 class TestVerifyTable:
     def test_bundled_table_certifies(self):

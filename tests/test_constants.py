@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monicheb import (
     CONJECTURED,
@@ -21,6 +22,7 @@ from monicheb import (
     verify_witness,
 )
 from monicheb.constants import (
+    _iroot,
     PROV_CAPACITY,
     PROV_DOUBLE_UNIT,
     PROV_HALF_UNIT,
@@ -31,6 +33,27 @@ from monicheb.constants import (
     PROV_UNIT,
     PROV_UNIT_FRACTION,
 )
+
+
+class TestIntegerRoot:
+    @pytest.mark.parametrize("e", [-1, 0, 1])
+    def test_large_cube_root(self, e):
+        # beyond float range, where a float seed overflows or walks for ever
+        r, exact = _iroot(3**600 + e, 3)
+        assert r == (3**200 if e >= 0 else 3**200 - 1)
+        assert exact == (e == 0)
+
+    def test_huge_radicands_canonicalize(self):
+        assert ConstantValue(F(3**700), 6) == ConstantValue(F(3**350), 3)
+        assert ConstantValue(F(1, 2**1100), 5).k == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**3000 - 1), st.integers(min_value=2, max_value=12))
+def test_iroot_brackets(n, k):
+    r, exact = _iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+    assert exact == (r**k == n)
 
 
 class TestConstantValue:

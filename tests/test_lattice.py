@@ -52,6 +52,7 @@ def check_reduction(gram, result):
             assert gram.form(cols[i], cols[j]) == result.gram_reduced.entries[i][j]
     # reported GS coefficients agree with an independent recomputation
     norms, mu = _gram_schmidt(result.gram_reduced)
+    assert list(result.norms) == norms
     for i in range(d):
         for j in range(i):
             assert mu[i][j] == result.mu[i][j]
@@ -235,16 +236,35 @@ class TestSearchWitness:
         second = search_witness(pair, 4, radius=1)
         assert first == second
 
-    def test_full_strategy_runs(self):
+    def test_radius_zero_pinned(self):
+        # Babai's center on the reduction's own GS data; the coefficients
+        # match the earlier polynomial-level orthogonalization
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
-        found = search_witness(pair, 4, strategy="full")
-        if found is not None:
-            assert verify_witness(pair, found).certificate.verdict is Verdict.CERTIFIED_AT_MOST
+        assert search_witness(pair, 8, radius=0) == IntPoly(
+            [16797, -319246, 2598816, -11745914, 31833454, -51732937,
+             46678191, -18039357, 1]
+        )
+        assert search_witness(pair, 12, radius=0) == IntPoly(
+            [28454079, -852896193, 11616060703, -94886999776, 516532165401,
+             -1967525352391, 5351182379918, -10391682086973, 14120658864988,
+             -12786981922012, 6944930726564, -1713882069438, 1]
+        )
 
-    def test_unknown_strategy(self):
+    def test_negative_radius_rejected(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
-        with pytest.raises(ValueError):
-            search_witness(pair, 4, strategy="dfs")
+        with pytest.raises(ValueError, match="radius"):
+            search_witness(pair, 4, radius=-1)
+
+    def test_offset_box_too_large_refused(self, monkeypatch):
+        import monicheb.lattice as lattice_mod
+
+        def no_basis(*args):
+            raise AssertionError("basis built before the size check")
+
+        monkeypatch.setattr(lattice_mod, "build_search_basis", no_basis)
+        pair = FareyPair.from_endpoints(F(1, 3), F(3, 8))
+        with pytest.raises(ValueError, match="offsets"):
+            search_witness(pair, 14, radius=1)
 
 
 class TestSmallValues:
