@@ -39,7 +39,7 @@ pre = bernstein_prefilter(witness, pair.interval(), F(1, 9), max_depth=12)
 print(f"  prefilter says {pre.verdict.value} at depth {pre.depth}")
 print()
 
-print("Two-sided enclosure of the sup norm (bisection over exact bounds):")
+print("Two-sided enclosure of the sup norm (Bernstein bounds at the critical points):")
 lo, hi = sup_norm_enclosure(witness, pair.interval(), F(1, 10**6))
 print(f"  1/9 is inside [{lo}, {hi}], width {hi - lo}")
 print()

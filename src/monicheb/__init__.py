@@ -78,9 +78,21 @@ from .lattice import (
     search_witness,
     small_value_polynomial,
 )
-from .cli import RunReport, TableEntry, bundled_table_path, parse_table_file, run
 
 __version__ = "0.1.0"
+
+# The command-line names load on first use (PEP 562), so that
+# `python -m monicheb.cli` does not find monicheb.cli already imported.
+_CLI_NAMES = ("RunReport", "TableEntry", "bundled_table_path", "parse_table_file", "run")
+
+
+def __getattr__(name):
+    if name in _CLI_NAMES:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "IntPoly", "Interval", "MINUS_INFINITY", "RatPoly",

@@ -32,6 +32,9 @@ from .numpoly import (
 )
 
 DEFAULT_PREFILTER_DEPTH = 12
+# Deepest prefilter subdivision accepted; the recursion stays far below
+# Python's stack limit.
+MAX_PREFILTER_DEPTH = 64
 
 
 class Verdict(Enum):
@@ -111,6 +114,17 @@ def _sturm_chain(g: RatPoly) -> list[IntPoly]:
     return chain
 
 
+def _sign_at(p: IntPoly, x: Fraction) -> int:
+    """Sign of p(x), read off the integer b**deg(p) * p(a/b) for x = a/b, b > 0."""
+    a, b = x.numerator, x.denominator
+    acc = 0
+    scale = 1
+    for c in reversed(p.coeffs):
+        acc = acc * a + c * scale
+        scale *= b
+    return (acc > 0) - (acc < 0)
+
+
 def _variations(values) -> int:
     count = 0
     prev = 0
@@ -124,46 +138,115 @@ def _variations(values) -> int:
     return count
 
 
-def _count_roots_open(g: RatPoly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of squarefree g in the open interval (lo, hi)."""
-    while g.degree >= 1 and g(lo) == 0:
-        g, rem = divmod(g, RatPoly([-lo, 1]))
-        assert not rem
-    while g.degree >= 1 and g(hi) == 0:
-        g, rem = divmod(g, RatPoly([-hi, 1]))
-        assert not rem
+def _root_intervals(g: RatPoly, lo: Fraction, hi: Fraction):
+    """Isolate the distinct real roots of squarefree g in the open (lo, hi).
+
+    Yields, left to right, (u, u, 0) for a root hit exactly by a bisection
+    point, else (u, v, s) with u < v, exactly one root r in (u, v), g
+    nonzero at u or at v, and s the sign of g on (r, v).  One Sturm chain
+    serves every count: with zero signs skipped, V(u) - V(v) is the number
+    of roots in (u, v].
+    """
     if g.degree < 1:
-        return 0
+        return
     chain = _sturm_chain(g)
-    v_lo = _variations([p(lo) for p in chain])
-    v_hi = _variations([p(hi) for p in chain])
-    return v_lo - v_hi
+
+    def point(x):
+        signs = [_sign_at(p, x) for p in chain]
+        return x, _variations(signs), signs[0]
+
+    stack = [(point(lo), point(hi))]
+    while stack:
+        left, right = stack.pop()
+        (u, v_u, g_u), (v, v_v, g_v) = left, right
+        if u == v:
+            yield u, u, 0
+            continue
+        count = v_u - v_v - (g_v == 0)
+        if count == 0:
+            continue
+        if count == 1 and (g_u or g_v):
+            yield u, v, g_v or -g_u
+            continue
+        mid = point((u + v) / 2)
+        stack.append((mid, right))
+        if mid[2] == 0:
+            stack.append((mid, mid))
+        stack.append((left, mid))
+
+
+def _halve(g: RatPoly, u: Fraction, v: Fraction, s: int):
+    """Split (u, v) at its midpoint m toward the one root r of g inside.
+
+    s is the sign of g on (r, v).  Returns (m, None) when g(m) == 0, else
+    (m, the half that holds r).
+    """
+    mid = (u + v) / 2
+    value = g(mid)
+    if value == 0:
+        return mid, None
+    if (value > 0) - (value < 0) == s:
+        return mid, (u, mid)
+    return mid, (mid, v)
+
+
+def _probe(h: RatPoly, u: Fraction, v: Fraction) -> Fraction | None:
+    """A point of (u, v) with h < 0, or None when h >= 0 at deg h + 1 points.
+
+    Where (u, v) holds no odd-multiplicity root of h, h keeps one sign
+    there apart from at most deg h zeros, so None means h >= 0 throughout.
+    """
+    step = (v - u) / 2
+    for _ in range(h.degree + 1):
+        if h(u + step) < 0:
+            return u + step
+        step /= 2
+    return None
 
 
 def _find_negative_point(
     h: RatPoly, g: RatPoly, lo: Fraction, hi: Fraction
-) -> Fraction:
-    """Some rational point in (lo, hi) with h < 0, given g has a root there.
+) -> Fraction | None:
+    """Some rational point in (lo, hi) with h < 0, or None when the
+    odd-multiplicity part g of h has no root there.
 
-    Bisect while keeping an odd-multiplicity root of h inside; h changes
-    sign across it, so midpoints eventually land on the negative side.
+    h changes sign across each root of g and only there.  On the first
+    isolating interval (u, v) of g, h keeps one sign on each side of the
+    root apart from touch points: check u and v, then bisect by the sign of
+    g, whose midpoints land on both sides of the root.  A root hit exactly
+    splits its interval into two pieces free of sign changes, and a bounded
+    probe of each finds the negative side.
     """
-    u, v = lo, hi
+    roots = _root_intervals(g, lo, hi)
+    first = next(roots, None)
+    if first is None:
+        return None
+    u, v, s = first
+    if u == v:
+        # h keeps one sign on (lo, u) and the other just right of u
+        point = _probe(h, lo, u)
+        if point is not None:
+            return point
+        r = u
+        u, v, s = next(roots, (hi, hi, 0))
+        if u > r:
+            point = _probe(h, r, u)
+            assert point is not None, "no negative probe right of a sign change"
+            return point
+    for x in (u, v):
+        if lo < x < hi and h(x) < 0:
+            return x
     for _ in range(4 * max(len(h.coeffs), 8) * 64):
-        mid = (u + v) / 2
+        mid, half = _halve(g, u, v, s)
         if h(mid) < 0:
             return mid
-        if g(mid) == 0:
-            step = (v - u) / 4
-            while True:
-                for cand in (mid - step, mid + step):
-                    if u < cand < v and h(cand) < 0:
-                        return cand
-                step /= 2
-        if _count_roots_open(g, u, mid) > 0:
-            v = mid
-        else:
-            u = mid
+        if half is None:
+            point = _probe(h, u, mid)
+            if point is None:
+                point = _probe(h, mid, v)
+            assert point is not None, "no negative probe beside a sign change"
+            return point
+        u, v = half
     raise AssertionError("sign-change bisection failed to converge")
 
 
@@ -188,9 +271,9 @@ def decide_sup_bound(f: Poly, interval: Interval, bound) -> NormCertificate:
     if h.degree == 0:
         return cert(Verdict.CERTIFIED_AT_MOST)
     g = _odd_multiplicity_part(h)
-    if g.degree >= 1 and _count_roots_open(g, interval.lo, interval.hi) > 0:
-        point = _find_negative_point(h, g, interval.lo, interval.hi)
-        assert abs(fr(point)) > bound
+    point = _find_negative_point(h, g, interval.lo, interval.hi)
+    if point is not None:
+        assert interval.lo < point < interval.hi and abs(fr(point)) > bound
         return cert(Verdict.REFUTED, point)
     # No sign change inside: one sample with h != 0 decides the interior.
     samples = max(len(h.coeffs) + 1, 2)
@@ -211,10 +294,15 @@ def bernstein_prefilter(
     """Sufficient subdivision check: certify when all Bernstein coefficients
     of bound - f and bound + f are nonnegative on every leaf, refute when an
     evaluated endpoint or midpoint violates, else inconclusive at depth.
+    Raises ValueError for a max_depth outside 0..MAX_PREFILTER_DEPTH.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if not 0 <= max_depth <= MAX_PREFILTER_DEPTH:
+        raise ValueError(
+            f"prefilter depth must be in 0..{MAX_PREFILTER_DEPTH}, got {max_depth}"
+        )
     fr = as_ratpoly(f)
     upper = RatPoly([bound]) - fr
     lower = RatPoly([bound]) + fr
@@ -270,7 +358,19 @@ def certify_sup_bound(
 def sup_norm_enclosure(
     f: Poly, interval: Interval, tol
 ) -> tuple[Fraction, Fraction]:
-    """Rational bracket [lo, hi] around sup |f| with hi - lo <= tol."""
+    """Rational bracket [lo, hi] around sup |f| with hi - lo <= tol.
+
+    The maximum of |f| on the interval is reached at an endpoint or at a
+    real root of f'.  Those critical points are the roots of the squarefree
+    part g = f' / gcd(f', f''), isolated with one Sturm chain of g.  Each
+    isolating interval is then halved toward its root by the sign of g at
+    the midpoint, with no new chain.  On an interval [u, v], |f| is at most
+    the largest |c| over the Bernstein coefficients of f on [u, v] (de
+    Casteljau halves give the coefficients of each half), and every
+    evaluated |f(x)| is a lower bound.  An interval is dropped once its
+    upper bound is <= the best lower bound, and it stops being refined once
+    the two are within tol, so hi - lo <= tol holds by construction.
+    """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
@@ -278,16 +378,32 @@ def sup_norm_enclosure(
     if fr.degree <= 0:
         value = abs(fr.coeffs[0]) if fr else Fraction(0)
         return value, value
+    df = fr.derivative()
+    g = df // poly_gcd(df, df.derivative())
     lo_b = max(abs(fr(interval.lo)), abs(fr(interval.hi)))
-    hi_b = max(Fraction(1), sum(abs(c) for c in to_bernstein(fr, interval)))
-    while hi_b - lo_b > tol:
-        mid = (lo_b + hi_b) / 2
-        cert = decide_sup_bound(fr, interval, mid)
-        if cert.verdict is Verdict.CERTIFIED_AT_MOST:
-            hi_b = mid
+    pending = []
+    for u, v, s in _root_intervals(g, interval.lo, interval.hi):
+        if u == v:
+            lo_b = max(lo_b, abs(fr(u)))
         else:
-            lo_b = abs(fr(cert.refutation_point))
-    return lo_b, hi_b
+            pending.append((u, v, s, to_bernstein(fr, Interval(u, v))))
+    uppers = []
+    while pending:
+        u, v, s, coeffs = pending.pop()
+        lo_b = max(lo_b, abs(coeffs[0]), abs(coeffs[-1]))
+        upper = max(abs(c) for c in coeffs)
+        if upper <= lo_b:
+            continue
+        if upper - lo_b <= tol:
+            uppers.append(upper)
+            continue
+        mid, half = _halve(g, u, v, s)
+        left, right = bernstein_split(coeffs)
+        if half is None:
+            lo_b = max(lo_b, abs(left[-1]))
+        else:
+            pending.append((*half, s, left if half == (u, mid) else right))
+    return lo_b, max([lo_b] + uppers)
 
 
 def rational_point_lower_bound(f: IntPoly, p) -> Fraction:

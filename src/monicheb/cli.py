@@ -116,9 +116,14 @@ def _prefilter_depth() -> int:
     if raw is None:
         return certify_mod.DEFAULT_PREFILTER_DEPTH
     try:
-        return int(raw)
+        depth = int(raw)
     except ValueError as exc:
         raise _UsageError(f"MIC_MAX_DEPTH must be an integer, got {raw!r}") from exc
+    if not 0 <= depth <= certify_mod.MAX_PREFILTER_DEPTH:
+        raise _UsageError(
+            f"MIC_MAX_DEPTH must be in 0..{certify_mod.MAX_PREFILTER_DEPTH}, got {depth}"
+        )
+    return depth
 
 
 def _build_parser() -> _Parser:

@@ -10,17 +10,58 @@ from monicheb import (
     RatPoly,
     Verdict,
     bernstein_prefilter,
+    bundled_table_path,
     certify_sup_bound,
     decide_sup_bound,
+    parse_table_file,
     poly_eval,
     rational_point_lower_bound,
     sup_norm_enclosure,
+    to_bernstein,
     verify_witness,
+)
+from monicheb.certify import (
+    MAX_PREFILTER_DEPTH,
+    _find_negative_point,
+    _odd_multiplicity_part,
+    _root_intervals,
 )
 
 WITNESS = IntPoly([1, -3, 1])
 PAIR = FareyPair.from_endpoints(F(1, 3), F(2, 5))
 I13_25 = PAIR.interval()
+TOUCH = IntPoly([0, 6, -9])  # 6x - 9x**2 touches 1 at x = 1/3 on [0, 1/2]
+
+
+def table_witnesses():
+    """(pair, monic witness, bound) for every bundled table entry."""
+    out = []
+    for entry in parse_table_file(bundled_table_path()):
+        poly = entry.poly if entry.poly.coeffs[-1] == 1 else -entry.poly
+        bound = max(F(1, entry.pair.b1), F(1, entry.pair.b2)) ** poly.degree
+        out.append((entry.pair, poly, bound))
+    return out
+
+
+def reference_enclosure(f, interval, tol):
+    """The former kernel: bisection of the bound over exact decisions."""
+    lo = max(abs(poly_eval(f, interval.lo)), abs(poly_eval(f, interval.hi)))
+    hi = max(F(1), sum(abs(c) for c in to_bernstein(f, interval)))
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        cert = decide_sup_bound(f, interval, mid)
+        if cert.verdict is Verdict.CERTIFIED_AT_MOST:
+            hi = mid
+        else:
+            lo = abs(poly_eval(f, cert.refutation_point))
+    return lo, hi
+
+
+def random_case(rng):
+    f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice([-2, -1, 1, 3])])
+    a = F(rng.randint(-6, 6), rng.randint(1, 4))
+    interval = Interval(a, a + F(rng.randint(1, 8), rng.randint(2, 8)))
+    return f, interval, F(1, rng.randint(1, 10**4))
 
 
 class TestDecideSupBound:
@@ -102,6 +143,20 @@ class TestBernsteinPrefilter:
         cert = bernstein_prefilter(f, Interval(-1, 1), F(1), max_depth=0)
         assert cert.verdict is Verdict.INCONCLUSIVE
 
+    @pytest.mark.parametrize("depth", [-1, MAX_PREFILTER_DEPTH + 1])
+    def test_depth_out_of_range_rejected(self, depth):
+        with pytest.raises(ValueError):
+            bernstein_prefilter(TOUCH, Interval(0, F(1, 2)), F(1), max_depth=depth)
+
+    def test_touch_at_non_dyadic_point_falls_back_to_sturm(self):
+        interval = Interval(0, F(1, 2))
+        pre = bernstein_prefilter(TOUCH, interval, F(1), max_depth=MAX_PREFILTER_DEPTH)
+        assert pre.verdict is Verdict.INCONCLUSIVE
+        assert pre.depth == MAX_PREFILTER_DEPTH
+        cert = certify_sup_bound(TOUCH, interval, F(1))
+        assert cert.verdict is Verdict.CERTIFIED_AT_MOST
+        assert cert.method == "sturm"
+
     def test_never_contradicts_sturm(self):
         rng = random.Random(21)
         for _ in range(150):
@@ -113,6 +168,58 @@ class TestBernsteinPrefilter:
                 continue
             sturm = decide_sup_bound(f, interval, bound)
             assert pre.verdict == sturm.verdict
+
+
+class TestRootIsolation:
+    def test_exact_and_isolated_roots_in_order(self):
+        # roots 1/5, 1/3, 1/2 (the first midpoint) and 1 (an endpoint) on (0, 1)
+        roots = [F(1, 5), F(1, 3), F(1, 2), F(1)]
+        g = RatPoly([1])
+        for r in roots:
+            g = g * RatPoly([-r, 1])
+        found = list(_root_intervals(g, F(0), F(1)))
+        assert len(found) == 3
+        assert found[2] == (F(1, 2), F(1, 2), 0)
+        for (u, v, s), root in zip(found[:2], roots):
+            assert u < root < v and (g(u) != 0 or g(v) != 0)
+            assert (g((root + v) / 2) > 0) - (g((root + v) / 2) < 0) == s
+        assert found[0][1] <= found[1][0]
+
+    def test_no_roots(self):
+        assert list(_root_intervals(RatPoly([1, 0, 1]), F(-3), F(3))) == []
+        assert list(_root_intervals(RatPoly([5]), F(0), F(1))) == []
+
+    def test_negative_point_after_exact_midpoint_root(self):
+        # h = -(x - 1/4)(x - 1/2)**2: the bisection hits the sign change 1/4
+        # exactly after the touch point 1/2
+        h = -(RatPoly([-F(1, 4), 1]) * RatPoly([-F(1, 2), 1]) ** 2)
+        point = _find_negative_point(h, RatPoly([-F(1, 4), 1]), F(0), F(1))
+        assert 0 < point < 1 and h(point) < 0
+
+    def test_negative_point_at_first_isolation_midpoint(self):
+        # f = 1 + 4(x - 1/2)(1 - x) crosses 1 upward at the midpoint of [0, 1]
+        f = RatPoly([1]) + 4 * RatPoly([-F(1, 2), 1]) * RatPoly([1, -1])
+        cert = decide_sup_bound(f, Interval(0, 1), F(1))
+        assert cert.verdict is Verdict.REFUTED
+        assert 0 < cert.refutation_point < 1
+        assert abs(f(cert.refutation_point)) > 1
+
+    def test_exact_root_next_to_an_isolating_interval(self):
+        # |f| crosses the bound upward at -11/8, a bisection point of [-2, 3],
+        # and the next root is isolated in (-11/8, -3/4)
+        f = IntPoly([6, 1, 6, 1, -1])
+        bound = F(40119, 4096)
+        h = RatPoly([bound * bound]) - f.to_rat() * f.to_rat()
+        g = _odd_multiplicity_part(h)
+        assert next(_root_intervals(g, F(-2), F(3)))[:2] == (F(-11, 8), F(-11, 8))
+        cert = decide_sup_bound(f, Interval(-2, 3), bound)
+        assert cert.verdict is Verdict.REFUTED
+        assert -2 < cert.refutation_point < 3
+        assert abs(f(cert.refutation_point)) > bound
+
+    def test_no_sign_change_gives_none(self):
+        h = RatPoly([-F(1, 2), 1]) ** 2
+        assert _find_negative_point(h, RatPoly([1]), F(0), F(1)) is None
 
 
 class TestPipeline:
@@ -144,6 +251,55 @@ class TestEnclosure:
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
             sup_norm_enclosure(WITNESS, I13_25, F(0))
+
+    def test_interior_max_at_non_dyadic_point(self):
+        tol = F(1, 1000)
+        lo, hi = sup_norm_enclosure(TOUCH, Interval(0, F(1, 2)), tol)
+        assert lo < 1 <= hi and hi - lo <= tol
+
+    def test_critical_point_on_bisection_midpoint(self):
+        f = RatPoly([1]) - RatPoly([-1, 2]) ** 2  # 1 - (2x - 1)**2, max 1 at 1/2
+        assert sup_norm_enclosure(f, Interval(0, 1), F(1, 1000)) == (1, 1)
+
+    def test_degree_18_witness(self):
+        (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
+        lo, hi = sup_norm_enclosure(poly, pair.interval(), bound / 1000)
+        assert lo <= bound <= hi and hi - lo <= bound / 1000
+
+    def test_matches_reference_on_table(self):
+        witnesses = [w for w in table_witnesses() if 4 <= w[1].degree <= 12]
+        assert len(witnesses) == 37
+        for pair, poly, bound in witnesses:
+            tol = bound / 1000
+            lo, hi = sup_norm_enclosure(poly, pair.interval(), tol)
+            ref_lo, ref_hi = reference_enclosure(poly, pair.interval(), tol)
+            assert lo <= bound <= hi and hi - lo <= tol
+            assert lo <= ref_hi and ref_lo <= hi
+
+    def test_matches_reference_random(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            f, interval, tol = random_case(rng)
+            lo, hi = sup_norm_enclosure(f, interval, tol)
+            ref_lo, ref_hi = reference_enclosure(f, interval, tol)
+            assert 0 <= hi - lo <= tol
+            assert lo <= ref_hi and ref_lo <= hi
+
+    def test_sympy_sup(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        eps = sympy.Rational(1, 10**40)
+        rng = random.Random(43)
+        for _ in range(50):
+            f, interval, tol = random_case(rng)
+            lo, hi = sup_norm_enclosure(f, interval, tol)
+            expr = sum(c * x**i for i, c in enumerate(f.coeffs))
+            a, b = sympy.Rational(interval.lo), sympy.Rational(interval.hi)
+            points = [a, b] + [
+                r for r in sympy.Poly(sympy.diff(expr, x), x).real_roots() if a < r < b
+            ]
+            sup = max(abs(expr.subs(x, p)).evalf(50) for p in points)
+            assert sympy.Rational(lo) - eps <= sup <= sympy.Rational(hi) + eps
 
 
 class TestRationalPointLowerBound:

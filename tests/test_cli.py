@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,22 @@ class TestCertifyCommand:
         monkeypatch.setenv("MIC_MAX_DEPTH", "zz")
         report = run(["certify", "--poly", witness_file, "--interval", "1/3", "2/5", "--conjecture"])
         assert report.exit_code == EXIT_USAGE
+
+    @pytest.mark.parametrize("depth", ["-1", "65"])
+    def test_depth_env_out_of_range(self, witness_file, monkeypatch, depth):
+        monkeypatch.setenv("MIC_MAX_DEPTH", depth)
+        report = run(["certify", "--poly", witness_file, "--interval", "1/3", "2/5", "--conjecture"])
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines[0].startswith("error=MIC_MAX_DEPTH must be in 0..64")
+
+    def test_touch_at_non_dyadic_point_certifies(self, tmp_path, monkeypatch):
+        # 6x - 9x**2 touches 1 at x = 1/3: the prefilter is inconclusive, Sturm decides
+        monkeypatch.delenv("MIC_MAX_DEPTH", raising=False)
+        path = tmp_path / "touch.poly"
+        path.write_text("poly 0 6 -9\n")
+        report = run(["certify", "--poly", str(path), "--interval", "0", "1/2", "--bound", "1"])
+        assert report.exit_code == EXIT_OK
+        assert report.lines == ["status=certified", "bound=1", "method=sturm"]
 
 
 class TestConstantCommand:
@@ -237,3 +257,19 @@ class TestUsage:
     def test_command_echo(self):
         report = run(["farey", "--order", "1"])
         assert report.command == "farey --order 1"
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    result = subprocess.run(
+        [sys.executable, "-m", "monicheb.cli", "farey", "--order", "3"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "count=5" in result.stdout.splitlines()
