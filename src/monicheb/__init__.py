@@ -10,15 +10,12 @@ from .numpoly import (
     IntPoly,
     Interval,
     MINUS_INFINITY,
-    RatPoly,
     bernstein_split,
     extended_gcd,
     format_poly,
     format_rational,
     parse_poly,
     parse_rational,
-    poly_affine_compose,
-    poly_compose,
     poly_eval,
     poly_gcd,
     poly_integrate_product,
@@ -95,10 +92,10 @@ def __getattr__(name):
 
 
 __all__ = [
-    "IntPoly", "Interval", "MINUS_INFINITY", "RatPoly",
+    "IntPoly", "Interval", "MINUS_INFINITY",
     "bernstein_split", "extended_gcd", "format_poly", "format_rational",
-    "parse_poly", "parse_rational", "poly_affine_compose", "poly_compose",
-    "poly_eval", "poly_gcd", "poly_integrate_product", "to_bernstein",
+    "parse_poly", "parse_rational", "poly_eval", "poly_gcd",
+    "poly_integrate_product", "to_bernstein",
     "FareyPair", "farey_intervals", "farey_sequence", "is_consecutive_pair",
     "mediant",
     "CongruenceError", "ConstructionState", "DegreeSearchError",

@@ -1,9 +1,10 @@
 """Rigorous decisions about polynomial sup norms on rational intervals.
 
-The authoritative decision is algebraic: the bound |f| <= B holds on
-[lo, hi] iff h = B**2 - f**2 is nonnegative there, which reduces to a
-root count of the odd-multiplicity part of h (Sturm sequences over exact
-rationals) plus finitely many exact sign evaluations.  Equality points,
+The authoritative decision is algebraic: for B = N/D the bound |f| <= B
+holds on [lo, hi] iff the integer polynomial h = N**2 - D**2 f**2 is
+nonnegative there, which reduces to a root count of the odd-multiplicity
+part of h (Sturm sequences as primitive remainder sequences over the
+integers) plus finitely many exact sign evaluations.  Equality points,
 where the witness attains its bound, are even-multiplicity touch points
 of h and are permitted by construction; no epsilon padding anywhere.
 
@@ -22,12 +23,10 @@ from .farey import FareyPair
 from .numpoly import (
     IntPoly,
     Interval,
-    Poly,
-    RatPoly,
-    as_ratpoly,
     bernstein_split,
     format_rational,
     poly_gcd,
+    primitive_remainder,
     to_bernstein,
 )
 
@@ -64,53 +63,53 @@ class NormCertificate:
         return lines
 
 
-def _squarefree_factors(h: RatPoly) -> list[RatPoly]:
-    """Yun decomposition: returns monic f_1, f_2, ... with h ~ prod f_i**i."""
-    h = h.monic()
+def _squarefree_factors(h: IntPoly) -> list[IntPoly]:
+    """Yun decomposition: f_1, f_2, ... with h = c prod f_i**i for a
+    rational c, each f_i a gcd from poly_gcd.
+
+    b and c carry one common scale, so d = c - b' is Yun's d up to that
+    scale, and every division is by a primitive gcd that divides exactly.
+    """
     dh = h.derivative()
     g = poly_gcd(h, dh)
-    if g.degree == 0:
-        return [h]
-    b, rb = divmod(h, g)
-    c, rc = divmod(dh, g)
-    assert not rb and not rc
+    b = h // g
+    c = dh // g
     d = c - b.derivative()
-    factors: list[RatPoly] = []
+    factors: list[IntPoly] = []
     while b.degree > 0:
         f = poly_gcd(b, d)
         factors.append(f)
-        b, rb = divmod(b, f)
-        assert not rb
-        c, rc = divmod(d, f)
-        assert not rc
+        b = b // f
+        c = d // f
         d = c - b.derivative()
     return factors
 
 
-def _odd_multiplicity_part(h: RatPoly) -> RatPoly:
-    """Product of the odd-exponent squarefree factors of h (monic)."""
-    out = RatPoly([1])
+def _odd_multiplicity_part(h: IntPoly) -> IntPoly:
+    """Product of the odd-exponent squarefree factors of h, primitive with a
+    positive leading coefficient (Gauss's lemma keeps the product primitive)."""
+    out = IntPoly([1])
     for idx, f in enumerate(_squarefree_factors(h)):
         if (idx + 1) % 2 == 1:
             out = out * f
-    return out.monic()
+    return out
 
 
-def _sturm_chain(g: RatPoly) -> list[IntPoly]:
-    """Signed remainder sequence, content-stripped to primitive integers.
+def _sturm_chain(g: IntPoly) -> list[IntPoly]:
+    """Signed remainder sequence as primitive integer polynomials.
 
-    Positive rescaling preserves all signs, so the variation counts are
-    those of the exact rational chain.
+    Each term is a positive multiple of the rational remainder, so the
+    variation counts are those of the exact rational chain.
     """
     chain = [g.primitive()]
     d = g.derivative()
     if d:
         chain.append(d.primitive())
     while chain[-1].degree >= 1:
-        rem = chain[-2].to_rat() % chain[-1].to_rat()
+        rem = primitive_remainder(chain[-2], chain[-1])
         if not rem:
             break
-        chain.append((-rem).primitive())
+        chain.append(-rem)
     return chain
 
 
@@ -138,7 +137,7 @@ def _variations(values) -> int:
     return count
 
 
-def _root_intervals(g: RatPoly, lo: Fraction, hi: Fraction):
+def _root_intervals(g: IntPoly, lo: Fraction, hi: Fraction):
     """Isolate the distinct real roots of squarefree g in the open (lo, hi).
 
     Yields, left to right, (u, u, 0) for a root hit exactly by a bisection
@@ -175,22 +174,22 @@ def _root_intervals(g: RatPoly, lo: Fraction, hi: Fraction):
         stack.append((left, mid))
 
 
-def _halve(g: RatPoly, u: Fraction, v: Fraction, s: int):
+def _halve(g: IntPoly, u: Fraction, v: Fraction, s: int):
     """Split (u, v) at its midpoint m toward the one root r of g inside.
 
     s is the sign of g on (r, v).  Returns (m, None) when g(m) == 0, else
     (m, the half that holds r).
     """
     mid = (u + v) / 2
-    value = g(mid)
-    if value == 0:
+    sign = _sign_at(g, mid)
+    if sign == 0:
         return mid, None
-    if (value > 0) - (value < 0) == s:
+    if sign == s:
         return mid, (u, mid)
     return mid, (mid, v)
 
 
-def _probe(h: RatPoly, u: Fraction, v: Fraction) -> Fraction | None:
+def _probe(h: IntPoly, u: Fraction, v: Fraction) -> Fraction | None:
     """A point of (u, v) with h < 0, or None when h >= 0 at deg h + 1 points.
 
     Where (u, v) holds no odd-multiplicity root of h, h keeps one sign
@@ -198,14 +197,14 @@ def _probe(h: RatPoly, u: Fraction, v: Fraction) -> Fraction | None:
     """
     step = (v - u) / 2
     for _ in range(h.degree + 1):
-        if h(u + step) < 0:
+        if _sign_at(h, u + step) < 0:
             return u + step
         step /= 2
     return None
 
 
 def _find_negative_point(
-    h: RatPoly, g: RatPoly, lo: Fraction, hi: Fraction
+    h: IntPoly, g: IntPoly, lo: Fraction, hi: Fraction
 ) -> Fraction | None:
     """Some rational point in (lo, hi) with h < 0, or None when the
     odd-multiplicity part g of h has no root there.
@@ -234,11 +233,11 @@ def _find_negative_point(
             assert point is not None, "no negative probe right of a sign change"
             return point
     for x in (u, v):
-        if lo < x < hi and h(x) < 0:
+        if lo < x < hi and _sign_at(h, x) < 0:
             return x
     for _ in range(4 * max(len(h.coeffs), 8) * 64):
         mid, half = _halve(g, u, v, s)
-        if h(mid) < 0:
+        if _sign_at(h, mid) < 0:
             return mid
         if half is None:
             point = _probe(h, u, mid)
@@ -250,51 +249,52 @@ def _find_negative_point(
     raise AssertionError("sign-change bisection failed to converge")
 
 
-def decide_sup_bound(f: Poly, interval: Interval, bound) -> NormCertificate:
+def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     """Exact decision of sup |f| <= bound on the interval; never inconclusive."""
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    fr = as_ratpoly(f)
 
     def cert(verdict, point=None):
         return NormCertificate(verdict, bound, "sturm", point)
 
-    if not fr:
+    if not f:
         return cert(Verdict.CERTIFIED_AT_MOST)
-    h = RatPoly([bound * bound]) - fr * fr
+    # h = D**2 (B**2 - f**2) for B = N/D: same sign as B**2 - f**2 everywhere
+    num, den = bound.numerator, bound.denominator
+    h = IntPoly([num * num]) - f * f * (den * den)
     if not h:
         return cert(Verdict.CERTIFIED_AT_MOST)  # |f| == bound everywhere
     for endpoint in (interval.lo, interval.hi):
-        if h(endpoint) < 0:
+        if _sign_at(h, endpoint) < 0:
             return cert(Verdict.REFUTED, endpoint)
     if h.degree == 0:
         return cert(Verdict.CERTIFIED_AT_MOST)
     g = _odd_multiplicity_part(h)
     point = _find_negative_point(h, g, interval.lo, interval.hi)
     if point is not None:
-        assert interval.lo < point < interval.hi and abs(fr(point)) > bound
+        assert interval.lo < point < interval.hi and abs(f(point)) > bound
         return cert(Verdict.REFUTED, point)
     # No sign change inside: one sample with h != 0 decides the interior.
     samples = max(len(h.coeffs) + 1, 2)
     for j in range(1, samples + 1):
         x = interval.lo + interval.width * Fraction(j, samples + 1)
-        value = h(x)
-        if value == 0:
+        sign = _sign_at(h, x)
+        if sign == 0:
             continue
-        if value < 0:
+        if sign < 0:
             return cert(Verdict.REFUTED, x)
         return cert(Verdict.CERTIFIED_AT_MOST)
     raise AssertionError("nonzero polynomial vanished at every sample")
 
 
 def bernstein_prefilter(
-    f: Poly, interval: Interval, bound, max_depth: int = DEFAULT_PREFILTER_DEPTH
+    f: IntPoly, interval: Interval, bound, max_depth: int = DEFAULT_PREFILTER_DEPTH
 ) -> NormCertificate:
-    """Sufficient subdivision check: certify when all Bernstein coefficients
-    of bound - f and bound + f are nonnegative on every leaf, refute when an
-    evaluated endpoint or midpoint violates, else inconclusive at depth.
-    Raises ValueError for a max_depth outside 0..MAX_PREFILTER_DEPTH.
+    """Sufficient subdivision check: certify when every Bernstein coefficient
+    of f lies in [-bound, bound] on every leaf, refute when an evaluated
+    endpoint or midpoint violates, else inconclusive at depth.  Raises
+    ValueError for a max_depth outside 0..MAX_PREFILTER_DEPTH.
     """
     bound = Fraction(bound)
     if bound < 0:
@@ -303,50 +303,41 @@ def bernstein_prefilter(
         raise ValueError(
             f"prefilter depth must be in 0..{MAX_PREFILTER_DEPTH}, got {max_depth}"
         )
-    fr = as_ratpoly(f)
-    upper = RatPoly([bound]) - fr
-    lower = RatPoly([bound]) + fr
     deepest = 0
 
-    def visit(cu, cl, lo, hi, depth):
+    def visit(coeffs, lo, hi, depth):
         nonlocal deepest
         deepest = max(deepest, depth)
-        for coeffs in (cu, cl):
-            if coeffs[0] < 0:
+        # f > bound at either end first, then f < -bound
+        for sign in (1, -1):
+            if sign * coeffs[0] > bound:
                 return Verdict.REFUTED, lo
-            if coeffs[-1] < 0:
+            if sign * coeffs[-1] > bound:
                 return Verdict.REFUTED, hi
-        if all(c >= 0 for c in cu) and all(c >= 0 for c in cl):
+        if all(-bound <= c <= bound for c in coeffs):
             return Verdict.CERTIFIED_AT_MOST, None
         if depth >= max_depth:
             return Verdict.INCONCLUSIVE, None
         mid = (lo + hi) / 2
-        cu_l, cu_r = bernstein_split(cu)
-        cl_l, cl_r = bernstein_split(cl)
-        left, point = visit(cu_l, cl_l, lo, mid, depth + 1)
+        c_left, c_right = bernstein_split(coeffs)
+        left, point = visit(c_left, lo, mid, depth + 1)
         if left is Verdict.REFUTED:
             return left, point
-        right, point = visit(cu_r, cl_r, mid, hi, depth + 1)
+        right, point = visit(c_right, mid, hi, depth + 1)
         if right is Verdict.REFUTED:
             return right, point
         if Verdict.INCONCLUSIVE in (left, right):
             return Verdict.INCONCLUSIVE, None
         return Verdict.CERTIFIED_AT_MOST, None
 
-    verdict, point = visit(
-        to_bernstein(upper, interval),
-        to_bernstein(lower, interval),
-        interval.lo,
-        interval.hi,
-        0,
-    )
+    verdict, point = visit(to_bernstein(f, interval), interval.lo, interval.hi, 0)
     if point is not None:
-        assert abs(fr(point)) > bound
+        assert abs(f(point)) > bound
     return NormCertificate(verdict, bound, "bernstein", point, deepest)
 
 
 def certify_sup_bound(
-    f: Poly, interval: Interval, bound, prefilter_depth: int = DEFAULT_PREFILTER_DEPTH
+    f: IntPoly, interval: Interval, bound, prefilter_depth: int = DEFAULT_PREFILTER_DEPTH
 ) -> NormCertificate:
     """Cheap Bernstein prefilter first, exact Sturm decision as fallback."""
     cert = bernstein_prefilter(f, interval, bound, prefilter_depth)
@@ -356,7 +347,7 @@ def certify_sup_bound(
 
 
 def sup_norm_enclosure(
-    f: Poly, interval: Interval, tol
+    f: IntPoly, interval: Interval, tol
 ) -> tuple[Fraction, Fraction]:
     """Rational bracket [lo, hi] around sup |f| with hi - lo <= tol.
 
@@ -374,19 +365,18 @@ def sup_norm_enclosure(
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    fr = as_ratpoly(f)
-    if fr.degree <= 0:
-        value = abs(fr.coeffs[0]) if fr else Fraction(0)
+    if f.degree <= 0:
+        value = Fraction(abs(f.coeffs[0])) if f else Fraction(0)
         return value, value
-    df = fr.derivative()
+    df = f.derivative()
     g = df // poly_gcd(df, df.derivative())
-    lo_b = max(abs(fr(interval.lo)), abs(fr(interval.hi)))
+    lo_b = max(abs(f(interval.lo)), abs(f(interval.hi)))
     pending = []
     for u, v, s in _root_intervals(g, interval.lo, interval.hi):
         if u == v:
-            lo_b = max(lo_b, abs(fr(u)))
+            lo_b = max(lo_b, abs(f(u)))
         else:
-            pending.append((u, v, s, to_bernstein(fr, Interval(u, v))))
+            pending.append((u, v, s, to_bernstein(f, Interval(u, v))))
     uppers = []
     while pending:
         u, v, s, coeffs = pending.pop()

@@ -96,8 +96,6 @@ def parse_table_file(path) -> list[TableEntry]:
                     if pending is None:
                         raise ValueError("poly line without a preceding interval")
                     poly = parse_poly(line)
-                    if not isinstance(poly, IntPoly):
-                        raise ValueError("table polynomials must have integer coefficients")
                     if not poly:
                         raise ValueError("table polynomial must be nonzero")
                     entries.append(TableEntry(pending[1], poly))
@@ -190,10 +188,7 @@ def _load_poly(path: str) -> IntPoly:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
             if line:
-                poly = parse_poly(line)
-                if not isinstance(poly, IntPoly):
-                    raise ValueError("expected integer coefficients")
-                return poly
+                return parse_poly(line)
     raise ValueError(f"no polynomial found in {path}")
 
 

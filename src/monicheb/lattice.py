@@ -250,7 +250,10 @@ def search_witness(
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if (2 * radius + 1) ** (n - 2) > MAX_OFFSETS:
+    # (2 radius + 1)**k >= 3**k > 2**k > MAX_OFFSETS once k = n - 2 exceeds
+    # the bit length of MAX_OFFSETS: refuse before computing that power
+    too_many = radius >= 1 and n - 2 > MAX_OFFSETS.bit_length()
+    if too_many or (2 * radius + 1) ** (n - 2) > MAX_OFFSETS:
         raise ValueError(
             f"radius {radius} at degree {n} gives more than {MAX_OFFSETS} offsets"
         )

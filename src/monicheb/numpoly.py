@@ -1,7 +1,7 @@
-"""Exact rational scalars and dense univariate polynomial arithmetic.
+"""Exact rational scalars and dense univariate integer polynomials.
 
 Everything in this module is exact: scalars are ``fractions.Fraction``,
-coefficients are Fractions or arbitrary-precision ints, and no floating
+polynomial coefficients are arbitrary-precision ints, and no floating
 point enters any computation.  Polynomials are dense, ascending-by-power
 coefficient tuples with trailing zeros stripped; the zero polynomial is
 the empty tuple and its degree is the sentinel ``MINUS_INFINITY``.
@@ -89,129 +89,6 @@ def _convolve(a: Sequence, b: Sequence) -> list:
     return out
 
 
-class RatPoly:
-    """Dense polynomial with Fraction coefficients, ascending by power."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rat] = ()):
-        object.__setattr__(self, "coeffs", _strip([Fraction(c) for c in coeffs]))
-
-    @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls()
-
-    @classmethod
-    def monomial(cls, power: int, coeff: Rat = 1) -> "RatPoly":
-        return cls([0] * power + [coeff])
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (RatPoly, IntPoly)):
-            return tuple(Fraction(c) for c in other.coeffs) == self.coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("RatPoly", self.coeffs))
-
-    def __repr__(self) -> str:
-        return f"RatPoly({list(self.coeffs)!r})"
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self.coeffs])
-
-    def __add__(self, other) -> "RatPoly":
-        o = as_rat_coeffs(other)
-        n = max(len(self.coeffs), len(o))
-        return RatPoly([
-            (self.coeffs[i] if i < len(self.coeffs) else 0)
-            + (o[i] if i < len(o) else 0)
-            for i in range(n)
-        ])
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "RatPoly":
-        return self + (-as_ratpoly(other))
-
-    def __rsub__(self, other) -> "RatPoly":
-        return as_ratpoly(other) + (-self)
-
-    def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([c * other for c in self.coeffs])
-        return RatPoly(_convolve(self.coeffs, as_rat_coeffs(other)))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp: int) -> "RatPoly":
-        if exp < 0:
-            raise ValueError("negative polynomial power")
-        result = RatPoly([1])
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
-
-    def __call__(self, x: Rat) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        den = as_ratpoly(other)
-        if not den:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = len(den.coeffs) - 1
-        lead = den.coeffs[-1]
-        if len(rem) - 1 < dn:
-            return RatPoly(), self
-        quo = [Fraction(0)] * (len(rem) - dn)
-        for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            q = c / lead
-            quo[i - dn] = q
-            for j, d in enumerate(den.coeffs):
-                rem[i - dn + j] -= q * d
-        return RatPoly(quo), RatPoly(rem)
-
-    def __floordiv__(self, other) -> "RatPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "RatPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "RatPoly":
-        if not self:
-            raise ValueError("zero polynomial has no monic form")
-        return self * (1 / self.coeffs[-1])
-
-    def primitive(self) -> "IntPoly":
-        """Positive-scalar multiple with coprime integer coefficients (sign kept)."""
-        if not self:
-            return IntPoly()
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        g = math.gcd(*ints)
-        return IntPoly([c // g for c in ints])
-
-
 class IntPoly:
     """Dense polynomial with arbitrary-precision integer coefficients."""
 
@@ -222,7 +99,9 @@ class IntPoly:
         for c in coeffs:
             if isinstance(c, Fraction):
                 if c.denominator != 1:
-                    raise ValueError(f"non-integer coefficient {c}")
+                    raise ValueError(
+                        f"non-integer coefficient {c}: polynomials have integer coefficients"
+                    )
                 c = c.numerator
             elif not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {c!r}")
@@ -251,8 +130,6 @@ class IntPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, IntPoly):
             return self.coeffs == other.coeffs
-        if isinstance(other, RatPoly):
-            return other == self
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -298,6 +175,33 @@ class IntPoly:
             exp >>= 1
         return result
 
+    def __floordiv__(self, other: "IntPoly") -> "IntPoly":
+        """Exact quotient in Z[x]; ValueError when other does not divide self.
+
+        A primitive divisor that divides self over the rationals divides it
+        over the integers (Gauss's lemma).
+        """
+        if not isinstance(other, IntPoly):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        den = other.coeffs
+        dn = len(den) - 1
+        lead = den[-1]
+        quo = [0] * max(len(rem) - dn, 0)
+        for i in range(len(rem) - 1, dn - 1, -1):
+            q, r = divmod(rem[i], lead)
+            if r:
+                raise ValueError("inexact polynomial division")
+            quo[i - dn] = q
+            if q:
+                for j in range(dn):
+                    rem[i - dn + j] -= q * den[j]
+        if any(rem[:dn]):
+            raise ValueError("inexact polynomial division")
+        return IntPoly(quo)
+
     def __call__(self, x: Rat):
         if isinstance(x, int):
             acc = 0
@@ -311,53 +215,20 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def to_rat(self) -> RatPoly:
-        return RatPoly(self.coeffs)
+    def primitive(self) -> "IntPoly":
+        """self divided by its content, the positive gcd of the coefficients."""
+        g = math.gcd(*self.coeffs)
+        return IntPoly([c // g for c in self.coeffs]) if g > 1 else self
 
 
-Poly = Union[RatPoly, IntPoly]
-
-
-def as_ratpoly(p) -> RatPoly:
-    if isinstance(p, RatPoly):
-        return p
-    if isinstance(p, IntPoly):
-        return p.to_rat()
-    if isinstance(p, (int, Fraction)):
-        return RatPoly([p])
-    raise TypeError(f"not a polynomial: {p!r}")
-
-
-def as_rat_coeffs(p) -> tuple:
-    return as_ratpoly(p).coeffs
-
-
-def poly_eval(p: Poly, x: Rat) -> Fraction:
+def poly_eval(p: IntPoly, x: Rat) -> Fraction:
     """Exact value of p at x by the Horner recurrence."""
     return Fraction(p(x))
 
 
-def poly_compose(p: Poly, q: Poly) -> RatPoly:
-    """General composition p(q(x)), e.g. for the pullbacks x**2 and x*(1-x).
-
-    Horner-style synthetic substitution: fold the coefficients of p from
-    the top against q, so no binomial bookkeeping is needed.
-    """
-    inner = as_ratpoly(q)
-    acc = RatPoly()
-    for c in reversed(as_rat_coeffs(p)):
-        acc = acc * inner + RatPoly([c])
-    return acc
-
-
-def poly_affine_compose(p: Poly, alpha: Rat, beta: Rat) -> RatPoly:
-    """Return q with q(x) = p(alpha*x + beta); degree is preserved when alpha != 0."""
-    return poly_compose(p, RatPoly([beta, alpha]))
-
-
-def poly_integrate_product(p: Poly, q: Poly, interval: Interval) -> Fraction:
+def poly_integrate_product(p: IntPoly, q: IntPoly, interval: Interval) -> Fraction:
     """Exact integral of p*q over the interval (coefficient convolution + power rule)."""
-    prod = _convolve(as_rat_coeffs(p), as_rat_coeffs(q))
+    prod = _convolve(p.coeffs, q.coeffs)
     lo, hi = interval.lo, interval.hi
     total = Fraction(0)
     hi_pow, lo_pow = hi, lo
@@ -369,21 +240,38 @@ def poly_integrate_product(p: Poly, q: Poly, interval: Interval) -> Fraction:
     return total
 
 
-def to_bernstein(p: Poly, interval: Interval) -> tuple[Fraction, ...]:
-    """Bernstein coefficients of p on the interval, degree = max(deg p, 0).
+def to_bernstein(p: IntPoly, interval: Interval) -> tuple[Fraction, ...]:
+    """Bernstein coefficients of p on the interval, degree n = max(deg p, 0).
 
     The first and last coefficients equal p at the interval endpoints.
+    With lo = a/m and width w/m, P(y) = m**n p(y/m) has integer
+    coefficients, and m**n p(lo + width t) = P(a + w t): a Taylor shift of
+    P by a, then coefficient i scaled by w**i, gives the power coefficients
+    q_i in t.  Coefficient j is sum_i C(n-i, j-i) q_i / (C(n, j) m**n).
     """
-    q = poly_affine_compose(p, interval.width, interval.lo)
-    d = len(q.coeffs) - 1 if q.coeffs else 0
-    qc = list(q.coeffs) + [Fraction(0)] * (d + 1 - len(q.coeffs))
-    out = []
-    for j in range(d + 1):
-        acc = Fraction(0)
-        for i in range(j + 1):
-            acc += Fraction(math.comb(j, i), math.comb(d, i)) * qc[i]
-        out.append(acc)
-    return tuple(out)
+    coeffs = p.coeffs or (0,)
+    n = len(coeffs) - 1
+    lo, width = interval.lo, interval.width
+    m = math.lcm(lo.denominator, width.denominator)
+    a = lo.numerator * (m // lo.denominator)
+    w = width.numerator * (m // width.denominator)
+    q = [c * m ** (n - i) for i, c in enumerate(coeffs)]
+    if a:
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                q[k] += a * q[k + 1]
+    power = 1
+    for i in range(n + 1):
+        q[i] *= power
+        power *= w
+    den = m**n
+    return tuple(
+        Fraction(
+            sum(math.comb(n - i, j - i) * q[i] for i in range(j + 1)),
+            math.comb(n, j) * den,
+        )
+        for j in range(n + 1)
+    )
 
 
 def bernstein_split(coeffs: Sequence[Rat]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -425,32 +313,55 @@ def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return g, l, f
 
 
-def poly_gcd(p: Poly, q: Poly) -> RatPoly:
-    """Monic gcd over the rationals via a primitive remainder sequence."""
-    a = as_ratpoly(p).primitive()
-    b = as_ratpoly(q).primitive()
+def primitive_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive part of the remainder of a by b, a positive multiple of it.
+
+    Pseudo-division that scales the running remainder by the positive
+    |lc(b)| / gcd(top, lc(b)) before each step, so every coefficient stays
+    an integer and the signs of the rational remainder are kept.
+    """
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    den = b.coeffs
+    dn = len(den) - 1
+    scale = abs(den[-1])
+    sign = 1 if den[-1] > 0 else -1
+    while len(rem) > dn:
+        top = rem.pop()
+        if top == 0:
+            continue
+        g = math.gcd(top, scale)
+        mult, q = scale // g, sign * (top // g)
+        if mult != 1:
+            rem = [mult * c for c in rem]
+        shift = len(rem) - dn
+        for j in range(dn):
+            rem[shift + j] -= q * den[j]
+    return IntPoly(rem).primitive()
+
+
+def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Primitive gcd of p and q with a positive leading coefficient (zero
+    when both are zero), by a primitive remainder sequence over Z."""
+    a, b = p.primitive(), q.primitive()
     while b:
-        r = (a.to_rat() % b.to_rat()).primitive()
-        a, b = b, r
-    if not a:
-        return RatPoly()
-    return a.to_rat().monic()
+        a, b = b, primitive_remainder(a, b)
+    return -a if a and a.coeffs[-1] < 0 else a
 
 
-def format_poly(p: Poly) -> str:
+def format_poly(p: IntPoly) -> str:
     """Canonical serialization: "poly c0 c1 ... cn", ascending powers."""
     return "poly " + " ".join(format_rational(c) for c in p.coeffs) if p.coeffs else "poly"
 
 
-def parse_poly(text: str) -> Poly:
+def parse_poly(text: str) -> IntPoly:
     """Parse the canonical "poly c0 c1 ... cn" form.
 
-    Returns an IntPoly when every coefficient is an integer, else a RatPoly.
+    Every coefficient must be an integer (a form such as 4/2 is read as 2);
+    ValueError otherwise.
     """
     parts = text.split()
     if not parts or parts[0] != "poly":
         raise ValueError(f"polynomial text must start with 'poly': {text!r}")
-    coeffs = [parse_rational(tok) for tok in parts[1:]]
-    if all(c.denominator == 1 for c in coeffs):
-        return IntPoly([c.numerator for c in coeffs])
-    return RatPoly(coeffs)
+    return IntPoly(parse_rational(tok) for tok in parts[1:])

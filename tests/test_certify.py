@@ -7,7 +7,6 @@ from monicheb import (
     FareyPair,
     IntPoly,
     Interval,
-    RatPoly,
     Verdict,
     bernstein_prefilter,
     bundled_table_path,
@@ -25,6 +24,9 @@ from monicheb.certify import (
     _find_negative_point,
     _odd_multiplicity_part,
     _root_intervals,
+    _sign_at,
+    _sturm_chain,
+    _variations,
 )
 
 WITNESS = IntPoly([1, -3, 1])
@@ -121,7 +123,7 @@ class TestDecideSupBound:
 
 class TestBernsteinPrefilter:
     def test_easy_certify_depth_zero(self):
-        cert = bernstein_prefilter(RatPoly([0, F(1, 2)]), Interval(0, 1), F(1))
+        cert = bernstein_prefilter(IntPoly([0, 1]), Interval(0, 1), F(2))
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
         assert cert.depth == 0
         assert cert.method == "bernstein"
@@ -174,9 +176,9 @@ class TestRootIsolation:
     def test_exact_and_isolated_roots_in_order(self):
         # roots 1/5, 1/3, 1/2 (the first midpoint) and 1 (an endpoint) on (0, 1)
         roots = [F(1, 5), F(1, 3), F(1, 2), F(1)]
-        g = RatPoly([1])
+        g = IntPoly([1])
         for r in roots:
-            g = g * RatPoly([-r, 1])
+            g = g * IntPoly([-r.numerator, r.denominator])
         found = list(_root_intervals(g, F(0), F(1)))
         assert len(found) == 3
         assert found[2] == (F(1, 2), F(1, 2), 0)
@@ -186,19 +188,19 @@ class TestRootIsolation:
         assert found[0][1] <= found[1][0]
 
     def test_no_roots(self):
-        assert list(_root_intervals(RatPoly([1, 0, 1]), F(-3), F(3))) == []
-        assert list(_root_intervals(RatPoly([5]), F(0), F(1))) == []
+        assert list(_root_intervals(IntPoly([1, 0, 1]), F(-3), F(3))) == []
+        assert list(_root_intervals(IntPoly([5]), F(0), F(1))) == []
 
     def test_negative_point_after_exact_midpoint_root(self):
         # h = -(x - 1/4)(x - 1/2)**2: the bisection hits the sign change 1/4
         # exactly after the touch point 1/2
-        h = -(RatPoly([-F(1, 4), 1]) * RatPoly([-F(1, 2), 1]) ** 2)
-        point = _find_negative_point(h, RatPoly([-F(1, 4), 1]), F(0), F(1))
+        h = -(IntPoly([-1, 4]) * IntPoly([-1, 2]) ** 2)
+        point = _find_negative_point(h, IntPoly([-1, 4]), F(0), F(1))
         assert 0 < point < 1 and h(point) < 0
 
     def test_negative_point_at_first_isolation_midpoint(self):
         # f = 1 + 4(x - 1/2)(1 - x) crosses 1 upward at the midpoint of [0, 1]
-        f = RatPoly([1]) + 4 * RatPoly([-F(1, 2), 1]) * RatPoly([1, -1])
+        f = IntPoly([1]) + 2 * IntPoly([-1, 2]) * IntPoly([1, -1])
         cert = decide_sup_bound(f, Interval(0, 1), F(1))
         assert cert.verdict is Verdict.REFUTED
         assert 0 < cert.refutation_point < 1
@@ -209,7 +211,7 @@ class TestRootIsolation:
         # and the next root is isolated in (-11/8, -3/4)
         f = IntPoly([6, 1, 6, 1, -1])
         bound = F(40119, 4096)
-        h = RatPoly([bound * bound]) - f.to_rat() * f.to_rat()
+        h = IntPoly([bound.numerator**2]) - f * f * bound.denominator**2
         g = _odd_multiplicity_part(h)
         assert next(_root_intervals(g, F(-2), F(3)))[:2] == (F(-11, 8), F(-11, 8))
         cert = decide_sup_bound(f, Interval(-2, 3), bound)
@@ -218,8 +220,76 @@ class TestRootIsolation:
         assert abs(f(cert.refutation_point)) > bound
 
     def test_no_sign_change_gives_none(self):
-        h = RatPoly([-F(1, 2), 1]) ** 2
-        assert _find_negative_point(h, RatPoly([1]), F(0), F(1)) is None
+        h = IntPoly([-1, 2]) ** 2
+        assert _find_negative_point(h, IntPoly([1]), F(0), F(1)) is None
+
+
+def neighbour_cases():
+    """(h, interval) for f + sign * x**j * v, j seeded, over the degree >= 3
+    table witnesses, where h = N**2 - D**2 f**2 for the witness bound N/D."""
+    rng = random.Random(59)
+    out = []
+    for pair, f, bound in table_witnesses():
+        if f.degree < 3:
+            continue
+        v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
+        j = rng.randrange(f.degree - 2)
+        for sign in (1, -1):
+            g = f + sign * (IntPoly.monomial(j) * v)
+            h = IntPoly([bound.numerator**2]) - g * g * bound.denominator**2
+            out.append((h, pair.interval()))
+    return out
+
+
+def random_kernel_cases(count):
+    """(h, interval) with h = c * prod p_k**e_k, multiplicities 1..4."""
+    rng = random.Random(61)
+    out = []
+    for _ in range(count):
+        h = IntPoly([rng.choice([-6, -1, 1, 4])])
+        for _ in range(rng.randint(1, 4)):
+            p = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 3)])
+            h = h * p ** rng.randint(1, 4)
+        a = F(rng.randint(-12, 12), rng.randint(1, 4))
+        out.append((h, Interval(a, a + F(rng.randint(1, 16), rng.randint(1, 4)))))
+    return out
+
+
+class TestIntegerKernelOracle:
+    """Yun's split and the Sturm count against sympy, an independent oracle."""
+
+    CASES = neighbour_cases() + random_kernel_cases(200)
+
+    def test_odd_multiplicity_part_matches_sqf_list(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        assert len(self.CASES) == 102 + 200
+        for h, _ in self.CASES:
+            _, factors = sympy.Poly(h.coeffs[::-1], x, domain="ZZ").sqf_list()
+            odd = sympy.Poly(1, x, domain="ZZ")
+            for factor, mult in factors:
+                if mult % 2:
+                    odd = odd * factor
+            want = IntPoly([int(c) for c in odd.all_coeffs()[::-1]]).primitive()
+            if want.coeffs[-1] < 0:
+                want = -want
+            assert _odd_multiplicity_part(h) == want, h
+
+    def test_sturm_count_matches_count_roots(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for h, interval in self.CASES:
+            g = _odd_multiplicity_part(h)
+            chain = _sturm_chain(g)
+
+            def variations(point):
+                return _variations([_sign_at(p, point) for p in chain])
+
+            lo, hi = sympy.Rational(interval.lo), sympy.Rational(interval.hi)
+            oracle = sympy.Poly(g.coeffs[::-1], x, domain="ZZ")
+            # count_roots counts the closed [lo, hi]; Sturm counts (lo, hi]
+            want = oracle.count_roots(lo, hi) - (oracle.eval(lo) == 0)
+            assert variations(interval.lo) - variations(interval.hi) == want, (h, interval)
 
 
 class TestPipeline:
@@ -242,7 +312,7 @@ class TestEnclosure:
         assert hi - lo <= F(1, 1000)
 
     def test_constant(self):
-        assert sup_norm_enclosure(RatPoly([F(-7, 2)]), I13_25, F(1, 10)) == (F(7, 2), F(7, 2))
+        assert sup_norm_enclosure(IntPoly([-7]), I13_25, F(1, 10)) == (F(7), F(7))
 
     def test_identity_on_unit(self):
         lo, hi = sup_norm_enclosure(IntPoly([0, 1]), Interval(0, 1), F(1, 50))
@@ -258,7 +328,7 @@ class TestEnclosure:
         assert lo < 1 <= hi and hi - lo <= tol
 
     def test_critical_point_on_bisection_midpoint(self):
-        f = RatPoly([1]) - RatPoly([-1, 2]) ** 2  # 1 - (2x - 1)**2, max 1 at 1/2
+        f = IntPoly([1]) - IntPoly([-1, 2]) ** 2  # 1 - (2x - 1)**2, max 1 at 1/2
         assert sup_norm_enclosure(f, Interval(0, 1), F(1, 1000)) == (1, 1)
 
     def test_degree_18_witness(self):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -50,6 +51,14 @@ class TestCertifyCommand:
         path.write_text("poly 1 -3 2\n")
         report = run(["certify", "--poly", str(path), "--interval", "1/3", "2/5", "--conjecture"])
         assert report.exit_code == EXIT_USAGE
+
+    def test_rational_coefficients_refused(self, tmp_path):
+        path = tmp_path / "half.poly"
+        path.write_text("poly 1/2 1\n")
+        report = run(["certify", "--poly", str(path), "--interval", "0", "1", "--bound", "2"])
+        assert report.exit_code == EXIT_USAGE
+        (error,) = [l for l in report.lines if l.startswith("error=")]
+        assert "integer coefficients" in error
 
     def test_non_farey_interval_usage_error(self, witness_file):
         report = run(["certify", "--poly", witness_file, "--interval", "1/4", "1/2", "--conjecture"])
@@ -178,6 +187,18 @@ class TestSearchCommand:
         report = run(["search", "--interval", "1/3", "3/8", "--degree", "14", "--radius", "1"])
         assert report.exit_code == EXIT_USAGE
 
+    def test_huge_degree_offset_box_refused_at_once(self):
+        start = time.perf_counter()
+        report = run(
+            ["search", "--interval", "1/3", "3/8", "--degree", "1000000000", "--radius", "1"]
+        )
+        assert time.perf_counter() - start < 1
+        assert report.exit_code == EXIT_USAGE
+        assert (
+            "error=radius 1 at degree 1000000000 gives more than 59049 offsets"
+            in report.lines
+        )
+
     def test_strategy_flag_removed(self):
         report = run(["search", "--interval", "1/3", "2/5", "--degree", "4", "--strategy", "full"])
         assert report.exit_code == EXIT_USAGE
@@ -239,6 +260,14 @@ class TestParseTableFile:
         with pytest.raises(ValueError) as exc:
             parse_table_file(path)
         assert ":1:" in str(exc.value)
+
+    def test_rational_coefficients_report_line(self, tmp_path):
+        path = tmp_path / "half.txt"
+        path.write_text("interval 1/3 2/5\npoly 1 -3 1\n\ninterval 1/4 2/7\npoly 1/2 1\n")
+        with pytest.raises(ValueError) as exc:
+            parse_table_file(path)
+        assert f"{path}:5:" in str(exc.value)
+        assert "integer coefficients" in str(exc.value)
 
     def test_round_trip_polys(self):
         for entry in parse_table_file(bundled_table_path()):

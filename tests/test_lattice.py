@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,6 @@ from monicheb import (
     GramMatrix,
     IntPoly,
     Interval,
-    RatPoly,
     SmallValueError,
     Verdict,
     build_search_basis,
@@ -83,7 +83,7 @@ def _gram_schmidt(gram):
 
 class TestGramMatrix:
     def test_monomials_on_unit(self):
-        g = gram_matrix([RatPoly([1]), RatPoly([0, 1])], Interval(0, 1))
+        g = gram_matrix([IntPoly([1]), IntPoly([0, 1])], Interval(0, 1))
         assert g.entries == ((F(1), F(1, 2)), (F(1, 2), F(1, 3)))
 
     def test_single_poly(self):
@@ -92,7 +92,7 @@ class TestGramMatrix:
 
     def test_dependent_rejected(self):
         with pytest.raises(ValueError):
-            gram_matrix([RatPoly([1]), RatPoly([2])], Interval(0, 1))
+            gram_matrix([IntPoly([1]), IntPoly([2])], Interval(0, 1))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -265,6 +265,14 @@ class TestSearchWitness:
         pair = FareyPair.from_endpoints(F(1, 3), F(3, 8))
         with pytest.raises(ValueError, match="offsets"):
             search_witness(pair, 14, radius=1)
+
+    def test_huge_degree_refused_at_once(self):
+        # 3**(10**9 - 2) would have about 1.6e9 bits
+        pair = FareyPair.from_endpoints(F(1, 3), F(3, 8))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 59049 offsets"):
+            search_witness(pair, 10**9, radius=1)
+        assert time.perf_counter() - start < 1
 
 
 class TestSmallValues:

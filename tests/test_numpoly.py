@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,24 +11,23 @@ from monicheb import (
     IntPoly,
     Interval,
     MINUS_INFINITY,
-    RatPoly,
     bernstein_split,
     extended_gcd,
     format_poly,
     parse_poly,
     parse_rational,
-    poly_affine_compose,
-    poly_compose,
     poly_eval,
+    poly_gcd,
     poly_integrate_product,
     to_bernstein,
 )
+from monicheb.numpoly import primitive_remainder
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
-def rand_ratpoly(rng, degree):
-    return RatPoly([F(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(degree + 1)])
+def rand_intpoly(rng, degree):
+    return IntPoly([rng.randint(-30, 30) for _ in range(degree + 1)])
 
 
 class TestParseRational:
@@ -59,48 +59,21 @@ class TestEval:
         assert poly_eval(IntPoly([1, -3, 1]), F(1, 3)) == F(1, 9)
 
     def test_constant_coefficient_at_zero(self):
-        p = RatPoly([F(7, 3), 1, 4])
-        assert poly_eval(p, 0) == F(7, 3)
+        p = IntPoly([7, 1, 4])
+        assert poly_eval(p, 0) == 7
 
     def test_zero_poly_degree(self):
         assert IntPoly().degree == MINUS_INFINITY
-        assert RatPoly().degree == MINUS_INFINITY
         assert IntPoly().degree < 0
-
-
-class TestAffineCompose:
-    def test_binomial_identity(self):
-        assert poly_affine_compose(RatPoly([0, 0, 1]), 1, 1) == RatPoly([1, 2, 1])
-
-    def test_reflection(self):
-        # x**2 - 3x + 1 under x -> 1-x
-        assert poly_affine_compose(IntPoly([1, -3, 1]), -1, 1) == RatPoly([-1, 1, 1])
-
-    def test_constant(self):
-        assert poly_affine_compose(RatPoly([F(5, 2)]), 3, 7) == RatPoly([F(5, 2)])
-
-    def test_degree_preserved(self):
-        rng = random.Random(1)
-        for _ in range(20):
-            p = rand_ratpoly(rng, rng.randint(0, 8))
-            q = poly_affine_compose(p, F(rng.randint(1, 5), 3), F(rng.randint(-4, 4)))
-            assert q.degree == p.degree
-
-    def test_general_compose(self):
-        # pullback through x**2
-        p = IntPoly([0, 1])
-        assert poly_compose(p, IntPoly([0, 0, 1])) == RatPoly([0, 0, 1])
-        logistic = RatPoly([0, 1, -1])
-        assert poly_compose(IntPoly([0, 0, 1]), logistic) == logistic * logistic
 
 
 class TestIntegrateProduct:
     def test_power_rule(self):
-        x = RatPoly([0, 1])
+        x = IntPoly([0, 1])
         assert poly_integrate_product(x, x, Interval(0, 1)) == F(1, 3)
 
     def test_interval_length(self):
-        one = RatPoly([1])
+        one = IntPoly([1])
         assert poly_integrate_product(one, one, Interval(F(1, 3), F(2, 5))) == F(1, 15)
 
     def test_against_sympy(self):
@@ -115,10 +88,10 @@ class TestIntegrateProduct:
         rng = random.Random(7)
         interval = Interval(F(-1, 2), F(3, 4))
         for _ in range(40):
-            p = rand_ratpoly(rng, rng.randint(0, 10))
-            q = rand_ratpoly(rng, rng.randint(0, 10))
-            r = rand_ratpoly(rng, rng.randint(0, 10))
-            a = F(rng.randint(-5, 5), rng.randint(1, 4))
+            p = rand_intpoly(rng, rng.randint(0, 10))
+            q = rand_intpoly(rng, rng.randint(0, 10))
+            r = rand_intpoly(rng, rng.randint(0, 10))
+            a = rng.randint(-5, 5)
             assert poly_integrate_product(p, q, interval) == poly_integrate_product(q, p, interval)
             lhs = poly_integrate_product(a * p + r, q, interval)
             rhs = a * poly_integrate_product(p, q, interval) + poly_integrate_product(r, q, interval)
@@ -129,10 +102,10 @@ class TestIntegrateProduct:
 
 class TestBernstein:
     def test_linear_on_unit(self):
-        assert to_bernstein(RatPoly([0, 1]), Interval(0, 1)) == (F(0), F(1))
+        assert to_bernstein(IntPoly([0, 1]), Interval(0, 1)) == (F(0), F(1))
 
     def test_constant(self):
-        assert to_bernstein(RatPoly([F(5, 7)]), Interval(-2, 3)) == (F(5, 7),)
+        assert to_bernstein(IntPoly([5]), Interval(-2, 3)) == (F(5),)
 
     def test_endpoint_coefficients(self):
         p = IntPoly([1, -3, 1])
@@ -144,12 +117,31 @@ class TestBernstein:
     def test_endpoints_random_degree_20(self):
         rng = random.Random(3)
         for _ in range(30):
-            p = rand_ratpoly(rng, rng.randint(0, 20))
+            p = rand_intpoly(rng, rng.randint(0, 20))
             lo = F(rng.randint(-8, 7), rng.randint(1, 5))
             interval = Interval(lo, lo + F(rng.randint(1, 9), rng.randint(1, 4)))
             coeffs = to_bernstein(p, interval)
             assert coeffs[0] == poly_eval(p, interval.lo)
             assert coeffs[-1] == poly_eval(p, interval.hi)
+
+    def test_interior_coefficients(self):
+        # sum_j b_j C(d, j) t**j (1 - t)**(d - j) == p(lo + w t) at d + 1
+        # distinct t, which pins all d + 1 coefficients
+        rng = random.Random(5)
+        for _ in range(40):
+            p = rand_intpoly(rng, rng.randint(0, 20))
+            lo = F(rng.randint(-8, 7), rng.randint(1, 5))
+            interval = Interval(lo, lo + F(rng.randint(1, 9), rng.randint(1, 4)))
+            coeffs = to_bernstein(p, interval)
+            d = len(coeffs) - 1
+            assert d == max(p.degree, 0)
+            for k in range(d + 1):
+                t = F(2 * k + 1, 2 * d + 2)
+                value = sum(
+                    b * math.comb(d, j) * t**j * (1 - t) ** (d - j)
+                    for j, b in enumerate(coeffs)
+                )
+                assert value == poly_eval(p, interval.lo + interval.width * t)
 
     def test_split_linear(self):
         assert bernstein_split((0, 1)) == ((F(0), F(1, 2)), (F(1, 2), F(1)))
@@ -160,7 +152,7 @@ class TestBernstein:
     def test_split_midpoint_shared(self):
         rng = random.Random(11)
         for _ in range(25):
-            p = rand_ratpoly(rng, rng.randint(1, 12))
+            p = rand_intpoly(rng, rng.randint(1, 12))
             interval = Interval(F(-1, 3), F(5, 6))
             left, right = bernstein_split(to_bernstein(p, interval))
             assert left[-1] == right[0] == poly_eval(p, interval.midpoint)
@@ -168,6 +160,83 @@ class TestBernstein:
     def test_split_empty(self):
         with pytest.raises(ValueError):
             bernstein_split(())
+
+
+def rational_remainder(a, b):
+    """Remainder of a by b over the rationals, by Fraction long division."""
+    rem = [F(c) for c in a.coeffs]
+    den = b.coeffs
+    while len(rem) >= len(den):
+        q = rem[-1] / den[-1]
+        shift = len(rem) - len(den)
+        for j, d in enumerate(den):
+            rem[shift + j] -= q * d
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+class TestIntegerKernel:
+    def test_primitive_keeps_sign(self):
+        assert IntPoly([-6, 4, -2]).primitive() == IntPoly([-3, 2, -1])
+        assert IntPoly([3, 5]).primitive() == IntPoly([3, 5])
+        assert IntPoly().primitive() == IntPoly()
+
+    def test_remainder_is_positive_multiple_of_rational_one(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            a = rand_intpoly(rng, rng.randint(0, 12))
+            b = rand_intpoly(rng, rng.randint(0, 8))
+            if not b:
+                continue
+            got = primitive_remainder(a, b)
+            want = rational_remainder(a, b)
+            assert len(got.coeffs) == len(want)
+            if want:
+                scale = want[-1] / got.coeffs[-1]
+                assert scale > 0
+                assert [c * scale for c in got.coeffs] == want
+                assert math.gcd(*got.coeffs) == 1
+
+    def test_exact_division(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            a = rand_intpoly(rng, rng.randint(0, 8))
+            b = rand_intpoly(rng, rng.randint(0, 8))
+            if b:
+                assert (a * b) // b == a
+        with pytest.raises(ValueError, match="inexact"):
+            IntPoly([1, 0, 1]) // IntPoly([1, 1])
+        with pytest.raises(ValueError, match="inexact"):
+            IntPoly([1, 1]) // IntPoly([0, 2])
+        with pytest.raises(ZeroDivisionError):
+            IntPoly([1]) // IntPoly()
+
+    def test_gcd_normalisation(self):
+        # primitive, with a positive leading coefficient
+        x_minus_1 = IntPoly([-1, 1])
+        assert poly_gcd(IntPoly([6, -3, -3]), IntPoly([10, -10])) == x_minus_1
+        assert poly_gcd(IntPoly([0, -4]), IntPoly([0, 0, 6])) == IntPoly([0, 1])
+        assert poly_gcd(IntPoly(), IntPoly([-4, -6])) == IntPoly([2, 3])
+        assert poly_gcd(IntPoly([5]), IntPoly([0, 1])) == IntPoly([1])
+        assert poly_gcd(IntPoly(), IntPoly()) == IntPoly()
+
+    def test_gcd_divides_and_is_greatest(self):
+        rng = random.Random(23)
+        for _ in range(100):
+            common = rand_intpoly(rng, rng.randint(0, 3))
+            a = common * rand_intpoly(rng, rng.randint(0, 5))
+            b = common * rand_intpoly(rng, rng.randint(0, 5))
+            g = poly_gcd(a, b)
+            if not a and not b:
+                assert not g
+                continue
+            assert g.coeffs[-1] > 0 and math.gcd(*g.coeffs) == 1
+            assert (a // g) * g == a and (b // g) * g == b
+            if common:
+                # common divides a and b, so it divides their gcd
+                assert (g // common.primitive()) * common.primitive() == g
 
 
 class TestExtendedGcd:
@@ -199,12 +268,12 @@ class TestExtendedGcd:
 
 
 @given(
-    st.lists(rationals, max_size=8),
-    st.lists(rationals, max_size=8),
+    st.lists(st.integers(-10**6, 10**6), max_size=8),
+    st.lists(st.integers(-10**6, 10**6), max_size=8),
     rationals,
 )
 def test_eval_ring_homomorphism(a, b, x):
-    p, q = RatPoly(a), RatPoly(b)
+    p, q = IntPoly(a), IntPoly(b)
     assert poly_eval(p + q, x) == poly_eval(p, x) + poly_eval(q, x)
     assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
 
@@ -225,8 +294,12 @@ class TestSerialization:
         assert parse_poly(format_poly(p)) == p
 
     def test_round_trip_rat(self):
-        p = RatPoly([F(1, 2), F(-3, 7)])
+        # integer coefficients written as fractions read back as integers
+        p = parse_poly("poly 4/2 -21/7 -0/5")
+        assert p == IntPoly([2, -3])
         assert parse_poly(format_poly(p)) == p
+        with pytest.raises(ValueError, match="integer coefficients"):
+            parse_poly("poly 1/2 -3/7")
 
     def test_canonical_form(self):
         assert format_poly(IntPoly([1, -3, 1])) == "poly 1 -3 1"
