@@ -40,6 +40,11 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
+# Largest --degree that construct pair/triple accepts.  Larger degrees are
+# refused before any work: at degree 8000 on (1/3, 2/5) the output already
+# exceeds Python's 4300-digit int-to-str limit.
+MAX_CONSTRUCT_DEGREE = 4096
+
 
 class _UsageError(Exception):
     pass
@@ -206,6 +211,10 @@ def _cmd_farey(args, report: RunReport) -> None:
 
 
 def _cmd_construct(args, report: RunReport) -> None:
+    if args.mode in ("pair", "triple") and args.degree > MAX_CONSTRUCT_DEGREE:
+        raise _UsageError(
+            f"--degree {args.degree} is above the cap {MAX_CONSTRUCT_DEGREE}"
+        )
     if args.mode == "pair":
         pair = FareyPair.from_endpoints(parse_rational(args.lo), parse_rational(args.hi))
         targets = [int(t) for t in args.targets.split(",")]

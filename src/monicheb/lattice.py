@@ -2,7 +2,9 @@
 search over endpoint-vanishing sublattices, and the small-values
 construction for conjugation-closed point sets.
 
-All reduction arithmetic is exact (Fractions end to end); the only
+All reduction arithmetic is exact: LLL runs in integers on the Gram
+matrix scaled by the lcm of its denominators, and the witness search
+enumerates offsets on the same form scaled to integers.  The only
 approximate ingredient anywhere is the float heuristic that guesses
 integer coefficients in the small-values assembly, and those guesses are
 always re-verified with outward-rounded rational interval arithmetic.
@@ -110,72 +112,98 @@ class ReductionResult:
 def lll_reduce(gram: GramMatrix, delta=Fraction(3, 4)) -> ReductionResult:
     """Lattice reduction of Z^d under the quadratic form given by gram.
 
-    Exact-rational Gram-Schmidt with the classic size-reduction and
-    Lovasz-exchange loop; swaps update the GS data in place through the
-    standard two-row formulas.  The returned transform is unimodular by
-    construction.
+    Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7) on the integer Gram matrix G*D, D the lcm of the
+    entry denominators: it keeps the Gram determinants d_i and
+    lambda_ij = d_j mu_ij as integers, and every division in the swap
+    formulas is exact.  The size-reduction quotient rounds lambda/d_j half
+    to even, as round() does on a Fraction, so the swaps, the transform
+    and the GS data are those of the rational algorithm.  The returned
+    transform is unimodular by construction, and gram_reduced = U^T G U is
+    formed in integers.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
+    dp, dq = delta.numerator, delta.denominator
     d = gram.dim
+    scale = math.lcm(*(x.denominator for row in gram.entries for x in row))
+    g = [[int(x * scale) for x in row] for row in gram.entries]
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
-    mu = [[Fraction(0)] * d for _ in range(d)]
-    norms = [Fraction(0)] * d  # squared GS lengths
+    # dets[i + 1] = d_i, the Gram determinant of the first i + 1 vectors
+    # (dets[0] = 1); lam[i][j] = d_j mu_ij for j < i.
+    dets = [1] + [0] * d
+    lam = [[0] * d for _ in range(d)]
 
-    def recompute_row(i: int) -> None:
-        inner = [Fraction(0)] * i
-        for j in range(i):
-            val = gram.form(basis[i], basis[j])
+    def add_row(i: int) -> None:
+        # GS data of row i, computed when the loop first reaches it; vector
+        # i is still e_i then, so <b_i, b_j> = (G U)_ij
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(g[i], basis[j]))
             for l in range(j):
-                val -= mu[j][l] * inner[l]
-            inner[j] = val
-            mu[i][j] = val / norms[j]
-        norms[i] = gram.form(basis[i], basis[i]) - sum(
-            mu[i][j] * inner[j] for j in range(i)
-        )
-        if norms[i] <= 0:
+                u = (dets[l + 1] * u - lam[i][l] * lam[j][l]) // dets[l]
+            if j < i:
+                lam[i][j] = u
+            else:
+                dets[i + 1] = u
+        if dets[i + 1] <= 0:
             raise ValueError("form is not positive definite on the basis")
 
-    for i in range(d):
-        recompute_row(i)
-
     def size_reduce(k: int, j: int) -> None:
-        if abs(mu[k][j]) > Fraction(1, 2):
-            q = round(mu[k][j])
+        dj = dets[j + 1]
+        if 2 * abs(lam[k][j]) > dj:
+            q, rem = divmod(lam[k][j], dj)
+            if 2 * rem > dj or (2 * rem == dj and q % 2):
+                q += 1
             basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
             for l in range(j):
-                mu[k][l] -= q * mu[j][l]
-            mu[k][j] -= q
+                lam[k][l] -= q * lam[j][l]
+            lam[k][j] -= q * dj
 
-    k = 1
+    if d:
+        add_row(0)
+    k, known = 1, 1
     while k < d:
+        if k == known:
+            add_row(k)
+            known += 1
         size_reduce(k, k - 1)
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+        m = lam[k][k - 1]
+        if dq * (dets[k + 1] * dets[k - 1] + m * m) >= dp * dets[k] ** 2:
             for j in range(k - 2, -1, -1):
                 size_reduce(k, j)
             k += 1
         else:
-            m = mu[k][k - 1]
-            swapped_norm = norms[k] + m * m * norms[k - 1]
-            mu[k][k - 1] = m * norms[k - 1] / swapped_norm
-            norms[k] = norms[k - 1] * norms[k] / swapped_norm
-            norms[k - 1] = swapped_norm
+            swapped = (dets[k - 1] * dets[k + 1] + m * m) // dets[k]
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-            for i in range(k + 1, d):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            for i in range(k + 1, known):
+                t = lam[i][k]
+                lam[i][k] = (dets[k + 1] * lam[i][k - 1] - m * t) // dets[k]
+                lam[i][k - 1] = (swapped * t + m * lam[i][k]) // dets[k + 1]
+            dets[k] = swapped
             k = max(k - 1, 1)
 
+    # U^T (G U) over the integers, then divided by the scale
+    gu = [[sum(x * y for x, y in zip(row, b)) for b in basis] for row in g]
     reduced = tuple(
-        tuple(gram.form(basis[i], basis[j]) for j in range(d)) for i in range(d)
+        tuple(
+            Fraction(sum(x * gu[r][j] for r, x in enumerate(basis[i])), scale)
+            for j in range(d)
+        )
+        for i in range(d)
     )
     transform = tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
-    mu_out = tuple(tuple(row) for row in mu)
-    return ReductionResult(GramMatrix(reduced), transform, mu_out, tuple(norms), delta)
+    mu = tuple(
+        tuple(
+            Fraction(lam[i][j], dets[j + 1]) if j < i else Fraction(0)
+            for j in range(d)
+        )
+        for i in range(d)
+    )
+    norms = tuple(Fraction(dets[i + 1], dets[i] * scale) for i in range(d))
+    return ReductionResult(GramMatrix(reduced), transform, mu, norms, delta)
 
 
 def det_unimodular(transform) -> int:
@@ -198,6 +226,63 @@ def det_unimodular(transform) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[d - 1][d - 1]
+
+
+def _offsets_by_length(mu, norms, radius: int):
+    """Yield every offset in {-radius..radius}**d in (form, offset) order.
+
+    form(off) = sum_i norms_i (off_i + sum_{j>i} mu_ji off_j)**2, which is
+    off^T G off for the Gram matrix G whose Gram-Schmidt data are mu and
+    norms.  The box is walked in shells of growing bound, 0, s, 3s, 7s, ...
+    with s the smallest norm: each shell is a depth-first walk from the
+    last coordinate down that prunes on the partial sums, and only the
+    points with previous bound < form <= bound are sorted and yielded.
+    The walk runs on the form scaled to integers.
+    """
+    d = len(norms)
+    den = math.lcm(*(mu[j][i].denominator for j in range(d) for i in range(j)))
+    lmu = [[int(mu[j][i] * den) for i in range(j)] for j in range(d)]
+    scaled = [nrm / (den * den) for nrm in norms]
+    unit = math.lcm(*(w.denominator for w in scaled))
+    weights = [int(w * unit) for w in scaled]
+    # the least nonzero form is at least min(norms), since its last
+    # nonzero coordinate alone contributes norms_i off_i**2
+    step = min(weights, default=0) * den * den
+    off = [0] * d
+
+    def walk(i: int, partial: int, prev: int, bound: int, shell: list) -> bool:
+        """Add the points below off[i+1:] with prev < form <= bound to shell;
+        True when some point below has a form above bound."""
+        if i < 0:
+            if partial > prev:
+                shell.append((partial, tuple(off)))
+            return False
+        # off_i + sum_{j>i} mu_ji off_j = (den off_i + sigma) / den; the term
+        # is convex in off_i, so scan out from its minimum both ways
+        sigma = sum(lmu[j][i] * off[j] for j in range(i + 1, d))
+        start = min(max(-sigma // den, -radius), radius)
+        pruned = False
+        for x, stop, inc in ((start, -radius - 1, -1), (start + 1, radius + 1, 1)):
+            while x != stop:
+                term = weights[i] * (den * x + sigma) ** 2
+                if partial + term > bound:
+                    pruned = True
+                    break
+                off[i] = x
+                pruned |= walk(i - 1, partial + term, prev, bound, shell)
+                x += inc
+        return pruned
+
+    prev, bound = -1, 0
+    while True:
+        shell: list = []
+        pruned = walk(d - 1, 0, prev, bound, shell)
+        shell.sort()
+        for _, point in shell:
+            yield point
+        if not pruned:
+            return
+        prev, bound = bound, 2 * bound + step
 
 
 @dataclass(frozen=True)
@@ -243,10 +328,11 @@ def search_witness(
     reduction's own Gram-Schmidt data: the projections of -p onto the GS
     vectors come from one exact inner product per reduced polynomial and
     the mu recurrence.  Candidates p + sum (center_i + off_i) b_i are then
-    tried for every integer offset with |off_i| <= radius, ordered by
-    quadratic-form length (lexicographic tie-break), and the first one that
-    certifies is returned.  Raises ValueError for a negative radius and when
-    the (2 radius + 1)**(n - 2) offsets would exceed MAX_OFFSETS.
+    tried for the integer offsets with |off_i| <= radius, ordered by
+    quadratic-form length (lexicographic tie-break) and generated lazily,
+    shortest first, and the first one that certifies is returned.  Raises
+    ValueError for a negative radius and when the (2 radius + 1)**(n - 2)
+    offsets would exceed MAX_OFFSETS.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -283,12 +369,7 @@ def search_witness(
         for j in range(i):
             y[j] -= center[i] * red.mu[i][j]
 
-    def offset_key(off):
-        return (red.gram_reduced.form(off, off), off)
-
-    for off in sorted(
-        itertools.product(range(-radius, radius + 1), repeat=dim), key=offset_key
-    ):
+    for off in _offsets_by_length(red.mu, red.norms, radius):
         f = basis.p
         for i in range(dim):
             c = center[i] + off[i]

@@ -158,6 +158,21 @@ class TestConstructCommand:
         assert "degree=2" in report.lines
         assert "poly 1 -2 1" in report.lines
 
+    @pytest.mark.parametrize("mode", ["pair", "triple"])
+    def test_degree_above_cap_refused_at_once(self, mode):
+        # degree 8000 on (1/3, 2/5) once ran 2.5 s and then failed on the
+        # 4300-digit int-to-str limit
+        start = time.perf_counter()
+        report = run(["construct", mode, "1/3", "2/5", "--degree", "8000"])
+        assert time.perf_counter() - start < 1
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == ["error=--degree 8000 is above the cap 4096"]
+
+    def test_degree_4000_pair_still_built(self):
+        report = run(["construct", "pair", "1/3", "2/5", "--degree", "4000"])
+        assert report.exit_code == EXIT_OK
+        assert report.lines[1:] == [f"value@2/5=1/{5**4000}", f"value@1/3=1/{3**4000}"]
+
     def test_multi_cap_exceeded(self):
         report = run(["construct", "multi", "1/4,3/4", "--max-degree", "100"])
         assert report.exit_code == EXIT_INCONCLUSIVE

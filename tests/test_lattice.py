@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monicheb import (
     CongruenceError,
@@ -14,14 +16,17 @@ from monicheb import (
     SmallValueError,
     Verdict,
     build_search_basis,
+    bundled_table_path,
     det_unimodular,
     gram_matrix,
     lll_reduce,
     poly_eval,
+    parse_table_file,
     search_witness,
     small_value_polynomial,
     verify_witness,
 )
+from monicheb.lattice import _offsets_by_length, _small_value_candidates
 
 
 def random_gram(rng, dim, spread=6):
@@ -137,6 +142,86 @@ class TestLLL:
             assert lhs <= factor * det
 
 
+def reference_lll(gram, delta=F(3, 4)):
+    """The rational LLL that lll_reduce replaced, kept as its oracle."""
+    delta = F(delta)
+    if not F(1, 4) < delta < 1:
+        raise ValueError("delta must lie in (1/4, 1)")
+    d = gram.dim
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    mu = [[F(0)] * d for _ in range(d)]
+    norms = [F(0)] * d  # squared GS lengths
+
+    def recompute_row(i):
+        inner = [F(0)] * i
+        for j in range(i):
+            val = gram.form(basis[i], basis[j])
+            for l in range(j):
+                val -= mu[j][l] * inner[l]
+            inner[j] = val
+            mu[i][j] = val / norms[j]
+        norms[i] = gram.form(basis[i], basis[i]) - sum(
+            mu[i][j] * inner[j] for j in range(i)
+        )
+        if norms[i] <= 0:
+            raise ValueError("form is not positive definite on the basis")
+
+    for i in range(d):
+        recompute_row(i)
+
+    def size_reduce(k, j):
+        if abs(mu[k][j]) > F(1, 2):
+            q = round(mu[k][j])
+            basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
+            for l in range(j):
+                mu[k][l] -= q * mu[j][l]
+            mu[k][j] -= q
+
+    k = 1
+    while k < d:
+        size_reduce(k, k - 1)
+        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+            for j in range(k - 2, -1, -1):
+                size_reduce(k, j)
+            k += 1
+        else:
+            m = mu[k][k - 1]
+            swapped_norm = norms[k] + m * m * norms[k - 1]
+            mu[k][k - 1] = m * norms[k - 1] / swapped_norm
+            norms[k] = norms[k - 1] * norms[k] / swapped_norm
+            norms[k - 1] = swapped_norm
+            basis[k], basis[k - 1] = basis[k - 1], basis[k]
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            for i in range(k + 1, d):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+
+    reduced = tuple(
+        tuple(gram.form(basis[i], basis[j]) for j in range(d)) for i in range(d)
+    )
+    transform = tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
+    return reduced, transform, tuple(tuple(row) for row in mu), tuple(norms)
+
+
+def assert_matches_reference(gram, delta=F(3, 4)):
+    result = lll_reduce(gram, delta)
+    reduced, transform, mu, norms = reference_lll(gram, delta)
+    assert result.gram_reduced.entries == reduced
+    assert result.transform == transform
+    assert result.mu == mu
+    assert result.norms == norms
+    return result
+
+
+def endpoint_vanishing_gram(pair, n):
+    """Gram of (v, x v, ..., x**(n-3) v) under the L2 form on the pair."""
+    v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
+    return gram_matrix([IntPoly.monomial(i) * v for i in range(n - 2)], pair.interval())
+
+
 def _det_fraction(entries):
     m = [list(row) for row in entries]
     d = len(m)
@@ -158,6 +243,101 @@ def _det_fraction(entries):
             for j in range(k, d):
                 m[i][j] -= factor * m[k][j]
     return det
+
+
+def table_pairs():
+    return [entry.pair for entry in parse_table_file(bundled_table_path())]
+
+
+class TestIntegralLLL:
+    """lll_reduce against reference_lll, field by field."""
+
+    @pytest.mark.parametrize("delta", [F(1, 2), F(3, 4), F(99, 100)])
+    def test_matches_reference_random(self, delta):
+        rng = random.Random(2024)
+        for _ in range(60):
+            g = random_gram(rng, rng.randint(1, 8), rng.choice([2, 6, 30]))
+            check_reduction(g, assert_matches_reference(g, delta))
+
+    @pytest.mark.parametrize(
+        "n, stride, first", [(14, 4, 0), (18, 12, 1), (22, 25, 2)]
+    )
+    def test_matches_reference_on_table_lattices(self, n, stride, first):
+        # a spread of the table intervals: the reference takes about 0.4 s
+        # per lattice at n = 14 and 3 s at n = 22
+        for pair in table_pairs()[first::stride]:
+            assert_matches_reference(endpoint_vanishing_gram(pair, n))
+
+    def test_matches_reference_on_small_value_gram(self, monkeypatch):
+        import monicheb.lattice as lattice_mod
+
+        grams = []
+
+        def recording(gram, delta=F(3, 4)):
+            grams.append(gram)
+            return lll_reduce(gram, delta)
+
+        monkeypatch.setattr(lattice_mod, "lll_reduce", recording)
+        reps = [(F(math.pi), F(0)), (F(0.3), F(0.8))]
+        list(_small_value_candidates(reps, 5, 1 << 96))
+        monkeypatch.undo()
+        (gram,) = grams
+        assert max(x.denominator for row in gram.entries for x in row) > 2**96
+        assert_matches_reference(gram)
+
+    @pytest.mark.parametrize(
+        "entries, transform",
+        [
+            # mu = 3/2 and -3/2: round half to even gives 2 and -2
+            (((2, 3), (3, 10)), ((1, -2), (0, 1))),
+            (((2, -3), (-3, 10)), ((1, 2), (0, 1))),
+            # mu = 5/2: half to even gives 2, half up would give 3
+            (((2, 5), (5, 20)), ((1, -2), (0, 1))),
+        ],
+    )
+    def test_size_reduction_rounds_half_to_even(self, entries, transform):
+        g = GramMatrix(entries)
+        result = assert_matches_reference(g)
+        assert result.transform == transform
+        assert result.mu[1][0] in (F(1, 2), F(-1, 2))
+
+
+class TestOffsetsByLength:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_sorted_box(self, data):
+        dim = data.draw(st.integers(0, 6), label="dim")
+        radius = data.draw(st.integers(0, 2), label="radius")
+        cells = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+        a = [[data.draw(cells) for _ in range(dim)] for _ in range(dim)]
+        g = GramMatrix(
+            tuple(
+                tuple(
+                    sum(a[k][i] * a[k][j] for k in range(dim)) + (i == j)
+                    for j in range(dim)
+                )
+                for i in range(dim)
+            )
+        )
+        norms, mu = _gram_schmidt(g)
+        expected = sorted(
+            itertools.product(range(-radius, radius + 1), repeat=dim),
+            key=lambda o: (g.form(o, o), o),
+        )
+        assert list(_offsets_by_length(mu, norms, radius)) == expected
+
+    def test_full_box_at_degree_12(self):
+        pair = FareyPair.from_endpoints(F(6, 13), F(7, 15))
+        red = lll_reduce(endpoint_vanishing_gram(pair, 12))
+        got = list(_offsets_by_length(red.mu, red.norms, 1))
+        assert len(got) == 3**10 and len(set(got)) == 3**10
+        forms = [red.gram_reduced.form(o, o) for o in got[:2000:7]]
+        assert forms == sorted(forms)
+
+    def test_zero_offset_first(self):
+        pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
+        red = lll_reduce(endpoint_vanishing_gram(pair, 20))
+        assert next(_offsets_by_length(red.mu, red.norms, 3)) == (0,) * 18
 
 
 class TestSearchBasis:
@@ -229,6 +409,43 @@ class TestSearchWitness:
 
         monkeypatch.setattr(lattice_mod, "verify_witness", always_refuted)
         assert search_witness(pair, 4, radius=0) is None
+
+    def test_candidate_order_after_refusals(self, monkeypatch):
+        # the search tries p + sum (center_i + off_i) b_i with the offsets in
+        # (form, offset) order; refuse the first 40 and record every try
+        import monicheb.lattice as lattice_mod
+
+        pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
+        real = lattice_mod.verify_witness
+        tried = []
+
+        def refuse_first_40(p, f, depth):
+            tried.append(f)
+            record = real(p, f, depth)
+            if len(tried) <= 40:
+                object.__setattr__(record.certificate, "verdict", Verdict.REFUTED)
+            return record
+
+        monkeypatch.setattr(lattice_mod, "verify_witness", refuse_first_40)
+        found = search_witness(pair, 8, radius=1)
+        assert len(tried) > 40 and found == tried[-1]
+
+        sub = build_search_basis(pair, 8).members[1:]
+        red = lll_reduce(gram_matrix(sub, pair.interval()))
+        reduced = [
+            sum((c * m for c, m in zip(red.basis_vector(j), sub)), IntPoly())
+            for j in range(red.dim)
+        ]
+        order = sorted(
+            itertools.product(range(-1, 2), repeat=red.dim),
+            key=lambda o: (red.gram_reduced.form(o, o), o),
+        )
+        assert order[0] == (0,) * red.dim
+        expected = [
+            sum((o_i * b for o_i, b in zip(off, reduced)), tried[0])
+            for off in order[: len(tried)]
+        ]
+        assert tried == expected
 
     def test_search_deterministic(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
