@@ -14,6 +14,7 @@ from .numpoly import (
     extended_gcd,
     format_poly,
     format_rational,
+    homogeneous_value,
     parse_poly,
     parse_rational,
     poly_eval,
@@ -94,7 +95,7 @@ def __getattr__(name):
 __all__ = [
     "IntPoly", "Interval", "MINUS_INFINITY",
     "bernstein_split", "extended_gcd", "format_poly", "format_rational",
-    "parse_poly", "parse_rational", "poly_eval", "poly_gcd",
+    "homogeneous_value", "parse_poly", "parse_rational", "poly_eval", "poly_gcd",
     "poly_integrate_product", "to_bernstein",
     "FareyPair", "farey_intervals", "farey_sequence", "is_consecutive_pair",
     "mediant",

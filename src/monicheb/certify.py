@@ -25,6 +25,7 @@ from .numpoly import (
     Interval,
     bernstein_split,
     format_rational,
+    homogeneous_value,
     poly_gcd,
     primitive_remainder,
     to_bernstein,
@@ -115,13 +116,8 @@ def _sturm_chain(g: IntPoly) -> list[IntPoly]:
 
 def _sign_at(p: IntPoly, x: Fraction) -> int:
     """Sign of p(x), read off the integer b**deg(p) * p(a/b) for x = a/b, b > 0."""
-    a, b = x.numerator, x.denominator
-    acc = 0
-    scale = 1
-    for c in reversed(p.coeffs):
-        acc = acc * a + c * scale
-        scale *= b
-    return (acc > 0) - (acc < 0)
+    value = homogeneous_value(p, x.numerator, x.denominator)
+    return (value > 0) - (value < 0)
 
 
 def _variations(values) -> int:
@@ -408,10 +404,7 @@ def rational_point_lower_bound(f: IntPoly, p) -> Fraction:
     if p.denominator < 2:
         raise ValueError(f"{p} is an integer point")
     n = f.degree
-    scaled = sum(
-        c * p.numerator**i * p.denominator ** (n - i)
-        for i, c in enumerate(f.coeffs)
-    )
+    scaled = homogeneous_value(f, p.numerator, p.denominator)
     assert scaled != 0, "monic integer polynomial cannot vanish at a non-integer rational"
     value = Fraction(abs(scaled), p.denominator**n)
     assert value >= Fraction(1, p.denominator**n)

@@ -215,15 +215,14 @@ def _cmd_construct(args, report: RunReport) -> None:
         raise _UsageError(
             f"--degree {args.degree} is above the cap {MAX_CONSTRUCT_DEGREE}"
         )
+    head: list[str] = []
     if args.mode == "pair":
         pair = FareyPair.from_endpoints(parse_rational(args.lo), parse_rational(args.hi))
         targets = [int(t) for t in args.targets.split(",")]
         if len(targets) != 2:
             raise _UsageError("--targets needs exactly two integers A1,A2")
         poly = pair_polynomial(pair, args.degree, targets[0], targets[1])
-        report.emit(format_poly(poly))
-        report.emit(f"value@{format_rational(pair.hi)}={format_rational(poly(pair.hi))}")
-        report.emit(f"value@{format_rational(pair.lo)}={format_rational(poly(pair.lo))}")
+        points = [pair.hi, pair.lo]
     elif args.mode == "triple":
         pair = FareyPair.from_endpoints(parse_rational(args.lo), parse_rational(args.hi))
         targets = [int(t) for t in args.targets.split(",")]
@@ -232,17 +231,24 @@ def _cmd_construct(args, report: RunReport) -> None:
         poly = triple_polynomial(
             pair, args.degree, targets[0], targets[1], targets[2], args.split
         )
-        med = Fraction(pair.a1 + pair.a2, pair.b1 + pair.b2)
-        report.emit(format_poly(poly))
-        for point in (pair.hi, pair.lo, med):
-            report.emit(f"value@{format_rational(point)}={format_rational(poly(point))}")
+        points = [pair.hi, pair.lo, Fraction(pair.a1 + pair.a2, pair.b1 + pair.b2)]
     else:
         points = [parse_rational(tok) for tok in args.points.split(",")]
         degree, poly = multipoint_monic(points, args.max_degree)
-        report.emit(f"degree={degree}")
-        report.emit(format_poly(poly))
-        for p in points:
-            report.emit(f"value@{format_rational(p)}={format_rational(poly(p))}")
+        head.append(f"degree={degree}")
+    # Every line is formatted before any is emitted, so an integer over the
+    # interpreter's int-to-str digit limit refuses the whole report.
+    try:
+        lines = head + [format_poly(poly)] + [
+            f"value@{format_rational(p)}={format_rational(poly(p))}" for p in points
+        ]
+    except ValueError as exc:
+        raise _UsageError(
+            "output has an integer over the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits for int-to-str conversion"
+        ) from exc
+    for line in lines:
+        report.emit(line)
 
 
 def _cmd_certify(args, report: RunReport) -> None:

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .farey import FareyPair, mediant
-from .numpoly import IntPoly, extended_gcd
+from .numpoly import IntPoly, extended_gcd, homogeneous_value
 
 
 class CongruenceError(ValueError):
@@ -56,36 +56,47 @@ def multiplicative_order(a: int, modulus: int) -> int:
     """Order of a in (Z/modulus)*; modulus 1 gives 1."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    if modulus == 1:
-        return 1
+    return _order(a, modulus, _factorize(modulus))
+
+
+def _order(a: int, modulus: int, factors: dict[int, int]) -> int:
+    """Order of a modulo modulus = prod(p**e for p, e in factors.items()).
+
+    Euler's phi and its primes come from the factorization: phi's primes
+    are those of each p - 1, and p itself when e > 1.  So a modulus that
+    is a high power of a large prime is never trial-divided.
+    """
     a %= modulus
     if gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not invertible mod {modulus}")
-    # Euler phi from the factorization, then strip unnecessary prime powers.
     phi = 1
-    for p, e in _factorize(modulus).items():
+    primes: set[int] = set()
+    for p, e in factors.items():
         phi *= (p - 1) * p ** (e - 1)
+        primes.update(_factorize(p - 1))
+        if e > 1:
+            primes.add(p)
+    # Strip from phi every prime power the order does not need.
     order = phi
-    for p in _factorize(phi):
+    for p in sorted(primes):
         while order % p == 0 and pow(a, order // p, modulus) == 1:
             order //= p
     return order
 
 
-def _binomial_power(l: int, f: int, e: int) -> IntPoly:
-    """(l*x - f)**e expanded directly from binomial coefficients."""
-    # coeff_i = C(e, i) * l**i * (-f)**(e-i); computed incrementally so the
-    # high-degree cases stay cheap.
-    coeffs = [0] * (e + 1)
-    binom = 1
-    f_pow = [1] * (e + 1)
-    for i in range(1, e + 1):
-        f_pow[i] = f_pow[i - 1] * (-f)
-    l_pow = 1
-    for i in range(e + 1):
-        coeffs[i] = binom * l_pow * f_pow[e - i]
-        binom = binom * (e - i) // (i + 1)
-        l_pow *= l
+def _binomial_power(l: int, f: int, e: int, scale: int = 1) -> IntPoly:
+    """scale * (l*x - f)**e, expanded by the ratio of consecutive terms.
+
+    Coefficient i is scale * C(e, i) * l**i * (-f)**(e-i).  Starting from
+    scale * (-f)**e, the next one is c * ((e-i)*l) // ((i+1)*(-f)), an exact
+    division, so each step is one big-by-small product and one exact
+    division, and the big multiplier scale costs a single product.
+    """
+    if f == 0:
+        return IntPoly.monomial(e, scale * l**e)
+    coeffs = [scale * (-f) ** e]
+    for i in range(e):
+        coeffs.append(coeffs[-1] * ((e - i) * l) // ((i + 1) * -f))
     return IntPoly(coeffs)
 
 
@@ -110,8 +121,8 @@ def pair_polynomial(pair: FareyPair, n: int, a_hi: int = 1, a_lo: int = 1) -> In
     c2 = (a_lo - a2**n) // b2
     result = (
         IntPoly.monomial(n)
-        + c1 * _binomial_power(b2, a2, n - 1)
-        + c2 * _binomial_power(-b1, -a1, n - 1)
+        + _binomial_power(b2, a2, n - 1, c1)
+        + _binomial_power(-b1, -a1, n - 1, c2)
     )
     assert result.is_monic and result.degree == n
     return result
@@ -137,10 +148,10 @@ def triple_polynomial(
     c1 = (a_hi - pair.a1**n) // pair.b1
     c2 = (a_lo - pair.a2**n) // pair.b2
     c3 = (a_med - a3**n) // b3
-    correction = _binomial_power(pair.b2, pair.a2, j) * _binomial_power(
+    correction = _binomial_power(pair.b2, pair.a2, j, c3 - c2 - c1) * _binomial_power(
         -pair.b1, -pair.a1, n - 1 - j
     )
-    result = base + (c3 - c2 - c1) * correction
+    result = base + correction
     assert result.is_monic and result.degree == n
     return result
 
@@ -209,25 +220,31 @@ def construction_state(points) -> ConstructionState:
     k = len(pts)
     e_values: dict[int, int] = {}
     for j in range(2, k + 1):
-        prod = 1
+        e_j = 1
         aj, bj = pts[j - 1].numerator, pts[j - 1].denominator
         for i in range(1, j):
             ai, bi = pts[i - 1].numerator, pts[i - 1].denominator
-            prod *= aj * bi - ai * bj
-        e_values[j] = prod
+            e_j *= aj * bi - ai * bj
+        e_values[j] = e_j
     d_value = 1
     for e in e_values.values():
         d_value = lcm(d_value, abs(e))
-    m = 1 + max(_factorize(d_value).values(), default=0)
+    d_factors = _factorize(d_value)
+    m = 1 + max(d_factors.values(), default=0)
     km = k * m
 
+    # b_j and D are factored once; the moduli's factorizations are those
+    # lifted to the power k*m, so no huge modulus is trial-divided.
     order_lcm = 1
-    state_partial = ConstructionState(tuple(pts), e_values, d_value, m, 0, ())
-    for j in range(1, k + 1):
-        aj, bj = pts[j - 1].numerator, pts[j - 1].denominator
-        order_lcm = lcm(order_lcm, multiplicative_order(aj, bj**km))
-        d2j = state_partial.d2(j)
-        order_lcm = lcm(order_lcm, multiplicative_order(bj, d2j**km))
+    for p in pts:
+        aj, bj = p.numerator, p.denominator
+        b_lifted = {q: e * km for q, e in _factorize(bj).items()}
+        d2_lifted = {q: e * km for q, e in d_factors.items() if bj % q}
+        order_lcm = lcm(
+            order_lcm,
+            _order(aj, bj**km, b_lifted),
+            _order(bj, prod(q**e for q, e in d2_lifted.items()), d2_lifted),
+        )
     n = order_lcm * ((km + order_lcm - 1) // order_lcm)
 
     bezout = []
@@ -244,16 +261,12 @@ def admissible_degree(points) -> int:
 
 
 def _eval_scaled(poly: IntPoly, a: int, b: int, n: int) -> int:
-    """b**n * poly(a/b) as an exact integer (poly degree <= n)."""
-    total = 0
-    a_pow = 1
-    b_pow = b**n
-    for c in poly.coeffs:
-        if c:
-            total += c * a_pow * b_pow
-        a_pow *= a
-        b_pow //= b
-    return total
+    """b**n * poly(a/b) as an exact integer, for poly of degree <= n.
+
+    b**(n - deg) times the homogeneous value of poly at (a, b)."""
+    if not poly:
+        return 0
+    return b ** (n - poly.degree) * homogeneous_value(poly, a, b)
 
 
 def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
@@ -277,7 +290,7 @@ def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
     l1, f1 = state.bezout[0]
     lead = 1 - a1**n
     assert lead % b1**km == 0, "base-step divisibility must hold"
-    poly = IntPoly.monomial(n) + (lead // b1**km) * _binomial_power(l1, f1, n - km)
+    poly = IntPoly.monomial(n) + _binomial_power(l1, f1, n - km, lead // b1**km)
     assert poly.is_monic and poly.degree == n
 
     vanish = IntPoly([1])
@@ -292,7 +305,7 @@ def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
         a_mult = -(big_b // denom)
         exponent = n - (k - r) * m - r
         assert exponent >= 0
-        correction = a_mult * _binomial_power(l_next, f_next, exponent) * vanish
+        correction = _binomial_power(l_next, f_next, exponent, a_mult) * vanish
         assert correction.degree < n or not correction
         poly = poly + correction
         assert poly.is_monic and poly.degree == n

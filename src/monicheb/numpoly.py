@@ -97,14 +97,16 @@ class IntPoly:
     def __init__(self, coeffs: Iterable[int] = ()):
         checked = []
         for c in coeffs:
-            if isinstance(c, Fraction):
+            # The int test comes first: it is the common case, and the
+            # Fraction test goes through the slower ABC instance check.
+            if not isinstance(c, int):
+                if not isinstance(c, Fraction):
+                    raise TypeError(f"integer coefficient expected, got {c!r}")
                 if c.denominator != 1:
                     raise ValueError(
                         f"non-integer coefficient {c}: polynomials have integer coefficients"
                     )
                 c = c.numerator
-            elif not isinstance(c, int):
-                raise TypeError(f"integer coefficient expected, got {c!r}")
             checked.append(c)
         object.__setattr__(self, "coeffs", _strip(checked))
 
@@ -203,14 +205,16 @@ class IntPoly:
         return IntPoly(quo)
 
     def __call__(self, x: Rat):
+        """Exact value at x: an int for an int argument, else a Fraction."""
         if isinstance(x, int):
-            acc = 0
-        else:
-            x = Fraction(x)
-            acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            return homogeneous_value(self, x, 1)
+        x = Fraction(x)
+        if not self.coeffs:
+            return Fraction(0)
+        return Fraction(
+            homogeneous_value(self, x.numerator, x.denominator),
+            x.denominator ** (len(self.coeffs) - 1),
+        )
 
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -221,8 +225,42 @@ class IntPoly:
         return IntPoly([c // g for c in self.coeffs]) if g > 1 else self
 
 
+# Runs of at most this many coefficients are evaluated by Horner's rule.
+_HORNER_LEAF = 32
+
+
+def homogeneous_value(p: IntPoly, a: int, b: int) -> int:
+    """b**deg(p) * p(a/b) as an exact integer; 0 for the zero polynomial.
+
+    This is sum c_i a**i b**(n-i), n = deg p, defined for any integers a
+    and b.  The coefficients are split in halves lo and hi, whose values
+    combine as b**len(hi) * H(lo) + a**len(lo) * H(hi), H being the same
+    sum over a run of coefficients.  Balanced splits keep the big-integer
+    products balanced, where Horner's rule at high degree multiplies a
+    huge accumulator by a small factor once per coefficient (Brent &
+    Zimmermann, Modern Computer Arithmetic, 2010, section 1.7).
+    """
+    return _homogeneous(p.coeffs, a, b)
+
+
+def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
+    """sum c_i a**i b**(d-i) over the run, d = len(coeffs) - 1."""
+    if len(coeffs) <= _HORNER_LEAF:
+        acc = 0
+        scale = 1
+        for c in reversed(coeffs):
+            acc = acc * a + c * scale
+            scale *= b
+        return acc
+    mid = len(coeffs) // 2
+    return (
+        b ** (len(coeffs) - mid) * _homogeneous(coeffs[:mid], a, b)
+        + a**mid * _homogeneous(coeffs[mid:], a, b)
+    )
+
+
 def poly_eval(p: IntPoly, x: Rat) -> Fraction:
-    """Exact value of p at x by the Horner recurrence."""
+    """Exact value of p at x, as a Fraction."""
     return Fraction(p(x))
 
 

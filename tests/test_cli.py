@@ -173,6 +173,33 @@ class TestConstructCommand:
         assert report.exit_code == EXIT_OK
         assert report.lines[1:] == [f"value@2/5=1/{5**4000}", f"value@1/3=1/{3**4000}"]
 
+    @pytest.mark.parametrize("argv", [
+        ["construct", "multi", "1/3,5/6", "--max-degree", "4096"],
+        ["construct", "pair", "1/50", "1/49", "--degree", "4000"],
+    ])
+    def test_output_over_digit_limit_refused_whole(self, argv):
+        # both once printed part of the report (degree=3888, or the poly
+        # line) before failing on the int-to-str limit
+        report = run(argv)
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == [
+            "error=output has an integer over the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits for int-to-str conversion"
+        ]
+
+    def test_large_prime_denominator_refused_in_bounded_time(self):
+        # 10**12 + 39 is prime; its order modulus was once trial-divided
+        # for more than 30 s before the cap check
+        start = time.perf_counter()
+        report = run(["construct", "multi", "1/1000000000039,1/3", "--max-degree", "10"])
+        assert time.perf_counter() - start < 5
+        assert report.exit_code == EXIT_INCONCLUSIVE
+        minimal = 70379505012668310900912118384832836261853391052713354655579536122880
+        assert report.lines == [
+            f"error=minimal admissible degree is {minimal}, above the cap 10",
+            f"minimal_degree={minimal}",
+        ]
+
     def test_multi_cap_exceeded(self):
         report = run(["construct", "multi", "1/4,3/4", "--max-degree", "100"])
         assert report.exit_code == EXIT_INCONCLUSIVE

@@ -1,8 +1,12 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from monicheb import (
     CongruenceError,
@@ -12,6 +16,7 @@ from monicheb import (
     admissible_degree,
     construction_state,
     farey_intervals,
+    farey_sequence,
     mediant,
     multipoint_monic,
     multiplicative_order,
@@ -19,6 +24,54 @@ from monicheb import (
     poly_eval,
     triple_polynomial,
 )
+from monicheb import construct
+
+
+def reference_eval_scaled(poly, a, b, n):
+    """The former construct._eval_scaled: b**n * poly(a/b) term by term,
+    floor-dividing a power of b at every step."""
+    total = 0
+    a_pow = 1
+    b_pow = b**n
+    for c in poly.coeffs:
+        if c:
+            total += c * a_pow * b_pow
+        a_pow *= a
+        b_pow //= b
+    return total
+
+
+def reference_binomial_power(l, f, e):
+    """The former construct._binomial_power: (l*x - f)**e from binomial
+    coefficients and tables of powers."""
+    coeffs = [0] * (e + 1)
+    binom = 1
+    f_pow = [1] * (e + 1)
+    for i in range(1, e + 1):
+        f_pow[i] = f_pow[i - 1] * (-f)
+    l_pow = 1
+    for i in range(e + 1):
+        coeffs[i] = binom * l_pow * f_pow[e - i]
+        binom = binom * (e - i) // (i + 1)
+        l_pow *= l
+    return IntPoly(coeffs)
+
+
+def band_pairs(max_degree):
+    """The construct benchmark's point pairs below max_degree: pairs from
+    the order-10 Farey sequence, not both of numerator 1, with admissible
+    degree in [16, max_degree)."""
+    points = [q for q in farey_sequence(10) if q.denominator > 1]
+    return [
+        (pts, n)
+        for pts in itertools.combinations(points, 2)
+        if not all(q.numerator == 1 for q in pts)
+        and 16 <= (n := admissible_degree(pts)) < max_degree
+    ]
+
+
+def coefficient_digest(poly):
+    return hashlib.sha256(" ".join(map(hex, poly.coeffs)).encode()).hexdigest()
 
 
 def minimal_pair_degree(pair):
@@ -216,3 +269,81 @@ class TestMultiplicativeOrder:
     def test_not_invertible(self):
         with pytest.raises(ValueError):
             multiplicative_order(2, 4)
+
+
+class TestKernelsAgainstReference:
+    @given(
+        st.integers(-40, 40),
+        st.integers(-40, 40),
+        st.integers(0, 60),
+        st.integers(-(10**30), 10**30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_binomial_power_is_scaled_power(self, l, f, e, scale):
+        expected = scale * IntPoly([-f, l]) ** e
+        assert construct._binomial_power(l, f, e, scale) == expected
+        assert construct._binomial_power(l, f, e) == reference_binomial_power(l, f, e)
+
+    @pytest.mark.parametrize(
+        "l, f, e, scale",
+        [(3, 0, 5, 7), (-2, 0, 4, -1), (0, 0, 0, 5), (5, 2, 0, 9), (4, -3, 6, 0), (-7, 2, 3, 1)],
+    )
+    def test_binomial_power_edges(self, l, f, e, scale):
+        assert construct._binomial_power(l, f, e, scale) == scale * IntPoly([-f, l]) ** e
+
+    @given(
+        st.lists(st.integers(-(10**12), 10**12), max_size=101),
+        st.integers(-50, 50),
+        st.integers(1, 50),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eval_scaled_matches_reference(self, coeffs, a, b, extra):
+        poly = IntPoly(coeffs)
+        n = max(len(poly.coeffs) - 1, 0) + extra
+        assert construct._eval_scaled(poly, a, b, n) == reference_eval_scaled(poly, a, b, n)
+
+    def test_bands_below_1024_match_reference_construction(self, monkeypatch):
+        pairs = band_pairs(1024)
+        assert len(pairs) == 48
+        built = [multipoint_monic(pts, 1024) for pts, _ in pairs]
+        monkeypatch.setattr(construct, "_eval_scaled", reference_eval_scaled)
+        monkeypatch.setattr(
+            construct,
+            "_binomial_power",
+            lambda l, f, e, scale=1: scale * reference_binomial_power(l, f, e),
+        )
+        for (pts, n), got in zip(pairs, built):
+            assert got[0] == n
+            assert got == multipoint_monic(pts, 1024), pts
+
+    @pytest.mark.parametrize(
+        "points, degree, digest",
+        [
+            ((F(1, 3), F(5, 6)), 3888,
+             "4633bec733f0fa69d0798ae1655df93f09e2eeadf993c1de53382dc5b870b2c5"),
+            ((F(2, 3), F(8, 9)), 2916,
+             "c5e12305956875f8b9a5b95c884a58239e6a7a23ee63aee20e390e3de9cb8ce5"),
+        ],
+    )
+    def test_top_band_coefficients_pinned(self, points, degree, digest):
+        # digests of the coefficients built by the reference kernels
+        n, poly = multipoint_monic(points, 4096)
+        assert n == degree
+        assert coefficient_digest(poly) == digest
+
+
+class TestBoundedOrderWork:
+    def test_large_prime_denominator_refused_quickly(self):
+        # b = 10**12 + 39 is prime: trial division of b**6 would not end
+        state = construction_state([F(1, 10**12 + 39), F(1, 3)])
+        assert (state.k, state.m, state.d_value) == (2, 3, 10**12 + 36)
+        with pytest.raises(DegreeSearchError) as exc:
+            multipoint_monic([F(1, 10**12 + 39), F(1, 3)], 10)
+        assert exc.value.minimal == state.n > 10**60
+
+    @pytest.mark.parametrize("a, modulus", [
+        (2, 1000003**3), (10, 999983**2 * 3**4), (7, 2**20 * 5**3), (3, 1000003),
+    ])
+    def test_order_modulo_prime_powers_matches_sympy(self, a, modulus):
+        assert multiplicative_order(a, modulus) == sympy.n_order(a, modulus)

@@ -14,6 +14,7 @@ from monicheb import (
     bernstein_split,
     extended_gcd,
     format_poly,
+    homogeneous_value,
     parse_poly,
     parse_rational,
     poly_eval,
@@ -24,6 +25,15 @@ from monicheb import (
 from monicheb.numpoly import primitive_remainder
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+
+
+def reference_horner(p, x):
+    """The former IntPoly.__call__: Horner's rule, one Fraction operation
+    per coefficient."""
+    acc = F(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def rand_intpoly(rng, degree):
@@ -321,3 +331,31 @@ class TestIntervalType:
     def test_contains(self):
         i = Interval(F(1, 3), F(2, 5))
         assert F(1, 3) in i and F(3, 8) in i and F(1, 2) not in i
+
+
+class TestHomogeneousValue:
+    # degrees up to 100 cover runs on both sides of the 32-coefficient leaf
+    @given(
+        st.lists(st.integers(-(10**9), 10**9), max_size=101),
+        st.integers(-(10**6), 10**6),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_horner(self, coeffs, a, b):
+        p = IntPoly(coeffs)
+        value = homogeneous_value(p, a, b)
+        if not p:
+            assert value == 0
+            return
+        assert value == b**p.degree * reference_horner(p, F(a, b))
+        assert p(F(a, b)) == reference_horner(p, F(a, b))
+        assert type(p(a)) is int and p(a) == reference_horner(p, a)
+
+    def test_zero_polynomial(self):
+        assert homogeneous_value(IntPoly(), 3, 7) == 0
+        assert IntPoly()(F(2, 3)) == 0 and IntPoly()(5) == 0
+
+    def test_unreduced_point(self):
+        # a/b need not be in lowest terms: the value is b**deg * p(a/b)
+        p = IntPoly([1, -3, 1])
+        assert homogeneous_value(p, 2, 6) == 36 * p(F(1, 3))
