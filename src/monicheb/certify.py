@@ -4,9 +4,14 @@ The authoritative decision is algebraic: for B = N/D the bound |f| <= B
 holds on [lo, hi] iff the integer polynomial h = N**2 - D**2 f**2 is
 nonnegative there, which reduces to a root count of the odd-multiplicity
 part of h (Sturm sequences as primitive remainder sequences over the
-integers) plus finitely many exact sign evaluations.  Equality points,
-where the witness attains its bound, are even-multiplicity touch points
-of h and are permitted by construction; no epsilon padding anywhere.
+integers) plus finitely many exact sign evaluations.  One remainder
+sequence serves both the squarefree test and the count: the Sturm chain
+of h ends in gcd(h, h') up to sign, so a constant last term means h is
+squarefree and its chain is the one counted; only otherwise does Yun's
+split run, from that gcd, and the odd part get a chain of its own.
+Equality points, where the witness attains its bound, are
+even-multiplicity touch points of h and are permitted by construction;
+no epsilon padding anywhere.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
 sufficient check; it is sound but incomplete, and the Sturm decision is
@@ -64,15 +69,17 @@ class NormCertificate:
         return lines
 
 
-def _squarefree_factors(h: IntPoly) -> list[IntPoly]:
+def _squarefree_factors(h: IntPoly, g: IntPoly) -> list[IntPoly]:
     """Yun decomposition: f_1, f_2, ... with h = c prod f_i**i for a
-    rational c, each f_i a gcd from poly_gcd.
+    rational c, given Yun's first gcd g = gcd(h, h'), primitive with a
+    positive leading coefficient; every later f_i is a gcd from poly_gcd.
 
-    b and c carry one common scale, so d = c - b' is Yun's d up to that
+    g is the last term of the Sturm chain of h up to sign, so the caller
+    passes it in rather than run that remainder sequence a second time.  b
+    and c carry one common scale, so d = c - b' is Yun's d up to that
     scale, and every division is by a primitive gcd that divides exactly.
     """
     dh = h.derivative()
-    g = poly_gcd(h, dh)
     b = h // g
     c = dh // g
     d = c - b.derivative()
@@ -86,21 +93,13 @@ def _squarefree_factors(h: IntPoly) -> list[IntPoly]:
     return factors
 
 
-def _odd_multiplicity_part(h: IntPoly) -> IntPoly:
-    """Product of the odd-exponent squarefree factors of h, primitive with a
-    positive leading coefficient (Gauss's lemma keeps the product primitive)."""
-    out = IntPoly([1])
-    for idx, f in enumerate(_squarefree_factors(h)):
-        if (idx + 1) % 2 == 1:
-            out = out * f
-    return out
-
-
 def _sturm_chain(g: IntPoly) -> list[IntPoly]:
     """Signed remainder sequence as primitive integer polynomials.
 
     Each term is a positive multiple of the rational remainder, so the
-    variation counts are those of the exact rational chain.
+    variation counts are those of the exact rational chain.  The sequence
+    is also Euclid's for gcd(g, g'): the last term is that gcd, primitive
+    and up to sign, and it is a constant exactly when g is squarefree.
     """
     chain = [g.primitive()]
     d = g.derivative()
@@ -111,6 +110,36 @@ def _sturm_chain(g: IntPoly) -> list[IntPoly]:
         if not rem:
             break
         chain.append(-rem)
+    return chain
+
+
+def _odd_part_chain(h: IntPoly) -> list[IntPoly]:
+    """Sturm chain whose first term is the odd-multiplicity part of h
+    (deg h >= 1), primitive with a positive leading coefficient.
+
+    For squarefree h that part is h itself, and the chain of h, negated
+    when its leading coefficient is negative, is kept.  Otherwise the last
+    term is Yun's first gcd, and the product of the odd-exponent factors
+    (primitive by Gauss's lemma) gets its own chain.
+    """
+    chain = _sturm_chain(h)
+    gcd = chain[-1]
+    if gcd.degree == 0:
+        return chain if chain[0].coeffs[-1] > 0 else [-p for p in chain]
+    odd = IntPoly([1])
+    for f in _squarefree_factors(h, gcd if gcd.coeffs[-1] > 0 else -gcd)[::2]:
+        odd = odd * f
+    return _sturm_chain(odd)
+
+
+def _squarefree_chain(p: IntPoly) -> list[IntPoly]:
+    """Sturm chain of the squarefree part p / gcd(p, p') of nonzero p.
+
+    The chain of p is kept when its last term, that gcd, is a constant.
+    """
+    chain = _sturm_chain(p)
+    if chain[-1].degree > 0:
+        chain = _sturm_chain(p // chain[-1])
     return chain
 
 
@@ -133,8 +162,9 @@ def _variations(values) -> int:
     return count
 
 
-def _root_intervals(g: IntPoly, lo: Fraction, hi: Fraction):
-    """Isolate the distinct real roots of squarefree g in the open (lo, hi).
+def _root_intervals(chain: list[IntPoly], lo: Fraction, hi: Fraction):
+    """Isolate the distinct real roots of squarefree g = chain[0] in the
+    open (lo, hi), chain being the Sturm chain of g.
 
     Yields, left to right, (u, u, 0) for a root hit exactly by a bisection
     point, else (u, v, s) with u < v, exactly one root r in (u, v), g
@@ -142,9 +172,8 @@ def _root_intervals(g: IntPoly, lo: Fraction, hi: Fraction):
     serves every count: with zero signs skipped, V(u) - V(v) is the number
     of roots in (u, v].
     """
-    if g.degree < 1:
+    if chain[0].degree < 1:
         return
-    chain = _sturm_chain(g)
 
     def point(x):
         signs = [_sign_at(p, x) for p in chain]
@@ -200,10 +229,11 @@ def _probe(h: IntPoly, u: Fraction, v: Fraction) -> Fraction | None:
 
 
 def _find_negative_point(
-    h: IntPoly, g: IntPoly, lo: Fraction, hi: Fraction
+    h: IntPoly, chain: list[IntPoly], lo: Fraction, hi: Fraction
 ) -> Fraction | None:
     """Some rational point in (lo, hi) with h < 0, or None when the
-    odd-multiplicity part g of h has no root there.
+    odd-multiplicity part g = chain[0] of h, whose Sturm chain is chain,
+    has no root there.
 
     h changes sign across each root of g and only there.  On the first
     isolating interval (u, v) of g, h keeps one sign on each side of the
@@ -212,7 +242,8 @@ def _find_negative_point(
     splits its interval into two pieces free of sign changes, and a bounded
     probe of each finds the negative side.
     """
-    roots = _root_intervals(g, lo, hi)
+    g = chain[0]
+    roots = _root_intervals(chain, lo, hi)
     first = next(roots, None)
     if first is None:
         return None
@@ -266,8 +297,7 @@ def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
             return cert(Verdict.REFUTED, endpoint)
     if h.degree == 0:
         return cert(Verdict.CERTIFIED_AT_MOST)
-    g = _odd_multiplicity_part(h)
-    point = _find_negative_point(h, g, interval.lo, interval.hi)
+    point = _find_negative_point(h, _odd_part_chain(h), interval.lo, interval.hi)
     if point is not None:
         assert interval.lo < point < interval.hi and abs(f(point)) > bound
         return cert(Verdict.REFUTED, point)
@@ -349,7 +379,8 @@ def sup_norm_enclosure(
 
     The maximum of |f| on the interval is reached at an endpoint or at a
     real root of f'.  Those critical points are the roots of the squarefree
-    part g = f' / gcd(f', f''), isolated with one Sturm chain of g.  Each
+    part g = f' / gcd(f', f''), isolated with one Sturm chain of g, which
+    is the chain of f' itself when f' is squarefree.  Each
     isolating interval is then halved toward its root by the sign of g at
     the midpoint, with no new chain.  On an interval [u, v], |f| is at most
     the largest |c| over the Bernstein coefficients of f on [u, v] (de
@@ -364,11 +395,11 @@ def sup_norm_enclosure(
     if f.degree <= 0:
         value = Fraction(abs(f.coeffs[0])) if f else Fraction(0)
         return value, value
-    df = f.derivative()
-    g = df // poly_gcd(df, df.derivative())
+    chain = _squarefree_chain(f.derivative())
+    g = chain[0]
     lo_b = max(abs(f(interval.lo)), abs(f(interval.hi)))
     pending = []
-    for u, v, s in _root_intervals(g, interval.lo, interval.hi):
+    for u, v, s in _root_intervals(chain, interval.lo, interval.hi):
         if u == v:
             lo_b = max(lo_b, abs(f(u)))
         else:

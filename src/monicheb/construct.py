@@ -37,23 +37,113 @@ class DegreeSearchError(ValueError):
         self.cap = cap
 
 
+# Trial division runs over d < _TRIAL_BOUND; a cofactor left over is split
+# by Miller-Rabin and Pollard's rho.
+_TRIAL_BOUND = 1 << 12
+# Rho iterations allowed per factorization before it is refused.
+_RHO_BUDGET = 1 << 18
+# Products of this many differences share one gcd in Brent's rho.
+_RHO_BATCH = 128
+# Miller-Rabin to these bases proves primality below _MR_LIMIT
+# (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 41.
+
+    False is always proof of compositeness.  True is a proof only below
+    _MR_LIMIT; above it, ValueError, since no fixed base set is known to
+    be a proof there.
+    """
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot prove {n} prime: above the deterministic Miller-Rabin range")
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A factor d of odd composite n with 1 < d < n.
+
+    Brent's variant of Pollard's rho (BIT 1980) on x -> x**2 + c for
+    c = 1, 2, ..., with the differences multiplied in batches of
+    _RHO_BATCH per gcd.  ValueError once at least _RHO_BUDGET iterations
+    in all have found none (the budget is checked between rounds, and a
+    round at most doubles the count).
+    """
+    steps = c = 0
+    while steps < _RHO_BUDGET:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < _RHO_BUDGET:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            steps += r + min(k, r)
+            r *= 2
+        if g == n:
+            # the batch overshot: step through it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    raise ValueError(f"no factor of {n} found within {_RHO_BUDGET} rho iterations")
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; inputs here are desk-scale."""
+    """Prime factorization of n != 0, with bounded work.
+
+    Trial division by d < _TRIAL_BOUND; a cofactor below d**2 is prime.
+    A larger cofactor is split by Brent's rho until Miller-Rabin proves
+    every part prime.  ValueError when a part has no factor within the rho
+    budget or is a probable prime too large to prove.
+    """
     n = abs(n)
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        # no prime below d divides m
+        if m < d * d or _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
     return out
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
-    """Order of a in (Z/modulus)*; modulus 1 gives 1."""
+    """Order of a in (Z/modulus)*; modulus 1 gives 1.  ValueError when the
+    modulus cannot be factored within _factorize's bounded work."""
     if modulus < 1:
         raise ValueError("modulus must be positive")
     return _order(a, modulus, _factorize(modulus))

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 
+from monicheb import certify
 from monicheb import (
     FareyPair,
     IntPoly,
@@ -14,6 +16,7 @@ from monicheb import (
     decide_sup_bound,
     parse_table_file,
     poly_eval,
+    poly_gcd,
     rational_point_lower_bound,
     sup_norm_enclosure,
     to_bernstein,
@@ -22,9 +25,10 @@ from monicheb import (
 from monicheb.certify import (
     MAX_PREFILTER_DEPTH,
     _find_negative_point,
-    _odd_multiplicity_part,
+    _odd_part_chain,
     _root_intervals,
     _sign_at,
+    _squarefree_factors,
     _sturm_chain,
     _variations,
 )
@@ -179,7 +183,7 @@ class TestRootIsolation:
         g = IntPoly([1])
         for r in roots:
             g = g * IntPoly([-r.numerator, r.denominator])
-        found = list(_root_intervals(g, F(0), F(1)))
+        found = list(_root_intervals(_sturm_chain(g), F(0), F(1)))
         assert len(found) == 3
         assert found[2] == (F(1, 2), F(1, 2), 0)
         for (u, v, s), root in zip(found[:2], roots):
@@ -188,14 +192,14 @@ class TestRootIsolation:
         assert found[0][1] <= found[1][0]
 
     def test_no_roots(self):
-        assert list(_root_intervals(IntPoly([1, 0, 1]), F(-3), F(3))) == []
-        assert list(_root_intervals(IntPoly([5]), F(0), F(1))) == []
+        assert list(_root_intervals(_sturm_chain(IntPoly([1, 0, 1])), F(-3), F(3))) == []
+        assert list(_root_intervals(_sturm_chain(IntPoly([5])), F(0), F(1))) == []
 
     def test_negative_point_after_exact_midpoint_root(self):
         # h = -(x - 1/4)(x - 1/2)**2: the bisection hits the sign change 1/4
         # exactly after the touch point 1/2
         h = -(IntPoly([-1, 4]) * IntPoly([-1, 2]) ** 2)
-        point = _find_negative_point(h, IntPoly([-1, 4]), F(0), F(1))
+        point = _find_negative_point(h, _sturm_chain(IntPoly([-1, 4])), F(0), F(1))
         assert 0 < point < 1 and h(point) < 0
 
     def test_negative_point_at_first_isolation_midpoint(self):
@@ -212,8 +216,8 @@ class TestRootIsolation:
         f = IntPoly([6, 1, 6, 1, -1])
         bound = F(40119, 4096)
         h = IntPoly([bound.numerator**2]) - f * f * bound.denominator**2
-        g = _odd_multiplicity_part(h)
-        assert next(_root_intervals(g, F(-2), F(3)))[:2] == (F(-11, 8), F(-11, 8))
+        chain = _odd_part_chain(h)
+        assert next(_root_intervals(chain, F(-2), F(3)))[:2] == (F(-11, 8), F(-11, 8))
         cert = decide_sup_bound(f, Interval(-2, 3), bound)
         assert cert.verdict is Verdict.REFUTED
         assert -2 < cert.refutation_point < 3
@@ -221,13 +225,14 @@ class TestRootIsolation:
 
     def test_no_sign_change_gives_none(self):
         h = IntPoly([-1, 2]) ** 2
-        assert _find_negative_point(h, IntPoly([1]), F(0), F(1)) is None
+        assert _find_negative_point(h, _sturm_chain(IntPoly([1])), F(0), F(1)) is None
 
 
-def neighbour_cases():
-    """(h, interval) for f + sign * x**j * v, j seeded, over the degree >= 3
-    table witnesses, where h = N**2 - D**2 f**2 for the witness bound N/D."""
-    rng = random.Random(59)
+def neighbour_polys(seed):
+    """(g, interval, bound) for g = f + sign * x**j * v, j seeded, over the
+    degree >= 3 table witnesses f with bound N/D, v = (b1 x - a1)(b2 x - a2).
+    g equals f at both endpoints, so a decision on g reaches Sturm."""
+    rng = random.Random(seed)
     out = []
     for pair, f, bound in table_witnesses():
         if f.degree < 3:
@@ -235,10 +240,18 @@ def neighbour_cases():
         v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
         j = rng.randrange(f.degree - 2)
         for sign in (1, -1):
-            g = f + sign * (IntPoly.monomial(j) * v)
-            h = IntPoly([bound.numerator**2]) - g * g * bound.denominator**2
-            out.append((h, pair.interval()))
+            out.append((f + sign * (IntPoly.monomial(j) * v), pair.interval(), bound))
     return out
+
+
+def h_of(f, bound):
+    """h = N**2 - D**2 f**2 for the bound N/D."""
+    return IntPoly([bound.numerator**2]) - f * f * bound.denominator**2
+
+
+def neighbour_cases():
+    """(h, interval) for the neighbours g of seed 59, with h = h_of(g, bound)."""
+    return [(h_of(g, bound), interval) for g, interval, bound in neighbour_polys(59)]
 
 
 def random_kernel_cases(count):
@@ -273,14 +286,14 @@ class TestIntegerKernelOracle:
             want = IntPoly([int(c) for c in odd.all_coeffs()[::-1]]).primitive()
             if want.coeffs[-1] < 0:
                 want = -want
-            assert _odd_multiplicity_part(h) == want, h
+            assert _odd_part_chain(h)[0] == want, h
 
     def test_sturm_count_matches_count_roots(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
         for h, interval in self.CASES:
-            g = _odd_multiplicity_part(h)
-            chain = _sturm_chain(g)
+            chain = _odd_part_chain(h)
+            g = chain[0]
 
             def variations(point):
                 return _variations([_sign_at(p, point) for p in chain])
@@ -290,6 +303,178 @@ class TestIntegerKernelOracle:
             # count_roots counts the closed [lo, hi]; Sturm counts (lo, hi]
             want = oracle.count_roots(lo, hi) - (oracle.eval(lo) == 0)
             assert variations(interval.lo) - variations(interval.hi) == want, (h, interval)
+
+
+def reference_odd_part_chain(h):
+    """The former two-sequence path: Yun's first gcd from poly_gcd(h, h'),
+    then the Sturm chain of the odd-multiplicity part."""
+    odd = IntPoly([1])
+    for f in _squarefree_factors(h, poly_gcd(h, h.derivative()))[::2]:
+        odd = odd * f
+    return _sturm_chain(odd)
+
+
+def reference_decide_sup_bound(f, interval, bound):
+    """decide_sup_bound with its chain built on the former two-sequence path."""
+    with mock.patch.object(certify, "_odd_part_chain", reference_odd_part_chain):
+        return decide_sup_bound(f, interval, bound)
+
+
+def reference_sup_norm_enclosure(f, interval, tol):
+    """sup_norm_enclosure with g = f' / poly_gcd(f', f'') and its own chain."""
+    def chain(p):
+        return _sturm_chain(p // poly_gcd(p, p.derivative()))
+
+    with mock.patch.object(certify, "_squarefree_chain", chain):
+        return sup_norm_enclosure(f, interval, tol)
+
+
+def linear(r):
+    """The primitive linear polynomial with root r."""
+    return IntPoly([-r.numerator, r.denominator])
+
+
+def touching_cases(count):
+    """(F, interval, N) with N - F = s * f * g**k, g linear and k = 2 or 3,
+    so h = N**2 - F**2 has the factor g**k and is not squarefree.
+
+    The root r of g is inside the interval for k = 2 and its left end for
+    k = 3, and s * f(r) >= 0, so h >= 0 near r.  Every third f has two roots
+    in the interval, around which h can dip below zero.
+    """
+    rng = random.Random(67)
+    out = []
+    for idx in range(count):
+        r = F(rng.randint(-6, 6), rng.randint(1, 4))
+        k = 2 + idx % 2
+        w = F(rng.randint(1, 4), rng.randint(1, 8))
+        lo, hi = (r - w if k == 2 else r), r + w
+        if idx % 3:
+            f = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 2))] + [rng.choice([1, 2])])
+        else:
+            f = linear(lo + w / 3) * linear(hi - w / 5)
+        sign = -1 if f(r) < 0 else 1
+        bound = rng.randint(1, 40)
+        out.append((IntPoly([bound]) - sign * f * linear(r) ** k, Interval(lo, hi), F(bound)))
+    return out
+
+
+def critical_cases(count):
+    """(f, interval, tol) with f = p**k * q, k = 3..5, so f' has the factor
+    p**(k-1) and is not squarefree."""
+    rng = random.Random(71)
+    out = []
+    for _ in range(count):
+        p = IntPoly([rng.randint(-3, 3), rng.choice([1, 2])])
+        q = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))] + [1])
+        a = F(rng.randint(-4, 4), rng.randint(1, 3))
+        interval = Interval(a, a + F(rng.randint(1, 6), 3))
+        out.append((p ** rng.randint(3, 5) * q, interval, F(1, 997)))
+    return out
+
+
+def counting(monkeypatch, name):
+    """Replace certify.<name> by a wrapper that records (args, result)."""
+    calls = []
+    original = getattr(certify, name)
+
+    def wrapper(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(certify, name, wrapper)
+    return calls
+
+
+class TestOneSequence:
+    """The Sturm chain of h doubles as Yun's first gcd: same outputs as the
+    two-sequence path, and one remainder sequence when h is squarefree."""
+
+    def assert_same_decision(self, f, interval, bound):
+        got = decide_sup_bound(f, interval, bound)
+        want = reference_decide_sup_bound(f, interval, bound)
+        assert (got.verdict, got.refutation_point, got.depth) == (
+            want.verdict, want.refutation_point, want.depth
+        ), (f, interval, bound)
+
+    def test_decision_matches_reference_on_table(self):
+        for pair, f, bound in table_witnesses():
+            for b in (bound, 2 * bound, bound / 2):
+                self.assert_same_decision(f, pair.interval(), b)
+
+    def test_decision_matches_reference_on_neighbours(self):
+        cases = neighbour_polys(59) + [
+            (g, interval, scale * bound)
+            for g, interval, bound in neighbour_polys(73)
+            for scale in (2, F(1, 2))
+        ]
+        assert len(cases) == 3 * 102
+        for g, interval, bound in cases:
+            self.assert_same_decision(g, interval, bound)
+
+    def test_decision_matches_reference_when_h_is_not_squarefree(self):
+        fallback = interior = 0
+        for f, interval, bound in touching_cases(90):
+            self.assert_same_decision(f, interval, bound)
+            h = h_of(f, bound)
+            if _sturm_chain(h)[-1].degree > 0 and all(
+                _sign_at(h, x) >= 0 for x in (interval.lo, interval.hi)
+            ):
+                fallback += 1
+                point = decide_sup_bound(f, interval, bound).refutation_point
+                interior += point is not None
+        assert fallback >= 40 and interior >= 5
+
+    def test_enclosure_matches_reference(self):
+        cases = [
+            (poly, pair.interval(), bound / 1000)
+            for pair, poly, bound in table_witnesses()
+            if 4 <= poly.degree <= 12
+        ]
+        rng = random.Random(41)
+        cases += [random_case(rng) for _ in range(200)]
+        cases += critical_cases(60)
+        nonsquarefree = 0
+        for f, interval, tol in cases:
+            if f.degree >= 2:
+                nonsquarefree += _sturm_chain(f.derivative())[-1].degree > 0
+            assert sup_norm_enclosure(f, interval, tol) == reference_sup_norm_enclosure(
+                f, interval, tol
+            ), (f, interval)
+        assert nonsquarefree >= 60
+
+    def test_squarefree_h_runs_one_remainder_sequence(self, monkeypatch):
+        (pair, f, bound), = [w for w in table_witnesses() if w[1].degree == 18]
+        v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
+        g = f + IntPoly.monomial(7) * v
+        gcds = counting(monkeypatch, "poly_gcd")
+        chains = counting(monkeypatch, "_sturm_chain")
+        remainders = counting(monkeypatch, "primitive_remainder")
+        decide_sup_bound(g, pair.interval(), bound)
+        assert gcds == []
+        (args, chain), = chains
+        assert args == (h_of(g, bound),) and chain[-1].degree == 0
+        assert len(remainders) == len(chain) - 2
+
+    def test_non_squarefree_h_skips_yuns_first_gcd(self, monkeypatch):
+        # F = 1 - (2x - 1)**2: h = 1 - F**2 = (2x - 1)**2 (2 - (2x - 1)**2)
+        f = IntPoly([1]) - IntPoly([-1, 2]) ** 2
+        h = h_of(f, F(1))
+        gcds = counting(monkeypatch, "poly_gcd")
+        chains = counting(monkeypatch, "_sturm_chain")
+        cert = decide_sup_bound(f, Interval(0, 1), F(1))
+        assert cert.verdict is Verdict.CERTIFIED_AT_MOST
+        assert [args for args, _ in chains] == [(h,), (IntPoly([-1, -4, 4]),)]
+        assert gcds and all(args[0].degree < h.degree for args, _ in gcds)
+
+    def test_squarefree_derivative_runs_one_remainder_sequence(self, monkeypatch):
+        (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
+        gcds = counting(monkeypatch, "poly_gcd")
+        chains = counting(monkeypatch, "_sturm_chain")
+        sup_norm_enclosure(poly, pair.interval(), bound / 1000)
+        assert gcds == []
+        assert [args for args, _ in chains] == [(poly.derivative(),)]
 
 
 class TestPipeline:

@@ -9,6 +9,7 @@ import pytest
 
 from monicheb import (
     IntPoly,
+    admissible_degree,
     bundled_table_path,
     format_poly,
     parse_poly,
@@ -199,6 +200,25 @@ class TestConstructCommand:
             f"error=minimal admissible degree is {minimal}, above the cap 10",
             f"minimal_degree={minimal}",
         ]
+
+    def test_semiprime_denominator_refused_in_bounded_time(self):
+        # b = 1000000007 * 1000000009 was once trial-divided up to sqrt(b)
+        start = time.perf_counter()
+        report = run(["construct", "multi", "1/1000000016000000063,1/3", "--max-degree", "10"])
+        assert time.perf_counter() - start < 5
+        assert report.exit_code == EXIT_INCONCLUSIVE
+        minimal = int(report.lines[-1].removeprefix("minimal_degree="))
+        assert minimal == admissible_degree([F(1, 1000000016000000063), F(1, 3)]) > 10**100
+        assert report.lines[0] == f"error=minimal admissible degree is {minimal}, above the cap 10"
+
+    def test_unfactorable_denominator_refused(self):
+        # b is a product of two 40-digit primes, out of reach of the rho budget
+        b = (10**39 + 3) * (3 * 10**39 + 37)
+        start = time.perf_counter()
+        report = run(["construct", "multi", f"1/{b},1/3", "--max-degree", "10"])
+        assert time.perf_counter() - start < 5
+        assert report.exit_code == EXIT_USAGE
+        assert len(report.lines) == 1 and report.lines[0].endswith("rho iterations")
 
     def test_multi_cap_exceeded(self):
         report = run(["construct", "multi", "1/4,3/4", "--max-degree", "100"])

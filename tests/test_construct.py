@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -347,3 +348,43 @@ class TestBoundedOrderWork:
     ])
     def test_order_modulo_prime_powers_matches_sympy(self, a, modulus):
         assert multiplicative_order(a, modulus) == sympy.n_order(a, modulus)
+
+
+# b = 1000000007 * 1000000009: trial division up to sqrt(b) never returned
+SEMIPRIME_DENOMINATOR = 1000000016000000063
+
+
+class TestBoundedFactoring:
+    def test_matches_factorint_on_seeded_inputs(self):
+        rng = random.Random(83)
+        values = [1, 2, 4095, 4096, 4097, 4093**2, 4099**2, 2**61 - 1, 3**40 * 65537,
+                  (2**31 - 1) ** 2 * (2**61 - 1), SEMIPRIME_DENOMINATOR]
+        values += [rng.randrange(2, 10**15) for _ in range(40)]
+        for _ in range(20):
+            # semiprimes near 10**18
+            p = sympy.nextprime(rng.randrange(10**8, 10**9))
+            q = sympy.nextprime(10**18 // p + rng.randrange(10**6))
+            values.append(p * q)
+        for _ in range(10):
+            small = rng.choice([1, 6, 2**10 * 3**5, 4091 * 4099])
+            values.append(small * sympy.nextprime(rng.randrange(10**15, 10**20)))
+        for value in values:
+            assert construct._factorize(value) == sympy.factorint(value), value
+            assert construct._factorize(-value) == construct._factorize(value)
+
+    def test_product_of_40_digit_primes_refused_within_budget(self):
+        n = sympy.nextprime(10**39) * sympy.nextprime(3 * 10**39)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="rho iterations"):
+            construct._factorize(n)
+        assert time.perf_counter() - start < 5
+
+    def test_unprovable_probable_prime_refused(self):
+        with pytest.raises(ValueError, match="cannot prove"):
+            construct._factorize(sympy.nextprime(10**30))
+
+    def test_semiprime_denominator_degree_matches_factorint(self, monkeypatch):
+        points = [F(1, SEMIPRIME_DENOMINATOR), F(1, 3)]
+        degree = admissible_degree(points)
+        monkeypatch.setattr(construct, "_factorize", lambda n: sympy.factorint(abs(n)))
+        assert admissible_degree(points) == degree
