@@ -2,9 +2,10 @@
 
 The degree-n candidates on a Farey interval form a coset: one anchor
 polynomial p with the right endpoint values plus the lattice generated
-by (b1 x - a1)(b2 x - a2) times powers of x (all vanishing at the
-endpoints).  Reducing that lattice under the interval's L2 form and
-steering toward -p turns witness hunting into a closest-vector problem.
+by the products u**j w**(n-3-j) v, with u = b2 x - a2, w = a1 - b1 x and
+v = -u w (all vanishing at the endpoints).  Reducing that lattice under
+the interval's L2 form and steering toward -p turns witness hunting into
+a closest-vector problem.
 """
 from fractions import Fraction as F
 
@@ -23,7 +24,7 @@ basis = build_search_basis(pair, 4)
 print(f"Search basis on {pair} at degree 4:")
 print(f"  p = {format_poly(basis.p)}")
 print(f"  v = {format_poly(basis.v)}")
-print(f"  members: p, v, x*v  ({len(basis.members)} total)")
+print(f"  members: p, w*v, u*v  ({len(basis.members)} total)")
 print()
 
 gram = gram_matrix(basis.members, pair.interval())
@@ -31,8 +32,8 @@ print("Exact Gram matrix of the full basis under the interval L2 form:")
 for row in gram.entries:
     print("   [" + ", ".join(str(x) for x in row) + "]")
 reduced = lll_reduce(gram)
-print("after LLL, squared lengths on the diagonal:")
-print("   " + ", ".join(str(reduced.gram_reduced.entries[i][i]) for i in range(gram.dim)))
+print("after LLL, squared Gram-Schmidt lengths:")
+print("   " + ", ".join(str(x) for x in reduced.norms))
 print()
 
 for lo, hi in ((F(1, 3), F(2, 5)), (F(1, 4), F(2, 7)), (F(2, 5), F(5, 12))):

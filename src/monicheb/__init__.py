@@ -70,7 +70,6 @@ from .lattice import (
     SearchBasis,
     SmallValueError,
     build_search_basis,
-    det_unimodular,
     gram_matrix,
     lll_reduce,
     search_witness,
@@ -110,7 +109,7 @@ __all__ = [
     "certify_sup_bound", "decide_sup_bound", "rational_point_lower_bound",
     "sup_norm_enclosure", "verify_witness",
     "GramMatrix", "ReductionResult", "SearchBasis", "SmallValueError",
-    "build_search_basis", "det_unimodular", "gram_matrix", "lll_reduce",
+    "build_search_basis", "gram_matrix", "lll_reduce",
     "search_witness", "small_value_polynomial",
     "RunReport", "TableEntry", "bundled_table_path", "parse_table_file", "run",
 ]

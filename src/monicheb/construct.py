@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 from .farey import FareyPair, mediant
 from .numpoly import IntPoly, extended_gcd, homogeneous_value
@@ -113,12 +113,36 @@ def _rho_factor(n: int) -> int:
     raise ValueError(f"no factor of {n} found within {_RHO_BUDGET} rho iterations")
 
 
+def _iroot(m: int, k: int) -> int:
+    """floor(m ** (1/k)) for m >= 0: isqrt for k = 2, else bit by bit."""
+    if k == 2:
+        return isqrt(m)
+    r = 0
+    for bit in range(m.bit_length() // k, -1, -1):
+        if (r | 1 << bit) ** k <= m:
+            r |= 1 << bit
+    return r
+
+
+def _perfect_power(m: int, least: int) -> tuple[int, int]:
+    """(r, k) with m = r**k for the least k >= 2, or (m, 1) if there is
+    none.  The prime factors of m, and so r, are at least least."""
+    k = 2
+    while least**k <= m:
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+        k += 1
+    return m, 1
+
+
 def _factorize(n: int) -> dict[int, int]:
     """Prime factorization of n != 0, with bounded work.
 
     Trial division by d < _TRIAL_BOUND; a cofactor below d**2 is prime.
-    A larger cofactor is split by Brent's rho until Miller-Rabin proves
-    every part prime.  ValueError when a part has no factor within the rho
+    A larger composite cofactor r**k is replaced by k copies of r, and
+    any other is split by Brent's rho, until Miller-Rabin proves every
+    part prime.  ValueError when a part has no factor within the rho
     budget or is a probable prime too large to prove.
     """
     n = abs(n)
@@ -135,6 +159,10 @@ def _factorize(n: int) -> dict[int, int]:
         # no prime below d divides m
         if m < d * d or _is_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        root, k = _perfect_power(m, d)
+        if k > 1:
+            pending += [root] * k
         else:
             f = _rho_factor(m)
             pending += [f, m // f]

@@ -2,12 +2,13 @@
 search over endpoint-vanishing sublattices, and the small-values
 construction for conjugation-closed point sets.
 
-All reduction arithmetic is exact: LLL runs in integers on the Gram
-matrix scaled by the lcm of its denominators, and the witness search
-enumerates offsets on the same form scaled to integers.  The only
-approximate ingredient anywhere is the float heuristic that guesses
-integer coefficients in the small-values assembly, and those guesses are
-always re-verified with outward-rounded rational interval arithmetic.
+All reduction arithmetic is exact: one integral LLL kernel runs on a
+rational Gram matrix scaled to integers, or on the witness search's
+closed-form integer Gram, and the search enumerates offsets on the same
+form.  The only approximate ingredient anywhere is the float heuristic
+that guesses integer coefficients in the small-values assembly, and those
+guesses are always re-verified with outward-rounded rational interval
+arithmetic.
 """
 from __future__ import annotations
 
@@ -45,16 +46,6 @@ class GramMatrix:
     def dim(self) -> int:
         return len(self.entries)
 
-    def form(self, u, v) -> Fraction:
-        """The bilinear form u^T G v for integer or rational vectors."""
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            row = self.entries[i]
-            total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj != 0)
-        return total
-
 
 def _pivots_positive(rows) -> bool:
     """Symmetric PD check: all pivots of unpivoted elimination are positive."""
@@ -87,15 +78,13 @@ def gram_matrix(polys, interval: Interval) -> GramMatrix:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """LLL output: reduced form, unimodular transform, and GS data.
+    """LLL output: unimodular transform and GS data.
 
     Column j of U holds the coordinates of the j-th reduced vector in the
-    original basis, so gram_reduced = U^T G U exactly.  mu and norms (the
-    squared GS lengths) describe the Gram-Schmidt orthogonalization of the
-    reduced basis.
+    original basis.  mu and norms (the squared GS lengths) describe the
+    Gram-Schmidt orthogonalization of the reduced basis.
     """
 
-    gram_reduced: GramMatrix
     transform: tuple[tuple[int, ...], ...]
     mu: tuple[tuple[Fraction, ...], ...]
     norms: tuple[Fraction, ...]
@@ -103,35 +92,29 @@ class ReductionResult:
 
     @property
     def dim(self) -> int:
-        return self.gram_reduced.dim
+        return len(self.norms)
 
     def basis_vector(self, j: int) -> tuple[int, ...]:
         return tuple(self.transform[i][j] for i in range(self.dim))
 
 
-def lll_reduce(gram: GramMatrix, delta=Fraction(3, 4)) -> ReductionResult:
-    """Lattice reduction of Z^d under the quadratic form given by gram.
+def _lll_kernel(g, delta: Fraction):
+    """Integral LLL (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7) of Z^d under the integer Gram rows g.
 
-    Integral LLL (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7) on the integer Gram matrix G*D, D the lcm of the
-    entry denominators: it keeps the Gram determinants d_i and
-    lambda_ij = d_j mu_ij as integers, and every division in the swap
-    formulas is exact.  The size-reduction quotient rounds lambda/d_j half
-    to even, as round() does on a Fraction, so the swaps, the transform
-    and the GS data are those of the rational algorithm.  The returned
-    transform is unimodular by construction, and gram_reduced = U^T G U is
-    formed in integers.
+    Returns the integer rows basis[j], the coordinates of the j-th reduced
+    vector; dets[i + 1] = d_i, the Gram determinant of the first i + 1 of
+    them (dets[0] = 1); and lam[i][j] = d_j mu_ij for j < i.  Divisions are
+    exact, and size reduction rounds lambda/d_j half to even, as round()
+    does on a Fraction.  Every d_i is positive (tested when its row is first
+    reached, kept by the swaps): by Sylvester's criterion that proves g
+    positive definite, and ValueError is raised otherwise.
     """
-    delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise ValueError("delta must lie in (1/4, 1)")
     dp, dq = delta.numerator, delta.denominator
-    d = gram.dim
-    scale = math.lcm(*(x.denominator for row in gram.entries for x in row))
-    g = [[int(x * scale) for x in row] for row in gram.entries]
+    d = len(g)
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
-    # dets[i + 1] = d_i, the Gram determinant of the first i + 1 vectors
-    # (dets[0] = 1); lam[i][j] = d_j mu_ij for j < i.
     dets = [1] + [0] * d
     lam = [[0] * d for _ in range(d)]
 
@@ -184,16 +167,18 @@ def lll_reduce(gram: GramMatrix, delta=Fraction(3, 4)) -> ReductionResult:
                 lam[i][k - 1] = (swapped * t + m * lam[i][k]) // dets[k + 1]
             dets[k] = swapped
             k = max(k - 1, 1)
+    return basis, dets, lam
 
-    # U^T (G U) over the integers, then divided by the scale
-    gu = [[sum(x * y for x, y in zip(row, b)) for b in basis] for row in g]
-    reduced = tuple(
-        tuple(
-            Fraction(sum(x * gu[r][j] for r, x in enumerate(basis[i])), scale)
-            for j in range(d)
-        )
-        for i in range(d)
-    )
+
+def lll_reduce(gram: GramMatrix, delta=Fraction(3, 4)) -> ReductionResult:
+    """Lattice reduction of Z^d under the quadratic form given by gram:
+    _lll_kernel on G*D, D the lcm of the entry denominators, so the swaps,
+    the unimodular transform and the GS data are the rational algorithm's."""
+    delta = Fraction(delta)
+    scale = math.lcm(*(x.denominator for row in gram.entries for x in row))
+    g = [[int(x * scale) for x in row] for row in gram.entries]
+    basis, dets, lam = _lll_kernel(g, delta)
+    d = len(g)
     transform = tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
     mu = tuple(
         tuple(
@@ -203,29 +188,7 @@ def lll_reduce(gram: GramMatrix, delta=Fraction(3, 4)) -> ReductionResult:
         for i in range(d)
     )
     norms = tuple(Fraction(dets[i + 1], dets[i] * scale) for i in range(d))
-    return ReductionResult(GramMatrix(reduced), transform, mu, norms, delta)
-
-
-def det_unimodular(transform) -> int:
-    """Integer determinant (Bareiss) of a square integer matrix."""
-    m = [list(row) for row in transform]
-    d = len(m)
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            for swap in range(k + 1, d):
-                if m[swap][k] != 0:
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
+    return ReductionResult(transform, mu, norms, delta)
 
 
 def _offsets_by_length(mu, norms, radius: int):
@@ -287,11 +250,13 @@ def _offsets_by_length(mu, norms, radius: int):
 
 @dataclass(frozen=True)
 class SearchBasis:
-    """Basis (p, v, x v, ..., x**(n-3) v) for the degree-n witness coset.
+    """Basis (p, w**(n-3) v, u w**(n-4) v, ..., u**(n-3) v) for the
+    degree-n witness coset, with u = b2 x - a2, w = a1 - b1 x, v = -u w.
 
     p hits 1/b_i**n at both endpoints and every other member vanishes
     there, so p plus any integer combination of the rest is a monic
-    degree-n candidate with the same endpoint values.
+    degree-n candidate with the same endpoint values.  The members span
+    the same lattice as x**j v, since x = a1 u + a2 w and 1 = b1 u + b2 w.
     """
 
     pair: FareyPair
@@ -306,8 +271,38 @@ def build_search_basis(pair: FareyPair, n: int) -> SearchBasis:
         raise ValueError("search degree must be >= 3")
     p = pair_polynomial(pair, n, 1, 1)  # raises CongruenceError when n inadmissible
     v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
-    members = [p] + [IntPoly.monomial(i) * v for i in range(n - 2)]
+    u = IntPoly([-pair.a2, pair.b2])
+    w = IntPoly([pair.a1, -pair.b1])
+    u_side, w_side = [v], [IntPoly([1])]  # v u**j and w**j
+    for _ in range(n - 3):
+        u_side.append(u_side[-1] * u)
+        w_side.append(w_side[-1] * w)
+    members = [p] + [u_side[j] * w_side[n - 3 - j] for j in range(n - 2)]
     return SearchBasis(pair, n, p, v, tuple(members))
+
+
+def _beta_integrals(pair: FareyPair, total: int) -> list[int]:
+    """The interval integrals of u**s w**(total-s), s = 0..total, times
+    (total+1)! (b1 b2)**(total+1): with t = b1 u in [0, 1] and b2 w = 1 - t
+    each is a Beta integral, so entry s is s! (total-s)! b1**(total-s) b2**s.
+    """
+    f, b1, b2 = math.factorial, pair.b1, pair.b2
+    return [f(s) * f(total - s) * b1 ** (total - s) * b2**s for s in range(total + 1)]
+
+
+def _anchor_coordinates(pair: FareyPair, n: int) -> list[int]:
+    """c_k with p = sum c_k u**k w**(n-k) for the (1, 1) anchor p: x**n =
+    (a1 u + a2 w)**n, and 1 = b1 u + b2 w homogenizes p's two correction
+    terms c u**(n-1) and c w**(n-1)."""
+    a1, b1, a2, b2 = pair.a1, pair.b1, pair.a2, pair.b2
+    coords = [math.comb(n, k) * a1**k * a2 ** (n - k) for k in range(n + 1)]
+    c1 = (1 - a1**n) // b1
+    c2 = (1 - a2**n) // b2
+    coords[n] += c1 * b1
+    coords[n - 1] += c1 * b2
+    coords[1] += c2 * b1
+    coords[0] += c2 * b2
+    return coords
 
 
 # Largest offset box search_witness accepts: degree 12 at radius 1.
@@ -323,16 +318,16 @@ def search_witness(
 ) -> IntPoly | None:
     """Search the degree-n coset for a certified witness polynomial.
 
-    Reduces the endpoint-vanishing sublattice (v, x v, ...) under the
-    interval L2 form and runs Babai's nearest plane toward -p on the
-    reduction's own Gram-Schmidt data: the projections of -p onto the GS
-    vectors come from one exact inner product per reduced polynomial and
-    the mu recurrence.  Candidates p + sum (center_i + off_i) b_i are then
-    tried for the integer offsets with |off_i| <= radius, ordered by
-    quadratic-form length (lexicographic tie-break) and generated lazily,
-    shortest first, and the first one that certifies is returned.  Raises
-    ValueError for a negative radius and when the (2 radius + 1)**(n - 2)
-    offsets would exceed MAX_OFFSETS.
+    Reduces the endpoint-vanishing members of the product basis (see
+    SearchBasis) under the interval L2 form, whose Gram matrix is the
+    integer Hankel matrix of _beta_integrals, and runs Babai's nearest
+    plane toward -p on the reduction's own Gram-Schmidt data.  Candidates
+    p + sum_k z_k member_k, z = U (center + off), are then tried for the
+    integer offsets with |off_i| <= radius, ordered by quadratic-form
+    length (lexicographic tie-break) and generated lazily, shortest first,
+    and the first one that certifies is returned.  Raises ValueError for a
+    negative radius and when the (2 radius + 1)**(n - 2) offsets would
+    exceed MAX_OFFSETS.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -344,37 +339,45 @@ def search_witness(
             f"radius {radius} at degree {n} gives more than {MAX_OFFSETS} offsets"
         )
     basis = build_search_basis(pair, n)
-    interval = pair.interval()
     sub = basis.members[1:]
     dim = len(sub)
-    red = lll_reduce(gram_matrix(sub, interval), delta)
-    reduced_polys = []
-    for j in range(dim):
-        poly = IntPoly()
-        for c, member in zip(red.basis_vector(j), sub):
-            poly = poly + c * member
-        reduced_polys.append(poly)
+    # member_j = -u**(j+1) w**(n-2-j), so the Gram entries are the integrals
+    # at total 2n - 2; dividing out their content about halves their bits
+    hankel = _beta_integrals(pair, 2 * n - 2)
+    common = math.gcd(*hankel[2 : 2 * n - 3])
+    gram = [[hankel[i + j + 2] // common for j in range(dim)] for i in range(dim)]
+    rows, dets, lam = _lll_kernel(gram, Fraction(delta))
 
-    # Babai nearest plane toward -p: y_i is the coordinate of the residual
-    # along the i-th GS vector.
-    target = -basis.p
-    r: list[Fraction] = []  # r_i = <-p, b_i*>
-    for i, b in enumerate(reduced_polys):
-        t = poly_integrate_product(target, b, interval)
-        r.append(t - sum(red.mu[i][j] * r[j] for j in range(i)))
-    y = [ri / ni for ri, ni in zip(r, red.norms)]
+    # Babai nearest plane toward -p.  <-p, member_j> sums p's coordinates
+    # against the integrals at total 2n - 1: products[j] / scale on the
+    # Gram's scale.  So scale * (-p) has integer inner products, and the
+    # kernel's recurrence gives lam_t[i] = d_i mu_i exactly, mu_i being its
+    # coefficient along the i-th GS vector.
+    cross = _beta_integrals(pair, 2 * n - 1)
+    coords = _anchor_coordinates(pair, n)
+    products = [
+        sum(c * cross[k + j + 1] for k, c in enumerate(coords)) for j in range(dim)
+    ]
+    scale = 2 * n * pair.b1 * pair.b2 * common
+    lam_t: list[int] = []
+    for i, row in enumerate(rows):
+        t = sum(x * y for x, y in zip(row, products))
+        for l in range(i):
+            t = (dets[l + 1] * t - lam_t[l] * lam[i][l]) // dets[l]
+        lam_t.append(t)
+    mu = [[Fraction(lam[i][j], dets[j + 1]) for j in range(i)] for i in range(dim)]
+    y = [Fraction(t, scale * dets[i + 1]) for i, t in enumerate(lam_t)]
     center = [0] * dim
     for i in range(dim - 1, -1, -1):
         center[i] = round(y[i])
         for j in range(i):
-            y[j] -= center[i] * red.mu[i][j]
+            y[j] -= center[i] * mu[i][j]
 
-    for off in _offsets_by_length(red.mu, red.norms, radius):
-        f = basis.p
-        for i in range(dim):
-            c = center[i] + off[i]
-            if c:
-                f = f + c * reduced_polys[i]
+    norms = [Fraction(dets[i + 1], dets[i]) for i in range(dim)]
+    for off in _offsets_by_length(mu, norms, radius):
+        point = [c + o for c, o in zip(center, off)]
+        z = [sum(c * row[k] for c, row in zip(point, rows)) for k in range(dim)]
+        f = sum((zk * member for zk, member in zip(z, sub) if zk), basis.p)
         record = verify_witness(pair, f, prefilter_depth)
         if record.certificate.verdict is Verdict.CERTIFIED_AT_MOST:
             return f

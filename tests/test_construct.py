@@ -379,6 +379,32 @@ class TestBoundedFactoring:
             construct._factorize(n)
         assert time.perf_counter() - start < 5
 
+    @pytest.mark.parametrize("power", [2, 3])
+    def test_prime_power_above_rho_reach(self, monkeypatch, power):
+        # rho would have to find the prime itself; the root test finds it
+        q = 2999080821787536587
+        assert sympy.isprime(q)
+
+        def no_rho(n):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(construct, "_rho_factor", no_rho)
+        start = time.perf_counter()
+        assert construct._factorize(q**power) == sympy.factorint(q**power)
+        assert construct._factorize(6 * q**power) == sympy.factorint(6 * q**power)
+        assert time.perf_counter() - start < 1
+
+    def test_perfect_powers_match_factorint(self):
+        rng = random.Random(29)
+        for _ in range(30):
+            base = rng.randrange(2, 10**7)
+            value = base ** rng.randrange(2, 9) * rng.choice([1, 4097, 65537**2])
+            assert construct._factorize(value) == sympy.factorint(value), value
+        for m in (0, 1, 7, 2**64, 3**41 - 1, 10**30 + 7):
+            for k in (2, 3, 5, 12):
+                r = construct._iroot(m, k)
+                assert r**k <= m < (r + 1) ** k
+
     def test_unprovable_probable_prime_refused(self):
         with pytest.raises(ValueError, match="cannot prove"):
             construct._factorize(sympy.nextprime(10**30))

@@ -17,16 +17,24 @@ from monicheb import (
     Verdict,
     build_search_basis,
     bundled_table_path,
-    det_unimodular,
+    decide_sup_bound,
     gram_matrix,
     lll_reduce,
     poly_eval,
+    poly_integrate_product,
     parse_table_file,
     search_witness,
     small_value_polynomial,
     verify_witness,
 )
-from monicheb.lattice import _offsets_by_length, _small_value_candidates
+from monicheb.lattice import (
+    _anchor_coordinates,
+    _beta_integrals,
+    _offsets_by_length,
+    _small_value_candidates,
+)
+
+from lattice_helpers import det_unimodular, form, reduced_gram
 
 
 def random_gram(rng, dim, spread=6):
@@ -50,13 +58,9 @@ def check_reduction(gram, result):
     delta = result.delta
     # transform is unimodular
     assert abs(det_unimodular(result.transform)) == 1
-    # U^T G U equals the reduced Gram exactly
-    cols = [result.basis_vector(j) for j in range(d)]
-    for i in range(d):
-        for j in range(d):
-            assert gram.form(cols[i], cols[j]) == result.gram_reduced.entries[i][j]
-    # reported GS coefficients agree with an independent recomputation
-    norms, mu = _gram_schmidt(result.gram_reduced)
+    # reported GS coefficients agree with an independent recomputation on
+    # U^T G U
+    norms, mu = _gram_schmidt(reduced_gram(gram, result))
     assert list(result.norms) == norms
     for i in range(d):
         for j in range(i):
@@ -118,7 +122,7 @@ class TestLLL:
         # basis (1,0),(4,1) under the standard form
         g = GramMatrix(((F(1), F(4)), (F(4), F(17))))
         r = lll_reduce(g)
-        assert [r.gram_reduced.entries[i][i] for i in range(2)] == [F(1), F(1)]
+        assert [reduced_gram(g, r).entries[i][i] for i in range(2)] == [F(1), F(1)]
         check_reduction(g, r)
 
     def test_delta_range(self):
@@ -137,7 +141,7 @@ class TestLLL:
             # first-vector bound via cross-powering, no roots:
             # B1**dim <= (4/(4d-1))**(dim(dim-1)) * det(G)
             det = _det_fraction(g.entries)
-            lhs = r.gram_reduced.entries[0][0] ** dim
+            lhs = reduced_gram(g, r).entries[0][0] ** dim
             factor = (F(4) / (4 * r.delta - 1)) ** (dim * (dim - 1))
             assert lhs <= factor * det
 
@@ -155,12 +159,12 @@ def reference_lll(gram, delta=F(3, 4)):
     def recompute_row(i):
         inner = [F(0)] * i
         for j in range(i):
-            val = gram.form(basis[i], basis[j])
+            val = form(gram, basis[i], basis[j])
             for l in range(j):
                 val -= mu[j][l] * inner[l]
             inner[j] = val
             mu[i][j] = val / norms[j]
-        norms[i] = gram.form(basis[i], basis[i]) - sum(
+        norms[i] = form(gram, basis[i], basis[i]) - sum(
             mu[i][j] * inner[j] for j in range(i)
         )
         if norms[i] <= 0:
@@ -199,17 +203,14 @@ def reference_lll(gram, delta=F(3, 4)):
                 mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
 
-    reduced = tuple(
-        tuple(gram.form(basis[i], basis[j]) for j in range(d)) for i in range(d)
-    )
     transform = tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
-    return reduced, transform, tuple(tuple(row) for row in mu), tuple(norms)
+    return transform, tuple(tuple(row) for row in mu), tuple(norms)
 
 
 def assert_matches_reference(gram, delta=F(3, 4)):
+    # equal transforms also give equal reduced Grams U^T G U
     result = lll_reduce(gram, delta)
-    reduced, transform, mu, norms = reference_lll(gram, delta)
-    assert result.gram_reduced.entries == reduced
+    transform, mu, norms = reference_lll(gram, delta)
     assert result.transform == transform
     assert result.mu == mu
     assert result.norms == norms
@@ -322,16 +323,18 @@ class TestOffsetsByLength:
         norms, mu = _gram_schmidt(g)
         expected = sorted(
             itertools.product(range(-radius, radius + 1), repeat=dim),
-            key=lambda o: (g.form(o, o), o),
+            key=lambda o: (form(g, o, o), o),
         )
         assert list(_offsets_by_length(mu, norms, radius)) == expected
 
     def test_full_box_at_degree_12(self):
         pair = FareyPair.from_endpoints(F(6, 13), F(7, 15))
-        red = lll_reduce(endpoint_vanishing_gram(pair, 12))
+        gram = endpoint_vanishing_gram(pair, 12)
+        red = lll_reduce(gram)
         got = list(_offsets_by_length(red.mu, red.norms, 1))
         assert len(got) == 3**10 and len(set(got)) == 3**10
-        forms = [red.gram_reduced.form(o, o) for o in got[:2000:7]]
+        reduced = reduced_gram(gram, red)
+        forms = [form(reduced, o, o) for o in got[:2000:7]]
         assert forms == sorted(forms)
 
     def test_zero_offset_first(self):
@@ -346,8 +349,12 @@ class TestSearchBasis:
         basis = build_search_basis(pair, 4)
         assert basis.p == IntPoly([3, -27, 81, -81, 1])
         assert basis.v == IntPoly([2, -11, 15])
-        assert len(basis.members) == 3
-        assert basis.members[2] == IntPoly([0, 2, -11, 15])
+        # p, w v and u v, with u = 3x - 1 and w = 2 - 5x
+        assert basis.members == (
+            basis.p,
+            IntPoly([4, -32, 85, -75]),
+            IntPoly([-2, 17, -48, 45]),
+        )
 
     def test_members_vanish_at_endpoints(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
@@ -430,15 +437,19 @@ class TestSearchWitness:
         found = search_witness(pair, 8, radius=1)
         assert len(tried) > 40 and found == tried[-1]
 
+        # the Gram of the members as gram_matrix integrates it: the same
+        # form up to a scale, so the same reduction and the same order
         sub = build_search_basis(pair, 8).members[1:]
-        red = lll_reduce(gram_matrix(sub, pair.interval()))
+        gram = gram_matrix(sub, pair.interval())
+        red = lll_reduce(gram)
         reduced = [
             sum((c * m for c, m in zip(red.basis_vector(j), sub)), IntPoly())
             for j in range(red.dim)
         ]
+        reduced_form = reduced_gram(gram, red)
         order = sorted(
             itertools.product(range(-1, 2), repeat=red.dim),
-            key=lambda o: (red.gram_reduced.form(o, o), o),
+            key=lambda o: (form(reduced_form, o, o), o),
         )
         assert order[0] == (0,) * red.dim
         expected = [
@@ -454,17 +465,18 @@ class TestSearchWitness:
         assert first == second
 
     def test_radius_zero_pinned(self):
-        # Babai's center on the reduction's own GS data; the coefficients
-        # match the earlier polynomial-level orthogonalization
+        # Babai's center on the reduction's own GS data.  At n = 8 it is
+        # the point the monomial basis gave; at n = 12 the product basis
+        # reduces to another basis and Babai lands on another witness
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         assert search_witness(pair, 8, radius=0) == IntPoly(
             [16797, -319246, 2598816, -11745914, 31833454, -51732937,
              46678191, -18039357, 1]
         )
         assert search_witness(pair, 12, radius=0) == IntPoly(
-            [28454079, -852896193, 11616060703, -94886999776, 516532165401,
-             -1967525352391, 5351182379918, -10391682086973, 14120658864988,
-             -12786981922012, 6944930726564, -1713882069438, 1]
+            [28439429, -852451724, 11609934005, -94836351292, 516253156005,
+             -1966449945374, 5348222988075, -10385867650059, 14112665777715,
+             -12779659851295, 6940908112556, -1712877999243, 1]
         )
 
     def test_negative_radius_rejected(self):
@@ -490,6 +502,123 @@ class TestSearchWitness:
         with pytest.raises(ValueError, match="more than 59049 offsets"):
             search_witness(pair, 10**9, radius=1)
         assert time.perf_counter() - start < 1
+
+
+def reference_search_witness(pair, n, delta=F(3, 4), radius=1, sub=None):
+    """The monomial-basis search that the product basis replaced, kept as
+    its oracle: lll_reduce on gram_matrix of (v, x v, ..., x**(n-3) v),
+    or of the given members sub, and Babai's products from
+    poly_integrate_product."""
+    p = build_search_basis(pair, n).p
+    if sub is None:
+        v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
+        sub = [IntPoly.monomial(i) * v for i in range(n - 2)]
+    interval = pair.interval()
+    red = lll_reduce(gram_matrix(sub, interval), delta)
+    reduced = [
+        sum((c * m for c, m in zip(red.basis_vector(j), sub)), IntPoly())
+        for j in range(red.dim)
+    ]
+    r = []
+    for i, b in enumerate(reduced):
+        t = poly_integrate_product(-p, b, interval)
+        r.append(t - sum(red.mu[i][j] * r[j] for j in range(i)))
+    y = [ri / ni for ri, ni in zip(r, red.norms)]
+    center = [0] * red.dim
+    for i in range(red.dim - 1, -1, -1):
+        center[i] = round(y[i])
+        for j in range(i):
+            y[j] -= center[i] * red.mu[i][j]
+    for off in _offsets_by_length(red.mu, red.norms, radius):
+        f = sum(((c + o) * b for c, o, b in zip(center, off, reduced)), p)
+        if verify_witness(pair, f).certificate.verdict is Verdict.CERTIFIED_AT_MOST:
+            return f
+    return None
+
+
+def product_scale(pair, n):
+    """The scale (2n-1)! (b1 b2)**(2n-1) of the search's integer Gram."""
+    return math.factorial(2 * n - 1) * (pair.b1 * pair.b2) ** (2 * n - 1)
+
+
+def one_one_cosets(max_degree):
+    """(pair, n) for every table pair and 3 <= n <= max_degree whose
+    degree-n (1, 1) coset exists."""
+    cosets = []
+    for pair in table_pairs():
+        for n in range(3, max_degree + 1):
+            try:
+                build_search_basis(pair, n)
+            except CongruenceError:
+                continue
+            cosets.append((pair, n))
+    return cosets
+
+
+def certifies(pair, f):
+    bound = max(F(1, pair.b1), F(1, pair.b2)) ** f.degree
+    return decide_sup_bound(f, pair.interval(), bound).verdict is Verdict.CERTIFIED_AT_MOST
+
+
+PRODUCT_CASES = [
+    (FareyPair.from_endpoints(F(1, 4), F(1, 3)), 7),
+    (FareyPair.from_endpoints(F(1, 3), F(3, 8)), 10),
+    (FareyPair.from_endpoints(F(1, 3), F(2, 5)), 28),
+]
+
+
+class TestProductBasis:
+    @pytest.mark.parametrize("pair, n", PRODUCT_CASES)
+    def test_closed_form_gram_matches_gram_matrix(self, pair, n):
+        sub = build_search_basis(pair, n).members[1:]
+        gram = gram_matrix(sub, pair.interval())
+        hankel = _beta_integrals(pair, 2 * n - 2)
+        scale = product_scale(pair, n)
+        assert [[x * scale for x in row] for row in gram.entries] == [
+            [hankel[i + j + 2] for j in range(n - 2)] for i in range(n - 2)
+        ]
+
+    @pytest.mark.parametrize("pair, n", PRODUCT_CASES)
+    def test_babai_products_match_integration(self, pair, n):
+        basis = build_search_basis(pair, n)
+        cross = _beta_integrals(pair, 2 * n - 1)
+        coords = _anchor_coordinates(pair, n)
+        scale = product_scale(pair, n) * 2 * n * pair.b1 * pair.b2
+        for j, member in enumerate(basis.members[1:]):
+            product = sum(c * cross[k + j + 1] for k, c in enumerate(coords))
+            integral = poly_integrate_product(-basis.p, member, pair.interval())
+            assert integral * scale == product
+
+    @pytest.mark.parametrize("pair, n", PRODUCT_CASES)
+    def test_anchor_coordinates_give_p(self, pair, n):
+        u = IntPoly([-pair.a2, pair.b2])
+        w = IntPoly([pair.a1, -pair.b1])
+        coords = _anchor_coordinates(pair, n)
+        total = sum((c * u**k * w ** (n - k) for k, c in enumerate(coords)), IntPoly())
+        assert total == build_search_basis(pair, n).p
+
+    @pytest.mark.parametrize("radius, max_degree", [(0, 14), (1, 12)])
+    def test_finds_witness_where_reference_does(self, radius, max_degree):
+        # every (1, 1) coset of the table pairs up to the degree, the
+        # largest whose radius-1 box search_witness accepts
+        for pair, n in one_one_cosets(max_degree):
+            found = search_witness(pair, n, radius=radius)
+            expected = reference_search_witness(pair, n, radius=radius)
+            assert (found is None) == (expected is None), (pair, n)
+            # on the product members the rational pipeline makes the same
+            # reduction, Babai point and offset order
+            members = build_search_basis(pair, n).members[1:]
+            assert found == reference_search_witness(pair, n, radius=radius, sub=members)
+            if found is not None:
+                assert found.is_monic and found.degree == n
+                assert certifies(pair, found), (pair, n)
+
+    @pytest.mark.parametrize("lo, hi", [(F(1, 4), F(2, 7)), (F(1, 3), F(3, 8))])
+    def test_degree_30_radius_zero_certifies(self, lo, hi):
+        pair = FareyPair.from_endpoints(lo, hi)
+        found = search_witness(pair, 30, radius=0)
+        assert found is not None and found.degree == 30
+        assert certifies(pair, found)
 
 
 class TestSmallValues:
