@@ -35,7 +35,7 @@ print(f"  indeed |f(1/3)| = {abs(witness(F(1, 3)))} > 1/10")
 print()
 
 print("The Bernstein prefilter is cheap and sound but incomplete:")
-pre = bernstein_prefilter(witness, pair.interval(), F(1, 9), max_depth=12)
+pre = bernstein_prefilter(witness, pair.interval(), F(1, 9))
 print(f"  prefilter says {pre.verdict.value} at depth {pre.depth}")
 print()
 

@@ -36,10 +36,10 @@ from .numpoly import (
     to_bernstein,
 )
 
-DEFAULT_PREFILTER_DEPTH = 12
-# Deepest prefilter subdivision accepted; the recursion stays far below
-# Python's stack limit.
-MAX_PREFILTER_DEPTH = 64
+# Subdivision depth of the Bernstein prefilter.  Verdicts do not depend on
+# it: the prefilter is sound, and the Sturm decision settles what it leaves
+# inconclusive.
+PREFILTER_DEPTH = 12
 
 
 class Verdict(Enum):
@@ -314,21 +314,16 @@ def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     raise AssertionError("nonzero polynomial vanished at every sample")
 
 
-def bernstein_prefilter(
-    f: IntPoly, interval: Interval, bound, max_depth: int = DEFAULT_PREFILTER_DEPTH
-) -> NormCertificate:
+def bernstein_prefilter(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     """Sufficient subdivision check: certify when every Bernstein coefficient
     of f lies in [-bound, bound] on every leaf, refute when an evaluated
-    endpoint or midpoint violates, else inconclusive at depth.  Raises
-    ValueError for a max_depth outside 0..MAX_PREFILTER_DEPTH.
+    endpoint or midpoint violates, else inconclusive once a leaf at
+    PREFILTER_DEPTH halvings is neither.  The certificate's depth is the
+    deepest level visited.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    if not 0 <= max_depth <= MAX_PREFILTER_DEPTH:
-        raise ValueError(
-            f"prefilter depth must be in 0..{MAX_PREFILTER_DEPTH}, got {max_depth}"
-        )
     deepest = 0
 
     def visit(coeffs, lo, hi, depth):
@@ -342,7 +337,7 @@ def bernstein_prefilter(
                 return Verdict.REFUTED, hi
         if all(-bound <= c <= bound for c in coeffs):
             return Verdict.CERTIFIED_AT_MOST, None
-        if depth >= max_depth:
+        if depth >= PREFILTER_DEPTH:
             return Verdict.INCONCLUSIVE, None
         mid = (lo + hi) / 2
         c_left, c_right = bernstein_split(coeffs)
@@ -362,11 +357,9 @@ def bernstein_prefilter(
     return NormCertificate(verdict, bound, "bernstein", point, deepest)
 
 
-def certify_sup_bound(
-    f: IntPoly, interval: Interval, bound, prefilter_depth: int = DEFAULT_PREFILTER_DEPTH
-) -> NormCertificate:
+def certify_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     """Cheap Bernstein prefilter first, exact Sturm decision as fallback."""
-    cert = bernstein_prefilter(f, interval, bound, prefilter_depth)
+    cert = bernstein_prefilter(f, interval, bound)
     if cert.verdict is Verdict.INCONCLUSIVE:
         return decide_sup_bound(f, interval, bound)
     return cert
@@ -476,9 +469,7 @@ class WitnessRecord:
         return lines
 
 
-def verify_witness(
-    pair: FareyPair, f: IntPoly, prefilter_depth: int = DEFAULT_PREFILTER_DEPTH
-) -> WitnessRecord:
+def verify_witness(pair: FareyPair, f: IntPoly) -> WitnessRecord:
     """Check that f witnesses the conjectured constant on the pair's interval.
 
     The target bound is max(1/b1, 1/b2)**deg f.  On success the record's
@@ -492,7 +483,7 @@ def verify_witness(
     if n < 1:
         raise ValueError("witness must have degree >= 1")
     bound = max(Fraction(1, pair.b1), Fraction(1, pair.b2)) ** n
-    cert = certify_sup_bound(f, pair.interval(), bound, prefilter_depth)
+    cert = certify_sup_bound(f, pair.interval(), bound)
     record = WitnessRecord(pair, f, n, bound, cert, ConstantValue(bound, n))
     if cert.verdict is Verdict.CERTIFIED_AT_MOST and min(pair.b1, pair.b2) >= 2:
         anchor = pair.hi if pair.b1 <= pair.b2 else pair.lo

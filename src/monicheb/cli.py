@@ -7,7 +7,6 @@ so results can be consumed by scripts.  Exit codes: 0 success/certified,
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -114,21 +113,6 @@ def parse_table_file(path) -> list[TableEntry]:
     return entries
 
 
-def _prefilter_depth() -> int:
-    raw = os.environ.get("MIC_MAX_DEPTH")
-    if raw is None:
-        return certify_mod.DEFAULT_PREFILTER_DEPTH
-    try:
-        depth = int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"MIC_MAX_DEPTH must be an integer, got {raw!r}") from exc
-    if not 0 <= depth <= certify_mod.MAX_PREFILTER_DEPTH:
-        raise _UsageError(
-            f"MIC_MAX_DEPTH must be in 0..{certify_mod.MAX_PREFILTER_DEPTH}, got {depth}"
-        )
-    return depth
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="monicheb")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -167,7 +151,6 @@ def _build_parser() -> _Parser:
     p_search = sub.add_parser("search", help="LLL witness search on a Farey interval")
     p_search.add_argument("--interval", nargs=2, required=True, metavar=("LO", "HI"))
     p_search.add_argument("--degree", type=int, required=True)
-    p_search.add_argument("--delta", default="3/4")
     p_search.add_argument("--radius", type=int, default=1)
 
     p_const = sub.add_parser("constant", help="catalog constants")
@@ -255,7 +238,6 @@ def _cmd_certify(args, report: RunReport) -> None:
     poly = _load_poly(args.poly)
     lo = parse_rational(args.interval[0])
     hi = parse_rational(args.interval[1])
-    depth = _prefilter_depth()
     if args.conjecture:
         if not is_consecutive_pair(lo, hi):
             raise _UsageError(
@@ -264,13 +246,13 @@ def _cmd_certify(args, report: RunReport) -> None:
         pair = FareyPair.from_endpoints(lo, hi)
         if poly.coeffs[-1] == -1:
             poly = -poly  # sup norm is sign-invariant; witnesses are monic
-        record = certify_mod.verify_witness(pair, poly, depth)
+        record = certify_mod.verify_witness(pair, poly)
         for line in record.render():
             report.emit(line)
         verdict = record.certificate.verdict
     else:
         bound = parse_rational(args.bound)
-        cert = certify_mod.certify_sup_bound(poly, Interval(lo, hi), bound, depth)
+        cert = certify_mod.certify_sup_bound(poly, Interval(lo, hi), bound)
         for line in cert.render():
             report.emit(line)
         verdict = cert.verdict
@@ -285,19 +267,12 @@ def _cmd_search(args, report: RunReport) -> None:
     lo = parse_rational(args.interval[0])
     hi = parse_rational(args.interval[1])
     pair = FareyPair.from_endpoints(lo, hi)
-    delta = parse_rational(args.delta)
-    found = search_witness(
-        pair,
-        args.degree,
-        delta=delta,
-        radius=args.radius,
-        prefilter_depth=_prefilter_depth(),
-    )
+    found = search_witness(pair, args.degree, radius=args.radius)
     if found is None:
         report.emit("status=not-found")
         report.exit_code = EXIT_REFUTED
         return
-    record = certify_mod.verify_witness(pair, found, _prefilter_depth())
+    record = certify_mod.verify_witness(pair, found)
     report.emit(format_poly(found))
     for line in record.render():
         report.emit(line)
@@ -331,13 +306,12 @@ def _cmd_constant(args, report: RunReport) -> None:
 def _cmd_verify_table(args, report: RunReport) -> None:
     path = args.file if args.file is not None else bundled_table_path()
     entries = parse_table_file(path)
-    depth = _prefilter_depth()
     all_ok = True
     for entry in entries:
         poly = entry.poly
         if poly.coeffs[-1] == -1:
             poly = -poly
-        record = certify_mod.verify_witness(entry.pair, poly, depth)
+        record = certify_mod.verify_witness(entry.pair, poly)
         status = record.certificate.verdict.value
         if record.certificate.verdict is not certify_mod.Verdict.CERTIFIED_AT_MOST:
             all_ok = False

@@ -11,29 +11,12 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .construct import _factorize, _iroot
 from .farey import FareyPair
 from .numpoly import parse_rational, format_rational
 
 CONJECTURED = "CONJECTURED"
 PROVEN_EQUAL = "PROVEN-EQUAL"
-
-
-def _iroot(n: int, k: int) -> tuple[int, bool]:
-    """Integer k-th root: (floor(n ** (1/k)), exact?).
-
-    Integer Newton iteration from the overestimate 2**ceil(bits/k); the
-    iterates decrease strictly until they reach the floor root.
-    """
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n < 2 or k == 1:
-        return n, True
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r, r**k == n
-        r = s
 
 
 def _rational_kth_root(q: Fraction, k: int) -> Fraction | None:
@@ -137,15 +120,12 @@ class SymbolicEndpoint:
         if surd < 1:
             raise ValueError("surd must be a positive integer")
         # Pull square factors out of the surd, fold trivial ones into rat.
+        # _factorize bounds the work and raises ValueError past its budget.
         if coef != 0:
-            square = 1
-            d = 2
-            rest = surd
-            while d * d <= rest:
-                while rest % (d * d) == 0:
-                    rest //= d * d
-                    square *= d
-                d += 1
+            square = rest = 1
+            for p, e in _factorize(surd).items():
+                square *= p ** (e // 2)
+                rest *= p ** (e % 2)
             coef *= square
             surd = rest
         if surd == 1:

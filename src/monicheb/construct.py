@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 
 from .farey import FareyPair, mediant
 from .numpoly import IntPoly, extended_gcd, homogeneous_value
@@ -113,15 +113,22 @@ def _rho_factor(n: int) -> int:
     raise ValueError(f"no factor of {n} found within {_RHO_BUDGET} rho iterations")
 
 
-def _iroot(m: int, k: int) -> int:
-    """floor(m ** (1/k)) for m >= 0: isqrt for k = 2, else bit by bit."""
-    if k == 2:
-        return isqrt(m)
-    r = 0
-    for bit in range(m.bit_length() // k, -1, -1):
-        if (r | 1 << bit) ** k <= m:
-            r |= 1 << bit
-    return r
+def _iroot(n: int, k: int) -> tuple[int, bool]:
+    """Integer k-th root: (floor(n ** (1/k)), exact?).
+
+    Integer Newton iteration from the overestimate 2**ceil(bits/k); the
+    iterates decrease strictly until they reach the floor root.
+    """
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n < 2 or k == 1:
+        return n, True
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r, r**k == n
+        r = s
 
 
 def _perfect_power(m: int, least: int) -> tuple[int, int]:
@@ -129,8 +136,8 @@ def _perfect_power(m: int, least: int) -> tuple[int, int]:
     none.  The prime factors of m, and so r, are at least least."""
     k = 2
     while least**k <= m:
-        r = _iroot(m, k)
-        if r**k == m:
+        r, exact = _iroot(m, k)
+        if exact:
             return r, k
         k += 1
     return m, 1

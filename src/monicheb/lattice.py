@@ -17,10 +17,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import Verdict, verify_witness, DEFAULT_PREFILTER_DEPTH
+from .certify import Verdict, verify_witness
 from .construct import pair_polynomial
 from .farey import FareyPair
 from .numpoly import IntPoly, Interval, poly_integrate_product
+
+# Lovasz parameter of every reduction the package runs.
+LLL_DELTA = Fraction(3, 4)
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def _lll_kernel(g, delta: Fraction):
     return basis, dets, lam
 
 
-def lll_reduce(gram: GramMatrix, delta=Fraction(3, 4)) -> ReductionResult:
+def lll_reduce(gram: GramMatrix, delta=LLL_DELTA) -> ReductionResult:
     """Lattice reduction of Z^d under the quadratic form given by gram:
     _lll_kernel on G*D, D the lcm of the entry denominators, so the swaps,
     the unimodular transform and the GS data are the rational algorithm's."""
@@ -307,27 +310,26 @@ def _anchor_coordinates(pair: FareyPair, n: int) -> list[int]:
 
 # Largest offset box search_witness accepts: degree 12 at radius 1.
 MAX_OFFSETS = 3**10
+# Largest degree search_witness accepts.  At radius 0 on (1/4, 2/7) degree
+# 48 takes about 3 s (Python 3.11, 2-core Xeon), and each 6 more degrees
+# about double that.
+MAX_SEARCH_DEGREE = 48
 
 
-def search_witness(
-    pair: FareyPair,
-    n: int,
-    delta=Fraction(3, 4),
-    radius: int = 1,
-    prefilter_depth: int = DEFAULT_PREFILTER_DEPTH,
-) -> IntPoly | None:
+def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
     """Search the degree-n coset for a certified witness polynomial.
 
     Reduces the endpoint-vanishing members of the product basis (see
     SearchBasis) under the interval L2 form, whose Gram matrix is the
-    integer Hankel matrix of _beta_integrals, and runs Babai's nearest
-    plane toward -p on the reduction's own Gram-Schmidt data.  Candidates
-    p + sum_k z_k member_k, z = U (center + off), are then tried for the
-    integer offsets with |off_i| <= radius, ordered by quadratic-form
-    length (lexicographic tie-break) and generated lazily, shortest first,
-    and the first one that certifies is returned.  Raises ValueError for a
-    negative radius and when the (2 radius + 1)**(n - 2) offsets would
-    exceed MAX_OFFSETS.
+    integer Hankel matrix of _beta_integrals, with LLL at LLL_DELTA, and
+    runs Babai's nearest plane toward -p on the reduction's own
+    Gram-Schmidt data.  Candidates p + sum_k z_k member_k, z = U (center +
+    off), are then tried for the integer offsets with |off_i| <= radius,
+    ordered by quadratic-form length (lexicographic tie-break) and
+    generated lazily, shortest first; the first one that verify_witness
+    certifies is returned.  Raises ValueError, before any basis is built,
+    for a negative radius, when the (2 radius + 1)**(n - 2) offsets would
+    exceed MAX_OFFSETS, and for n above MAX_SEARCH_DEGREE.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -338,6 +340,8 @@ def search_witness(
         raise ValueError(
             f"radius {radius} at degree {n} gives more than {MAX_OFFSETS} offsets"
         )
+    if n > MAX_SEARCH_DEGREE:
+        raise ValueError(f"search degree {n} is above the cap {MAX_SEARCH_DEGREE}")
     basis = build_search_basis(pair, n)
     sub = basis.members[1:]
     dim = len(sub)
@@ -346,7 +350,7 @@ def search_witness(
     hankel = _beta_integrals(pair, 2 * n - 2)
     common = math.gcd(*hankel[2 : 2 * n - 3])
     gram = [[hankel[i + j + 2] // common for j in range(dim)] for i in range(dim)]
-    rows, dets, lam = _lll_kernel(gram, Fraction(delta))
+    rows, dets, lam = _lll_kernel(gram, LLL_DELTA)
 
     # Babai nearest plane toward -p.  <-p, member_j> sums p's coordinates
     # against the integrals at total 2n - 1: products[j] / scale on the
@@ -378,7 +382,7 @@ def search_witness(
         point = [c + o for c, o in zip(center, off)]
         z = [sum(c * row[k] for c, row in zip(point, rows)) for k in range(dim)]
         f = sum((zk * member for zk, member in zip(z, sub) if zk), basis.p)
-        record = verify_witness(pair, f, prefilter_depth)
+        record = verify_witness(pair, f)
         if record.certificate.verdict is Verdict.CERTIFIED_AT_MOST:
             return f
     return None
@@ -472,7 +476,7 @@ def _to_exact_complex(value) -> tuple[Fraction, Fraction]:
     return Fraction(value), Fraction(0)
 
 
-def _small_value_candidates(reps, degree: int, weight: int, delta=Fraction(3, 4)):
+def _small_value_candidates(reps, degree: int, weight: int):
     """Integer polynomials with small values at the representatives.
 
     Reduces the scaled linear-forms lattice: vectors a in Z^(degree+1)
@@ -499,7 +503,7 @@ def _small_value_candidates(reps, degree: int, weight: int, delta=Fraction(3, 4)
         ]
         for i in range(dim)
     ]
-    red = lll_reduce(GramMatrix(tuple(tuple(r) for r in entries)), delta)
+    red = lll_reduce(GramMatrix(tuple(tuple(r) for r in entries)))
     for j in range(red.dim):
         yield IntPoly(red.basis_vector(j))
 

@@ -163,7 +163,7 @@ def test_criterion_4_search_rediscovery():
         found = None
         for n in range(3, 7):
             try:
-                found = search_witness(pair, n, delta=F(3, 4), radius=2)
+                found = search_witness(pair, n, radius=2)
             except Exception:
                 continue
             if found is not None:

@@ -23,7 +23,7 @@ from monicheb import (
     verify_witness,
 )
 from monicheb.certify import (
-    MAX_PREFILTER_DEPTH,
+    PREFILTER_DEPTH,
     _find_negative_point,
     _odd_part_chain,
     _root_intervals,
@@ -137,28 +137,17 @@ class TestBernsteinPrefilter:
         assert cert.verdict is Verdict.REFUTED
 
     def test_endpoint_equality_resolved_or_inconclusive(self):
-        cert = bernstein_prefilter(WITNESS, I13_25, F(1, 9), max_depth=12)
+        cert = bernstein_prefilter(WITNESS, I13_25, F(1, 9))
         assert cert.verdict in (Verdict.CERTIFIED_AT_MOST, Verdict.INCONCLUSIVE)
         if cert.verdict is Verdict.INCONCLUSIVE:
             sturm = decide_sup_bound(WITNESS, I13_25, F(1, 9))
             assert sturm.verdict is Verdict.CERTIFIED_AT_MOST
 
-    def test_depth_zero_limit(self):
-        # needs at least one split to certify
-        f = IntPoly([-1, 0, 2])
-        cert = bernstein_prefilter(f, Interval(-1, 1), F(1), max_depth=0)
-        assert cert.verdict is Verdict.INCONCLUSIVE
-
-    @pytest.mark.parametrize("depth", [-1, MAX_PREFILTER_DEPTH + 1])
-    def test_depth_out_of_range_rejected(self, depth):
-        with pytest.raises(ValueError):
-            bernstein_prefilter(TOUCH, Interval(0, F(1, 2)), F(1), max_depth=depth)
-
     def test_touch_at_non_dyadic_point_falls_back_to_sturm(self):
         interval = Interval(0, F(1, 2))
-        pre = bernstein_prefilter(TOUCH, interval, F(1), max_depth=MAX_PREFILTER_DEPTH)
+        pre = bernstein_prefilter(TOUCH, interval, F(1))
         assert pre.verdict is Verdict.INCONCLUSIVE
-        assert pre.depth == MAX_PREFILTER_DEPTH
+        assert pre.depth == PREFILTER_DEPTH
         cert = certify_sup_bound(TOUCH, interval, F(1))
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
         assert cert.method == "sturm"
@@ -169,7 +158,7 @@ class TestBernsteinPrefilter:
             f = IntPoly([rng.randint(-10, 10) for _ in range(rng.randint(1, 6))])
             interval = Interval(F(-1, 2), F(2, 3))
             bound = F(rng.randint(0, 30), rng.randint(1, 6))
-            pre = bernstein_prefilter(f, interval, bound, max_depth=6)
+            pre = bernstein_prefilter(f, interval, bound)
             if pre.verdict is Verdict.INCONCLUSIVE:
                 continue
             sturm = decide_sup_bound(f, interval, bound)

@@ -69,25 +69,8 @@ class TestCertifyCommand:
         report = run(["certify", "--poly", "/nonexistent.poly", "--interval", "1/3", "2/5", "--conjecture"])
         assert report.exit_code == EXIT_USAGE
 
-    def test_depth_env_override(self, witness_file, monkeypatch):
-        monkeypatch.setenv("MIC_MAX_DEPTH", "0")
-        report = run(["certify", "--poly", witness_file, "--interval", "1/3", "2/5", "--conjecture"])
-        # depth 0 prefilter falls back to the exact decision; still certified
-        assert report.exit_code == EXIT_OK
-        monkeypatch.setenv("MIC_MAX_DEPTH", "zz")
-        report = run(["certify", "--poly", witness_file, "--interval", "1/3", "2/5", "--conjecture"])
-        assert report.exit_code == EXIT_USAGE
-
-    @pytest.mark.parametrize("depth", ["-1", "65"])
-    def test_depth_env_out_of_range(self, witness_file, monkeypatch, depth):
-        monkeypatch.setenv("MIC_MAX_DEPTH", depth)
-        report = run(["certify", "--poly", witness_file, "--interval", "1/3", "2/5", "--conjecture"])
-        assert report.exit_code == EXIT_USAGE
-        assert report.lines[0].startswith("error=MIC_MAX_DEPTH must be in 0..64")
-
-    def test_touch_at_non_dyadic_point_certifies(self, tmp_path, monkeypatch):
+    def test_touch_at_non_dyadic_point_certifies(self, tmp_path):
         # 6x - 9x**2 touches 1 at x = 1/3: the prefilter is inconclusive, Sturm decides
-        monkeypatch.delenv("MIC_MAX_DEPTH", raising=False)
         path = tmp_path / "touch.poly"
         path.write_text("poly 0 6 -9\n")
         report = run(["certify", "--poly", str(path), "--interval", "0", "1/2", "--bound", "1"])
@@ -109,6 +92,13 @@ class TestConstantCommand:
         report = run(["constant", "--interval", "1/3", "2/5"])
         assert report.exit_code == EXIT_INCONCLUSIVE
         assert "value=unknown" in report.lines
+
+    def test_large_surd_answered_or_refused_at_once(self):
+        # the surd's square part once came from trial division up to its root
+        start = time.perf_counter()
+        report = run(["constant", "--interval", "0", "sqrt(1000000000000000000000000000057)"])
+        assert time.perf_counter() - start < 2
+        assert report.exit_code in (EXIT_INCONCLUSIVE, EXIT_USAGE)
 
     def test_point(self):
         report = run(["constant", "--point", "3/7"])
@@ -261,6 +251,17 @@ class TestSearchCommand:
             in report.lines
         )
 
+    def test_degree_above_cap_refused_at_once(self):
+        start = time.perf_counter()
+        report = run(["search", "--interval", "1/3", "2/5", "--degree", "200", "--radius", "0"])
+        assert time.perf_counter() - start < 1
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == ["error=search degree 200 is above the cap 48"]
+
+    def test_delta_flag_removed(self):
+        report = run(["search", "--interval", "1/3", "2/5", "--degree", "4", "--delta", "1/2"])
+        assert report.exit_code == EXIT_USAGE
+
     def test_strategy_flag_removed(self):
         report = run(["search", "--interval", "1/3", "2/5", "--degree", "4", "--strategy", "full"])
         assert report.exit_code == EXIT_USAGE
@@ -294,6 +295,26 @@ class TestVerifyTable:
         entries = [l for l in report.lines if l.startswith("entry=")]
         assert entries[0].startswith("entry=1/4..2/7")
         assert entries[1].startswith("entry=1/3..2/5")
+
+
+@pytest.mark.parametrize("value", ["0", "zz"])
+def test_depth_environment_variable_ignored(tmp_path, monkeypatch, value):
+    # MIC_MAX_DEPTH once set the prefilter depth: at 0, 2x**2 - 1 on [-1, 1]
+    # fell back to method=sturm, and "zz" was a usage error
+    path = tmp_path / "cheb.poly"
+    path.write_text("poly -1 0 2\n")
+    commands = [
+        ["certify", "--poly", str(path), "--interval", "-1", "1", "--bound", "1"],
+        ["search", "--interval", "1/3", "2/5", "--degree", "4"],
+        ["verify-table"],
+    ]
+    monkeypatch.delenv("MIC_MAX_DEPTH", raising=False)
+    unset = [run(argv) for argv in commands]
+    assert "method=bernstein" in unset[0].lines
+    monkeypatch.setenv("MIC_MAX_DEPTH", value)
+    for argv, before in zip(commands, unset):
+        after = run(argv)
+        assert (after.lines, after.exit_code) == (before.lines, before.exit_code)
 
 
 class TestParseTableFile:

@@ -162,6 +162,17 @@ class TestEndpoints:
         e2 = SymbolicEndpoint(1, 3, 4)  # 1 + 3*sqrt(4) = 7
         assert e2.is_rational and e2.rat == 7
 
+    def test_square_part_beyond_trial_division(self):
+        # 4099 is prime and above the trial-division bound of _factorize
+        e = SymbolicEndpoint(0, 1, 2 * 3**3 * 4099**2)
+        assert (e.coef, e.surd) == (3 * 4099, 6)
+        e2 = SymbolicEndpoint(0, 1, 4099**2 * 4111**2)
+        assert e2.is_rational and e2.rat == 4099 * 4111
+
+    def test_unprovable_surd_refused(self):
+        with pytest.raises(ValueError, match="cannot prove"):
+            SymbolicEndpoint(0, 1, 10**30 + 57)
+
     def test_exact_comparisons(self):
         assert parse_endpoint("1/sqrt(2)") > SymbolicEndpoint(F(7, 10))
         assert parse_endpoint("1/sqrt(2)") < SymbolicEndpoint(F(71, 100))

@@ -402,8 +402,9 @@ class TestBoundedFactoring:
             assert construct._factorize(value) == sympy.factorint(value), value
         for m in (0, 1, 7, 2**64, 3**41 - 1, 10**30 + 7):
             for k in (2, 3, 5, 12):
-                r = construct._iroot(m, k)
+                r, exact = construct._iroot(m, k)
                 assert r**k <= m < (r + 1) ** k
+                assert exact == (r**k == m)
 
     def test_unprovable_probable_prime_refused(self):
         with pytest.raises(ValueError, match="cannot prove"):

@@ -409,8 +409,8 @@ class TestSearchWitness:
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         real = lattice_mod.verify_witness
 
-        def always_refuted(p, f, depth):
-            record = real(p, f, depth)
+        def always_refuted(p, f):
+            record = real(p, f)
             object.__setattr__(record.certificate, "verdict", Verdict.REFUTED)
             return record
 
@@ -426,9 +426,9 @@ class TestSearchWitness:
         real = lattice_mod.verify_witness
         tried = []
 
-        def refuse_first_40(p, f, depth):
+        def refuse_first_40(p, f):
             tried.append(f)
-            record = real(p, f, depth)
+            record = real(p, f)
             if len(tried) <= 40:
                 object.__setattr__(record.certificate, "verdict", Verdict.REFUTED)
             return record
@@ -494,6 +494,18 @@ class TestSearchWitness:
         pair = FareyPair.from_endpoints(F(1, 3), F(3, 8))
         with pytest.raises(ValueError, match="offsets"):
             search_witness(pair, 14, radius=1)
+
+    def test_degree_above_cap_refused_before_basis(self, monkeypatch):
+        import monicheb.lattice as lattice_mod
+
+        def no_basis(*args):
+            raise AssertionError("basis built before the degree check")
+
+        monkeypatch.setattr(lattice_mod, "build_search_basis", no_basis)
+        pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
+        n = lattice_mod.MAX_SEARCH_DEGREE + 1
+        with pytest.raises(ValueError, match=f"search degree {n} is above the cap"):
+            search_witness(pair, n, radius=0)
 
     def test_huge_degree_refused_at_once(self):
         # 3**(10**9 - 2) would have about 1.6e9 bits
