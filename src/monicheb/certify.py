@@ -7,8 +7,9 @@ part of h (Sturm sequences as primitive remainder sequences over the
 integers) plus finitely many exact sign evaluations.  One remainder
 sequence serves both the squarefree test and the count: the Sturm chain
 of h ends in gcd(h, h') up to sign, so a constant last term means h is
-squarefree and its chain is the one counted; only otherwise does Yun's
-split run, from that gcd, and the odd part get a chain of its own.
+squarefree and its chain is the one counted.  Otherwise the odd part is
+(h / g) / odd(g) for that gcd g, whose own chain ends in gcd(g, g'), and
+the odd part gets a chain of its own.
 Equality points, where the witness attains its bound, are
 even-multiplicity touch points of h and are permitted by construction;
 no epsilon padding anywhere.
@@ -31,7 +32,6 @@ from .numpoly import (
     bernstein_split,
     format_rational,
     homogeneous_value,
-    poly_gcd,
     primitive_remainder,
     to_bernstein,
 )
@@ -69,30 +69,6 @@ class NormCertificate:
         return lines
 
 
-def _squarefree_factors(h: IntPoly, g: IntPoly) -> list[IntPoly]:
-    """Yun decomposition: f_1, f_2, ... with h = c prod f_i**i for a
-    rational c, given Yun's first gcd g = gcd(h, h'), primitive with a
-    positive leading coefficient; every later f_i is a gcd from poly_gcd.
-
-    g is the last term of the Sturm chain of h up to sign, so the caller
-    passes it in rather than run that remainder sequence a second time.  b
-    and c carry one common scale, so d = c - b' is Yun's d up to that
-    scale, and every division is by a primitive gcd that divides exactly.
-    """
-    dh = h.derivative()
-    b = h // g
-    c = dh // g
-    d = c - b.derivative()
-    factors: list[IntPoly] = []
-    while b.degree > 0:
-        f = poly_gcd(b, d)
-        factors.append(f)
-        b = b // f
-        c = d // f
-        d = c - b.derivative()
-    return factors
-
-
 def _sturm_chain(g: IntPoly) -> list[IntPoly]:
     """Signed remainder sequence as primitive integer polynomials.
 
@@ -113,23 +89,34 @@ def _sturm_chain(g: IntPoly) -> list[IntPoly]:
     return chain
 
 
+def _odd_part(p: IntPoly, g: IntPoly) -> IntPoly:
+    """Odd-multiplicity part of p up to a constant factor, given the last
+    term g of the Sturm chain of p, gcd(p, p') up to sign.
+
+    For p = c prod f_i**i, g is prod f_i**(i-1) up to sign, whose
+    odd-multiplicity factors are the f_i of even i: so p / g divided by the
+    odd part of g is c times the product of the f_i of odd i.  Every
+    divisor is primitive, so each division is exact over the integers.
+    """
+    if g.degree == 0:
+        return p
+    return (p // g) // _odd_part(g, _sturm_chain(g)[-1])
+
+
 def _odd_part_chain(h: IntPoly) -> list[IntPoly]:
     """Sturm chain whose first term is the odd-multiplicity part of h
     (deg h >= 1), primitive with a positive leading coefficient.
 
     For squarefree h that part is h itself, and the chain of h, negated
     when its leading coefficient is negative, is kept.  Otherwise the last
-    term is Yun's first gcd, and the product of the odd-exponent factors
-    (primitive by Gauss's lemma) gets its own chain.
+    term is gcd(h, h'), from which _odd_part divides the odd part out, and
+    that part gets its own chain.
     """
     chain = _sturm_chain(h)
-    gcd = chain[-1]
-    if gcd.degree == 0:
+    if chain[-1].degree == 0:
         return chain if chain[0].coeffs[-1] > 0 else [-p for p in chain]
-    odd = IntPoly([1])
-    for f in _squarefree_factors(h, gcd if gcd.coeffs[-1] > 0 else -gcd)[::2]:
-        odd = odd * f
-    return _sturm_chain(odd)
+    odd = _odd_part(h, chain[-1])
+    return _sturm_chain(odd if odd.coeffs[-1] > 0 else -odd)
 
 
 def _squarefree_chain(p: IntPoly) -> list[IntPoly]:

@@ -414,7 +414,7 @@ def interval_constant(lo, hi) -> tuple[ConstantValue, str] | None:
 
     # Symmetric [-1/sqrt(n), 1/sqrt(n)]: hi > 0 with hi**2 = 1/n, n >= 2.
     # hi**2 is rational exactly when hi is a pure rational or a pure surd.
-    if (-lo - hi).sign() == 0 and hi.sign() > 0 and (hi.rat == 0 or hi.coef == 0):
+    if (lo + hi).sign() == 0 and hi.sign() > 0 and (hi.rat == 0 or hi.coef == 0):
         hi_sq = hi.rat**2 + hi.coef**2 * hi.surd
         if hi_sq.numerator == 1 and hi_sq.denominator >= 2:
             return ConstantValue(hi_sq, 2), PROV_SYMMETRIC_SQRT

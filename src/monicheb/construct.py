@@ -385,15 +385,6 @@ def admissible_degree(points) -> int:
     return construction_state(points).n
 
 
-def _eval_scaled(poly: IntPoly, a: int, b: int, n: int) -> int:
-    """b**n * poly(a/b) as an exact integer, for poly of degree <= n.
-
-    b**(n - deg) times the homogeneous value of poly at (a, b)."""
-    if not poly:
-        return 0
-    return b ** (n - poly.degree) * homogeneous_value(poly, a, b)
-
-
 def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
     """Monic integer F of admissible degree n with F(a_i/b_i) = 1/b_i**n.
 
@@ -402,7 +393,9 @@ def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
     A * (l x - f)**(n-(k-r)m-r) * prod(b_i x - a_i) to fix the next point
     without disturbing the previous ones.  The required exact divisibility
     is asserted at each step, so the underlying argument is re-checked at
-    runtime.
+    runtime.  Each point is checked once, at the end: every later
+    correction carries the factor (b_q x - a_q) of each earlier point q, so
+    it leaves b_q**n F(a_q/b_q) unchanged.
     """
     state = construction_state(points)
     if state.n > max_degree:
@@ -424,7 +417,7 @@ def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
         vanish = vanish * IntPoly([-ar, br])
         a_next, b_next = pts[r].numerator, pts[r].denominator
         l_next, f_next = state.bezout[r]
-        big_b = _eval_scaled(poly, a_next, b_next, n) - 1
+        big_b = homogeneous_value(poly, a_next, b_next) - 1
         denom = b_next ** ((k - r) * m) * state.e_values[r + 1]
         assert big_b % denom == 0, "induction divisibility must hold"
         a_mult = -(big_b // denom)
@@ -434,12 +427,8 @@ def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
         assert correction.degree < n or not correction
         poly = poly + correction
         assert poly.is_monic and poly.degree == n
-        # The correction vanishes at every previously fixed point; re-check
-        # each one exactly so the argument is validated step by step.
-        for q in pts[: r + 1]:
-            assert _eval_scaled(poly, q.numerator, q.denominator, n) == 1
 
     for p in pts:
-        scaled = _eval_scaled(poly, p.numerator, p.denominator, n)
+        scaled = homogeneous_value(poly, p.numerator, p.denominator)
         assert scaled == 1, f"construction failed at {p}"
     return n, poly

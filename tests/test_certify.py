@@ -28,7 +28,6 @@ from monicheb.certify import (
     _odd_part_chain,
     _root_intervals,
     _sign_at,
-    _squarefree_factors,
     _sturm_chain,
     _variations,
 )
@@ -257,25 +256,30 @@ def random_kernel_cases(count):
     return out
 
 
+def sympy_odd_part(sympy, h):
+    """Odd-multiplicity part of h from sympy's sqf_list, primitive with a
+    positive leading coefficient."""
+    x = sympy.Symbol("x")
+    _, factors = sympy.Poly(h.coeffs[::-1], x, domain="ZZ").sqf_list()
+    odd = sympy.Poly(1, x, domain="ZZ")
+    for factor, mult in factors:
+        if mult % 2:
+            odd = odd * factor
+    want = IntPoly([int(c) for c in odd.all_coeffs()[::-1]]).primitive()
+    return want if want.coeffs[-1] > 0 else -want
+
+
 class TestIntegerKernelOracle:
-    """Yun's split and the Sturm count against sympy, an independent oracle."""
+    """The odd-multiplicity part and the Sturm count against sympy, an
+    independent oracle."""
 
     CASES = neighbour_cases() + random_kernel_cases(200)
 
     def test_odd_multiplicity_part_matches_sqf_list(self):
         sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
         assert len(self.CASES) == 102 + 200
         for h, _ in self.CASES:
-            _, factors = sympy.Poly(h.coeffs[::-1], x, domain="ZZ").sqf_list()
-            odd = sympy.Poly(1, x, domain="ZZ")
-            for factor, mult in factors:
-                if mult % 2:
-                    odd = odd * factor
-            want = IntPoly([int(c) for c in odd.all_coeffs()[::-1]]).primitive()
-            if want.coeffs[-1] < 0:
-                want = -want
-            assert _odd_part_chain(h)[0] == want, h
+            assert _odd_part_chain(h)[0] == sympy_odd_part(sympy, h), h
 
     def test_sturm_count_matches_count_roots(self):
         sympy = pytest.importorskip("sympy")
@@ -294,11 +298,32 @@ class TestIntegerKernelOracle:
             assert variations(interval.lo) - variations(interval.hi) == want, (h, interval)
 
 
+def yun_squarefree_factors(h):
+    """Yun's decomposition (Yun, SYMSAC 1976): f_1, f_2, ... with
+    h = c prod f_i**i for a rational c, every f_i from poly_gcd.
+
+    b and c carry one common scale, so d = c - b' is Yun's d up to that
+    scale, and every division is by a primitive gcd that divides exactly.
+    """
+    g = poly_gcd(h, h.derivative())
+    b = h // g
+    c = h.derivative() // g
+    d = c - b.derivative()
+    factors = []
+    while b.degree > 0:
+        f = poly_gcd(b, d)
+        factors.append(f)
+        b = b // f
+        c = d // f
+        d = c - b.derivative()
+    return factors
+
+
 def reference_odd_part_chain(h):
-    """The former two-sequence path: Yun's first gcd from poly_gcd(h, h'),
+    """The former two-sequence path: Yun's split from poly_gcd(h, h'),
     then the Sturm chain of the odd-multiplicity part."""
     odd = IntPoly([1])
-    for f in _squarefree_factors(h, poly_gcd(h, h.derivative()))[::2]:
+    for f in yun_squarefree_factors(h)[::2]:
         odd = odd * f
     return _sturm_chain(odd)
 
@@ -377,7 +402,7 @@ def counting(monkeypatch, name):
 
 
 class TestOneSequence:
-    """The Sturm chain of h doubles as Yun's first gcd: same outputs as the
+    """The Sturm chain of h ends in gcd(h, h'): same outputs as the
     two-sequence path, and one remainder sequence when h is squarefree."""
 
     def assert_same_decision(self, f, interval, bound):
@@ -437,33 +462,70 @@ class TestOneSequence:
         (pair, f, bound), = [w for w in table_witnesses() if w[1].degree == 18]
         v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
         g = f + IntPoly.monomial(7) * v
-        gcds = counting(monkeypatch, "poly_gcd")
+        assert not hasattr(certify, "poly_gcd")
         chains = counting(monkeypatch, "_sturm_chain")
         remainders = counting(monkeypatch, "primitive_remainder")
         decide_sup_bound(g, pair.interval(), bound)
-        assert gcds == []
         (args, chain), = chains
         assert args == (h_of(g, bound),) and chain[-1].degree == 0
         assert len(remainders) == len(chain) - 2
 
-    def test_non_squarefree_h_skips_yuns_first_gcd(self, monkeypatch):
-        # F = 1 - (2x - 1)**2: h = 1 - F**2 = (2x - 1)**2 (2 - (2x - 1)**2)
+    def test_non_squarefree_h_takes_odd_part_from_chain_gcds(self, monkeypatch):
+        # F = 1 - (2x - 1)**2: h = 1 - F**2 = (2x - 1)**2 (2 - (2x - 1)**2);
+        # the chain of h ends in 1 - 2x, whose own chain ends in a constant
         f = IntPoly([1]) - IntPoly([-1, 2]) ** 2
         h = h_of(f, F(1))
-        gcds = counting(monkeypatch, "poly_gcd")
         chains = counting(monkeypatch, "_sturm_chain")
         cert = decide_sup_bound(f, Interval(0, 1), F(1))
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
-        assert [args for args, _ in chains] == [(h,), (IntPoly([-1, -4, 4]),)]
-        assert gcds and all(args[0].degree < h.degree for args, _ in gcds)
+        assert [args for args, _ in chains] == [
+            (h,), (IntPoly([1, -2]),), (IntPoly([-1, -4, 4]),)
+        ]
 
     def test_squarefree_derivative_runs_one_remainder_sequence(self, monkeypatch):
         (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
-        gcds = counting(monkeypatch, "poly_gcd")
+        assert not hasattr(certify, "poly_gcd")
         chains = counting(monkeypatch, "_sturm_chain")
         sup_norm_enclosure(poly, pair.interval(), bound / 1000)
-        assert gcds == []
         assert [args for args, _ in chains] == [(poly.derivative(),)]
+
+
+def multiplicity_cases(count):
+    """(h, top) with h = c * prod f_i**i over a few random f_i of degree 1
+    or 2 and multiplicities i = 1..5, c of either sign, and top the largest
+    multiplicity used."""
+    rng = random.Random(79)
+    out = []
+    for _ in range(count):
+        h = IntPoly([rng.choice([-12, -3, -1, 1, 2, 6])])
+        top = 0
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(1, 5)
+            f = IntPoly([rng.randint(-4, 4) for _ in range(rng.randint(1, 2))] + [rng.randint(1, 3)])
+            h = h * f**i
+            top = max(top, i)
+        out.append((h, top))
+    return out
+
+
+class TestOddPart:
+    """The odd part from chain gcds against Yun's split and sympy."""
+
+    CASES = multiplicity_cases(320)
+
+    def test_matches_yun_reference(self):
+        signs = {h.coeffs[-1] > 0 for h, _ in self.CASES}
+        nonsquarefree = sum(_sturm_chain(h)[-1].degree > 0 for h, _ in self.CASES)
+        assert signs == {True, False} and nonsquarefree >= 250
+        for h, _ in self.CASES:
+            assert _odd_part_chain(h) == reference_odd_part_chain(h), h
+
+    def test_high_multiplicity_matches_sqf_list(self):
+        sympy = pytest.importorskip("sympy")
+        cases = [h for h, top in self.CASES if top >= 4]
+        assert len(cases) >= 150
+        for h in cases:
+            assert _odd_part_chain(h)[0] == sympy_odd_part(sympy, h), h
 
 
 class TestPipeline:

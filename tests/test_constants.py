@@ -1,10 +1,12 @@
 import decimal
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monicheb import constants
 from monicheb import (
     CONJECTURED,
     PROVEN_EQUAL,
@@ -213,6 +215,14 @@ class TestIntervalConstant:
             value, prov = interval_constant(f"-1/sqrt({n})", f"1/sqrt({n})")
             assert value == ConstantValue(F(1, n), 2)
             assert prov == PROV_SYMMETRIC_SQRT
+
+    def test_symmetric_surd_check_factors_each_endpoint_once(self):
+        # 1000000007 * 1000000009: one factorization per parsed endpoint,
+        # none for the symmetry test
+        surd = 1000000016000000063
+        with mock.patch.object(constants, "_factorize", wraps=constants._factorize) as factorize:
+            assert interval_constant(f"-sqrt({surd})", f"sqrt({surd})") is None
+        assert [call.args for call in factorize.call_args_list].count((surd,)) == 2
 
     def test_half_unit_translates(self):
         for n in (-3, 0, 4):

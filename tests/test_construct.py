@@ -29,7 +29,7 @@ from monicheb import construct
 
 
 def reference_eval_scaled(poly, a, b, n):
-    """The former construct._eval_scaled: b**n * poly(a/b) term by term,
+    """b**n * poly(a/b) term by term, as construct once evaluated it,
     floor-dividing a power of b at every step."""
     total = 0
     a_pow = 1
@@ -292,23 +292,15 @@ class TestKernelsAgainstReference:
     def test_binomial_power_edges(self, l, f, e, scale):
         assert construct._binomial_power(l, f, e, scale) == scale * IntPoly([-f, l]) ** e
 
-    @given(
-        st.lists(st.integers(-(10**12), 10**12), max_size=101),
-        st.integers(-50, 50),
-        st.integers(1, 50),
-        st.integers(0, 5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_eval_scaled_matches_reference(self, coeffs, a, b, extra):
-        poly = IntPoly(coeffs)
-        n = max(len(poly.coeffs) - 1, 0) + extra
-        assert construct._eval_scaled(poly, a, b, n) == reference_eval_scaled(poly, a, b, n)
-
     def test_bands_below_1024_match_reference_construction(self, monkeypatch):
         pairs = band_pairs(1024)
         assert len(pairs) == 48
         built = [multipoint_monic(pts, 1024) for pts, _ in pairs]
-        monkeypatch.setattr(construct, "_eval_scaled", reference_eval_scaled)
+        monkeypatch.setattr(
+            construct,
+            "homogeneous_value",
+            lambda poly, a, b: reference_eval_scaled(poly, a, b, poly.degree),
+        )
         monkeypatch.setattr(
             construct,
             "_binomial_power",
