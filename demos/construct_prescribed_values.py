@@ -14,7 +14,6 @@ from monicheb import (
     mediant,
     multipoint_monic,
     pair_polynomial,
-    poly_eval,
     triple_polynomial,
     DegreeSearchError,
 )
@@ -23,8 +22,8 @@ pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
 print(f"Closed form on {pair} at degree 4:")
 p = pair_polynomial(pair, 4, 1, 1)
 print(" ", format_poly(p))
-print(f"  value at 2/5 = {poly_eval(p, F(2, 5))}  (= 1/5^4)")
-print(f"  value at 1/3 = {poly_eval(p, F(1, 3))}  (= 1/3^4)")
+print(f"  value at 2/5 = {p(F(2, 5))}  (= 1/5^4)")
+print(f"  value at 1/3 = {p(F(1, 3))}  (= 1/3^4)")
 print()
 
 med = mediant(pair)
@@ -32,13 +31,13 @@ print(f"Mediant extension also pins the value at {med}:")
 t = triple_polynomial(pair, 4, 1, 1, pow(med.numerator, 4, med.denominator), 2)
 print(" ", format_poly(t))
 for point in (pair.hi, pair.lo, med):
-    print(f"  value at {point} = {poly_eval(t, point)}")
+    print(f"  value at {point} = {t(point)}")
 print()
 
 print("General finite sets via the inductive construction:")
 for points in ([F(2, 3)], [F(1, 2), F(1, 3)], [F(1, 3), F(2, 5), F(1, 2)]):
     n, f = multipoint_monic(points, 1000)
-    checks = all(q.denominator**n * poly_eval(f, q) == 1 for q in points)
+    checks = all(q.denominator**n * f(q) == 1 for q in points)
     shown = format_poly(f) if n <= 6 else f"degree-{n} polynomial"
     print(f"  {[str(q) for q in points]}: degree {n}, {shown}, exact: {checks}")
 print()

@@ -17,7 +17,6 @@ from .numpoly import (
     homogeneous_value,
     parse_poly,
     parse_rational,
-    poly_eval,
     poly_gcd,
     poly_integrate_product,
     to_bernstein,
@@ -94,7 +93,7 @@ def __getattr__(name):
 __all__ = [
     "IntPoly", "Interval", "MINUS_INFINITY",
     "bernstein_split", "extended_gcd", "format_poly", "format_rational",
-    "homogeneous_value", "parse_poly", "parse_rational", "poly_eval", "poly_gcd",
+    "homogeneous_value", "parse_poly", "parse_rational", "poly_gcd",
     "poly_integrate_product", "to_bernstein",
     "FareyPair", "farey_intervals", "farey_sequence", "is_consecutive_pair",
     "mediant",

@@ -1,18 +1,16 @@
 """Rigorous decisions about polynomial sup norms on rational intervals.
 
-The authoritative decision is algebraic: for B = N/D the bound |f| <= B
-holds on [lo, hi] iff the integer polynomial h = N**2 - D**2 f**2 is
-nonnegative there, which reduces to a root count of the odd-multiplicity
-part of h (Sturm sequences as primitive remainder sequences over the
-integers) plus finitely many exact sign evaluations.  One remainder
-sequence serves both the squarefree test and the count: the Sturm chain
-of h ends in gcd(h, h') up to sign, so a constant last term means h is
-squarefree and its chain is the one counted.  Otherwise the odd part is
-(h / g) / odd(g) for that gcd g, whose own chain ends in gcd(g, g'), and
-the odd part gets a chain of its own.
-Equality points, where the witness attains its bound, are
-even-multiplicity touch points of h and are permitted by construction;
-no epsilon padding anywhere.
+For B = N/D the bound |f| <= B holds on [lo, hi] iff the integer
+polynomial h = N**2 - D**2 f**2 is nonnegative there, so the decision is:
+find a point of [lo, hi] where h < 0, or prove there is none.  h changes
+sign only at the roots of its odd-multiplicity part, isolated by one Sturm
+chain (a primitive remainder sequence over the integers).  The chain of h
+ends in gcd(h, h') up to sign: a constant last term means h is squarefree
+and its own chain is the one used; otherwise the odd part is
+(h / g) / odd(g) for that gcd g and gets a chain of its own.  Touch points,
+where f attains its bound, are even-multiplicity roots of h and need no
+epsilon padding.  The sup-norm enclosure isolates the critical points of
+f with the same chain, built on f'.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
 sufficient check; it is sound but incomplete, and the Sturm decision is
@@ -104,8 +102,8 @@ def _odd_part(p: IntPoly, g: IntPoly) -> IntPoly:
 
 
 def _odd_part_chain(h: IntPoly) -> list[IntPoly]:
-    """Sturm chain whose first term is the odd-multiplicity part of h
-    (deg h >= 1), primitive with a positive leading coefficient.
+    """Sturm chain whose first term is the odd-multiplicity part of nonzero
+    h, primitive with a positive leading coefficient.
 
     For squarefree h that part is h itself, and the chain of h, negated
     when its leading coefficient is negative, is kept.  Otherwise the last
@@ -117,17 +115,6 @@ def _odd_part_chain(h: IntPoly) -> list[IntPoly]:
         return chain if chain[0].coeffs[-1] > 0 else [-p for p in chain]
     odd = _odd_part(h, chain[-1])
     return _sturm_chain(odd if odd.coeffs[-1] > 0 else -odd)
-
-
-def _squarefree_chain(p: IntPoly) -> list[IntPoly]:
-    """Sturm chain of the squarefree part p / gcd(p, p') of nonzero p.
-
-    The chain of p is kept when its last term, that gcd, is a constant.
-    """
-    chain = _sturm_chain(p)
-    if chain[-1].degree > 0:
-        chain = _sturm_chain(p // chain[-1])
-    return chain
 
 
 def _sign_at(p: IntPoly, x: Fraction) -> int:
@@ -202,38 +189,46 @@ def _halve(g: IntPoly, u: Fraction, v: Fraction, s: int):
 
 
 def _probe(h: IntPoly, u: Fraction, v: Fraction) -> Fraction | None:
-    """A point of (u, v) with h < 0, or None when h >= 0 at deg h + 1 points.
+    """A point of (u, v) with h < 0, or None when h > 0 there, given that h
+    keeps one sign on (u, v) apart from its zeros.
 
-    Where (u, v) holds no odd-multiplicity root of h, h keeps one sign
-    there apart from at most deg h zeros, so None means h >= 0 throughout.
+    Samples u + (v - u) / 2**k for k = 1, 2, ... and stops at the first
+    where h != 0: its sign is the sign of h on all of (u, v).  Of deg h + 1
+    samples at least one is not a zero of h.
     """
     step = (v - u) / 2
     for _ in range(h.degree + 1):
-        if _sign_at(h, u + step) < 0:
-            return u + step
+        sign = _sign_at(h, u + step)
+        if sign:
+            return u + step if sign < 0 else None
         step /= 2
-    return None
+    raise AssertionError("nonzero polynomial vanished at every probe")
 
 
-def _find_negative_point(
-    h: IntPoly, chain: list[IntPoly], lo: Fraction, hi: Fraction
-) -> Fraction | None:
-    """Some rational point in (lo, hi) with h < 0, or None when the
-    odd-multiplicity part g = chain[0] of h, whose Sturm chain is chain,
-    has no root there.
+def _negative_point(h: IntPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """A point of the closed [lo, hi] where h < 0, or None when h >= 0 on
+    all of it.
 
-    h changes sign across each root of g and only there.  On the first
-    isolating interval (u, v) of g, h keeps one sign on each side of the
-    root apart from touch points: check u and v, then bisect by the sign of
-    g, whose midpoints land on both sides of the root.  A root hit exactly
-    splits its interval into two pieces free of sign changes, and a bounded
-    probe of each finds the negative side.
+    After both endpoints: h changes sign across each root of its
+    odd-multiplicity part g and only there, and one Sturm chain of g
+    isolates those roots in (lo, hi).  With none, h keeps one sign inside
+    and a probe decides.  On the first isolating interval (u, v), h keeps
+    one sign on each side of the root apart from touch points: check u and
+    v, then bisect by the sign of g, whose midpoints land on both sides of
+    the root.  A root hit exactly splits its interval into two pieces free
+    of sign changes, and a probe of each finds the negative side.
     """
+    for x in (lo, hi):
+        if _sign_at(h, x) < 0:
+            return x
+    if h.degree < 1:
+        return None
+    chain = _odd_part_chain(h)
     g = chain[0]
     roots = _root_intervals(chain, lo, hi)
     first = next(roots, None)
     if first is None:
-        return None
+        return _probe(h, lo, hi)
     u, v, s = first
     if u == v:
         # h keeps one sign on (lo, u) and the other just right of u
@@ -264,41 +259,21 @@ def _find_negative_point(
 
 
 def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
-    """Exact decision of sup |f| <= bound on the interval; never inconclusive."""
+    """Exact decision of sup |f| <= bound on the interval; never inconclusive.
+
+    For bound = N/D, h = D**2 (bound**2 - f**2) = N**2 - D**2 f**2: a point
+    where h < 0 refutes the bound, and none certifies it.
+    """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-
-    def cert(verdict, point=None):
-        return NormCertificate(verdict, bound, "sturm", point)
-
-    if not f:
-        return cert(Verdict.CERTIFIED_AT_MOST)
-    # h = D**2 (B**2 - f**2) for B = N/D: same sign as B**2 - f**2 everywhere
     num, den = bound.numerator, bound.denominator
     h = IntPoly([num * num]) - f * f * (den * den)
-    if not h:
-        return cert(Verdict.CERTIFIED_AT_MOST)  # |f| == bound everywhere
-    for endpoint in (interval.lo, interval.hi):
-        if _sign_at(h, endpoint) < 0:
-            return cert(Verdict.REFUTED, endpoint)
-    if h.degree == 0:
-        return cert(Verdict.CERTIFIED_AT_MOST)
-    point = _find_negative_point(h, _odd_part_chain(h), interval.lo, interval.hi)
-    if point is not None:
-        assert interval.lo < point < interval.hi and abs(f(point)) > bound
-        return cert(Verdict.REFUTED, point)
-    # No sign change inside: one sample with h != 0 decides the interior.
-    samples = max(len(h.coeffs) + 1, 2)
-    for j in range(1, samples + 1):
-        x = interval.lo + interval.width * Fraction(j, samples + 1)
-        sign = _sign_at(h, x)
-        if sign == 0:
-            continue
-        if sign < 0:
-            return cert(Verdict.REFUTED, x)
-        return cert(Verdict.CERTIFIED_AT_MOST)
-    raise AssertionError("nonzero polynomial vanished at every sample")
+    point = _negative_point(h, interval.lo, interval.hi)
+    if point is None:
+        return NormCertificate(Verdict.CERTIFIED_AT_MOST, bound, "sturm")
+    assert point in interval and abs(f(point)) > bound
+    return NormCertificate(Verdict.REFUTED, bound, "sturm", point)
 
 
 def bernstein_prefilter(f: IntPoly, interval: Interval, bound) -> NormCertificate:
@@ -357,10 +332,12 @@ def sup_norm_enclosure(
 ) -> tuple[Fraction, Fraction]:
     """Rational bracket [lo, hi] around sup |f| with hi - lo <= tol.
 
-    The maximum of |f| on the interval is reached at an endpoint or at a
-    real root of f'.  Those critical points are the roots of the squarefree
-    part g = f' / gcd(f', f''), isolated with one Sturm chain of g, which
-    is the chain of f' itself when f' is squarefree.  Each
+    The maximum of |f| on the interval is reached at an endpoint or at an
+    interior local extremum of f, where f' changes sign: at a root of the
+    odd-multiplicity part g of f'.  A root of f' of even multiplicity is no
+    extremum, so the roots of g are enough.  They are isolated with the
+    Sturm chain from _odd_part_chain, which is the chain of f' itself when
+    f' is squarefree, the same chain the decision builds on h.  Each
     isolating interval is then halved toward its root by the sign of g at
     the midpoint, with no new chain.  On an interval [u, v], |f| is at most
     the largest |c| over the Bernstein coefficients of f on [u, v] (de
@@ -375,7 +352,7 @@ def sup_norm_enclosure(
     if f.degree <= 0:
         value = Fraction(abs(f.coeffs[0])) if f else Fraction(0)
         return value, value
-    chain = _squarefree_chain(f.derivative())
+    chain = _odd_part_chain(f.derivative())
     g = chain[0]
     lo_b = max(abs(f(interval.lo)), abs(f(interval.hi)))
     pending = []

@@ -302,26 +302,6 @@ class ConstructionState:
     def k(self) -> int:
         return len(self.points)
 
-    def _split(self, value: int, j: int) -> tuple[int, int]:
-        b_j = self.points[j - 1].denominator
-        supported = 1
-        for p, e in _factorize(value).items():
-            if b_j % p == 0:
-                supported *= p**e
-        return supported, abs(value) // supported
-
-    def d1(self, j: int) -> int:
-        return self._split(self.d_value, j)[0]
-
-    def d2(self, j: int) -> int:
-        return self._split(self.d_value, j)[1]
-
-    def e1(self, j: int) -> int:
-        return self._split(self.e_values[j], j)[0]
-
-    def e2(self, j: int) -> int:
-        return self._split(self.e_values[j], j)[1]
-
 
 def _validate_points(points) -> list[Fraction]:
     pts = [Fraction(p) for p in points]

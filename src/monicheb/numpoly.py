@@ -259,11 +259,6 @@ def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
     )
 
 
-def poly_eval(p: IntPoly, x: Rat) -> Fraction:
-    """Exact value of p at x, as a Fraction."""
-    return Fraction(p(x))
-
-
 def poly_integrate_product(p: IntPoly, q: IntPoly, interval: Interval) -> Fraction:
     """Exact integral of p*q over the interval (coefficient convolution + power rule)."""
     prod = _convolve(p.coeffs, q.coeffs)

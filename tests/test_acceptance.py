@@ -28,7 +28,6 @@ from monicheb import (
     multipoint_monic,
     multiplicative_order,
     parse_table_file,
-    poly_eval,
     run,
     search_witness,
     small_value_polynomial,
@@ -122,8 +121,8 @@ def test_criterion_3_construction_identities():
 
         poly = pair_polynomial(pair, n, a_hi, a_lo)
         assert poly.is_monic and poly.degree == n
-        assert poly_eval(poly, pair.hi) == F(a_hi, pair.b1**n)
-        assert poly_eval(poly, pair.lo) == F(a_lo, pair.b2**n)
+        assert poly(pair.hi) == F(a_hi, pair.b1**n)
+        assert poly(pair.lo) == F(a_lo, pair.b2**n)
         tested += 1
 
     points = [F(a, b) for b in range(2, 6) for a in range(1, b) if gcd(a, b) == 1]
@@ -140,7 +139,7 @@ def test_criterion_3_construction_identities():
             n, poly = multipoint_monic(list(pts), cap)
             assert n == minimal
             for p in pts:
-                assert p.denominator**n * poly_eval(poly, p) == 1
+                assert p.denominator**n * poly(p) == 1
             built += 1
         else:
             with pytest.raises(DegreeSearchError) as exc:
@@ -236,7 +235,7 @@ def _oracle_decide(poly, interval, bound, cells=96):
     h = interval.width / cells
     worst = F(0)
     for j in range(cells + 1):
-        worst = max(worst, abs(poly_eval(poly, interval.lo + j * h)))
+        worst = max(worst, abs(poly(interval.lo + j * h)))
     if worst > bound:
         return "refuted"
     if worst + lipschitz * h / 2 <= bound:
@@ -255,7 +254,7 @@ def test_criterion_6_certifier_oracle_equivalence():
         interval = Interval(lo, lo + F(rng.randint(1, 12), 8))
         scale = F(rng.randint(2, 40), 20)  # bound between 0.1x and 2x the grid max
         grid_max = max(
-            abs(poly_eval(poly, interval.lo + j * interval.width / 16))
+            abs(poly(interval.lo + j * interval.width / 16))
             for j in range(17)
         )
         bound = grid_max * scale if grid_max else F(rng.randint(0, 3))

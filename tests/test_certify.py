@@ -15,7 +15,6 @@ from monicheb import (
     certify_sup_bound,
     decide_sup_bound,
     parse_table_file,
-    poly_eval,
     poly_gcd,
     rational_point_lower_bound,
     sup_norm_enclosure,
@@ -24,7 +23,7 @@ from monicheb import (
 )
 from monicheb.certify import (
     PREFILTER_DEPTH,
-    _find_negative_point,
+    _negative_point,
     _odd_part_chain,
     _root_intervals,
     _sign_at,
@@ -50,7 +49,7 @@ def table_witnesses():
 
 def reference_enclosure(f, interval, tol):
     """The former kernel: bisection of the bound over exact decisions."""
-    lo = max(abs(poly_eval(f, interval.lo)), abs(poly_eval(f, interval.hi)))
+    lo = max(abs(f(interval.lo)), abs(f(interval.hi)))
     hi = max(F(1), sum(abs(c) for c in to_bernstein(f, interval)))
     while hi - lo > tol:
         mid = (lo + hi) / 2
@@ -58,7 +57,7 @@ def reference_enclosure(f, interval, tol):
         if cert.verdict is Verdict.CERTIFIED_AT_MOST:
             hi = mid
         else:
-            lo = abs(poly_eval(f, cert.refutation_point))
+            lo = abs(f(cert.refutation_point))
     return lo, hi
 
 
@@ -79,7 +78,7 @@ class TestDecideSupBound:
         cert = decide_sup_bound(WITNESS, I13_25, F(1, 10))
         assert cert.verdict is Verdict.REFUTED
         assert cert.refutation_point == F(1, 3)
-        assert abs(poly_eval(WITNESS, cert.refutation_point)) > F(1, 10)
+        assert abs(WITNESS(cert.refutation_point)) > F(1, 10)
 
     def test_zero_poly_zero_bound(self):
         cert = decide_sup_bound(IntPoly(), I13_25, F(0))
@@ -102,7 +101,7 @@ class TestDecideSupBound:
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
         cert2 = decide_sup_bound(f, Interval(F(-2, 3), F(1, 2)), F(4, 9) - F(1, 1000))
         assert cert2.verdict is Verdict.REFUTED
-        assert abs(poly_eval(f, cert2.refutation_point)) > F(4, 9) - F(1, 1000)
+        assert abs(f(cert2.refutation_point)) > F(4, 9) - F(1, 1000)
 
     def test_interior_negative_dip(self):
         # h = B**2 - f**2 < 0 only well inside the interval
@@ -110,7 +109,7 @@ class TestDecideSupBound:
         cert = decide_sup_bound(f, Interval(0, 1), F(1, 5))
         assert cert.verdict is Verdict.REFUTED
         point = cert.refutation_point
-        assert 0 < point < 1 and abs(poly_eval(f, point)) > F(1, 5)
+        assert 0 < point < 1 and abs(f(point)) > F(1, 5)
 
     def test_never_inconclusive_random(self):
         rng = random.Random(12)
@@ -121,7 +120,7 @@ class TestDecideSupBound:
             cert = decide_sup_bound(f, interval, bound)
             assert cert.verdict is not Verdict.INCONCLUSIVE
             if cert.verdict is Verdict.REFUTED:
-                assert abs(poly_eval(f, cert.refutation_point)) > bound
+                assert abs(f(cert.refutation_point)) > bound
 
 
 class TestBernsteinPrefilter:
@@ -184,11 +183,12 @@ class TestRootIsolation:
         assert list(_root_intervals(_sturm_chain(IntPoly([5])), F(0), F(1))) == []
 
     def test_negative_point_after_exact_midpoint_root(self):
-        # h = -(x - 1/4)(x - 1/2)**2: the bisection hits the sign change 1/4
-        # exactly after the touch point 1/2
-        h = -(IntPoly([-1, 4]) * IntPoly([-1, 2]) ** 2)
-        point = _find_negative_point(h, _sturm_chain(IntPoly([-1, 4])), F(0), F(1))
-        assert 0 < point < 1 and h(point) < 0
+        # h = (2x - 1)(4x - 3) > 0 at both ends of [0, 1]: the first bisection
+        # point 1/2 is an exact sign change, and h < 0 on (1/2, 3/4)
+        h = IntPoly([-1, 2]) * IntPoly([-3, 4])
+        assert next(_root_intervals(_odd_part_chain(h), F(0), F(1))) == (F(1, 2), F(1, 2), 0)
+        point = _negative_point(h, F(0), F(1))
+        assert F(1, 2) < point < F(3, 4) and h(point) < 0
 
     def test_negative_point_at_first_isolation_midpoint(self):
         # f = 1 + 4(x - 1/2)(1 - x) crosses 1 upward at the midpoint of [0, 1]
@@ -213,7 +213,21 @@ class TestRootIsolation:
 
     def test_no_sign_change_gives_none(self):
         h = IntPoly([-1, 2]) ** 2
-        assert _find_negative_point(h, _sturm_chain(IntPoly([1])), F(0), F(1)) is None
+        assert _negative_point(h, F(0), F(1)) is None
+
+    def test_negative_point_checks_endpoints_first(self):
+        h = IntPoly([-1, 2]) * IntPoly([-3, 4])  # (2x - 1)(4x - 3) >= 0 on [0, 1/2]
+        assert _negative_point(h, F(0), F(1, 2)) is None
+        assert _negative_point(-h, F(0), F(1)) == 0
+        assert _negative_point(IntPoly([-1]), F(0), F(1)) == 0
+        assert _negative_point(IntPoly(), F(0), F(1)) is None
+
+    def test_vanishing_at_both_endpoints_refutes_at_midpoint(self):
+        # 1 + x - x**2 equals 1 at both ends of [0, 1] and exceeds it inside
+        f = IntPoly([1, 1, -1])
+        cert = decide_sup_bound(f, Interval(0, 1), F(1))
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.refutation_point == F(1, 2) and abs(f(cert.refutation_point)) > 1
 
 
 def neighbour_polys(seed):
@@ -335,11 +349,12 @@ def reference_decide_sup_bound(f, interval, bound):
 
 
 def reference_sup_norm_enclosure(f, interval, tol):
-    """sup_norm_enclosure with g = f' / poly_gcd(f', f'') and its own chain."""
+    """sup_norm_enclosure with the critical points taken from the squarefree
+    part f' / poly_gcd(f', f''), even-multiplicity roots included."""
     def chain(p):
         return _sturm_chain(p // poly_gcd(p, p.derivative()))
 
-    with mock.patch.object(certify, "_squarefree_chain", chain):
+    with mock.patch.object(certify, "_odd_part_chain", chain):
         return sup_norm_enclosure(f, interval, tol)
 
 
@@ -481,6 +496,27 @@ class TestOneSequence:
         assert [args for args, _ in chains] == [
             (h,), (IntPoly([1, -2]),), (IntPoly([-1, -4, 4]),)
         ]
+
+    def test_certified_decision_probes_once(self, monkeypatch):
+        # the degree-18 witness: no odd root of h inside, and the first probe
+        # sample, the midpoint, already has h > 0
+        (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
+        interval = pair.interval()
+        signs = counting(monkeypatch, "_sign_at")
+        probes = []
+        original = certify._probe
+
+        def probe(*args):
+            before = len(signs)
+            result = original(*args)
+            probes.append((args, result, len(signs) - before))
+            return result
+
+        monkeypatch.setattr(certify, "_probe", probe)
+        cert = decide_sup_bound(poly, interval, bound)
+        assert cert.verdict is Verdict.CERTIFIED_AT_MOST
+        assert probes == [((h_of(poly, bound), interval.lo, interval.hi), None, 1)]
+        assert len(signs) == 77
 
     def test_squarefree_derivative_runs_one_remainder_sequence(self, monkeypatch):
         (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]

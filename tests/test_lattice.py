@@ -20,7 +20,6 @@ from monicheb import (
     decide_sup_bound,
     gram_matrix,
     lll_reduce,
-    poly_eval,
     poly_integrate_product,
     parse_table_file,
     search_witness,
@@ -360,10 +359,10 @@ class TestSearchBasis:
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         basis = build_search_basis(pair, 8)
         for member in basis.members[1:]:
-            assert poly_eval(member, pair.lo) == 0
-            assert poly_eval(member, pair.hi) == 0
-        assert poly_eval(basis.p, pair.lo) == F(1, 3**8)
-        assert poly_eval(basis.p, pair.hi) == F(1, 5**8)
+            assert member(pair.lo) == 0
+            assert member(pair.hi) == 0
+        assert basis.p(pair.lo) == F(1, 3**8)
+        assert basis.p(pair.hi) == F(1, 5**8)
 
     def test_inadmissible_degree(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
@@ -398,8 +397,8 @@ class TestSearchWitness:
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         found = search_witness(pair, 4, radius=1)
         assert found.is_monic and found.degree == 4
-        assert poly_eval(found, pair.lo) == F(1, 81)
-        assert poly_eval(found, pair.hi) == F(1, 625)
+        assert found(pair.lo) == F(1, 81)
+        assert found(pair.hi) == F(1, 625)
 
     def test_radius_zero_failing_center_returns_none(self, monkeypatch):
         # contract: only candidates that certify are returned; when every
@@ -643,7 +642,7 @@ class TestSmallValues:
     def test_rational_point_out_of_contract(self):
         f = small_value_polynomial([0.5], F(1, 2), precision=48)
         assert f.is_monic
-        assert abs(poly_eval(f, F(1, 2))) < F(1, 2)
+        assert abs(f(F(1, 2))) < F(1, 2)
 
     def test_conjugate_pair_real_coefficients(self):
         alpha = complex(0.3, 0.8)
@@ -661,7 +660,7 @@ class TestSmallValues:
     def test_integer_point_degenerate(self):
         # integers sit far outside the hypothesis; x - m still answers
         f = small_value_polynomial([3], F(1, 2), precision=48)
-        assert f.is_monic and abs(poly_eval(f, F(3))) < F(1, 2)
+        assert f.is_monic and abs(f(F(3))) < F(1, 2)
 
     def test_rejects_unclosed_conjugates(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from monicheb import (
     homogeneous_value,
     parse_poly,
     parse_rational,
-    poly_eval,
     poly_gcd,
     poly_integrate_product,
     to_bernstein,
@@ -63,14 +62,14 @@ class TestParseRational:
 class TestEval:
     def test_witness_value(self):
         p = IntPoly([3, -27, 81, -81, 1])
-        assert poly_eval(p, F(2, 5)) == F(1, 625)
+        assert p(F(2, 5)) == F(1, 625)
 
     def test_quadratic(self):
-        assert poly_eval(IntPoly([1, -3, 1]), F(1, 3)) == F(1, 9)
+        assert IntPoly([1, -3, 1])(F(1, 3)) == F(1, 9)
 
     def test_constant_coefficient_at_zero(self):
         p = IntPoly([7, 1, 4])
-        assert poly_eval(p, 0) == 7
+        assert p(0) == 7
 
     def test_zero_poly_degree(self):
         assert IntPoly().degree == MINUS_INFINITY
@@ -131,8 +130,8 @@ class TestBernstein:
             lo = F(rng.randint(-8, 7), rng.randint(1, 5))
             interval = Interval(lo, lo + F(rng.randint(1, 9), rng.randint(1, 4)))
             coeffs = to_bernstein(p, interval)
-            assert coeffs[0] == poly_eval(p, interval.lo)
-            assert coeffs[-1] == poly_eval(p, interval.hi)
+            assert coeffs[0] == p(interval.lo)
+            assert coeffs[-1] == p(interval.hi)
 
     def test_interior_coefficients(self):
         # sum_j b_j C(d, j) t**j (1 - t)**(d - j) == p(lo + w t) at d + 1
@@ -151,7 +150,7 @@ class TestBernstein:
                     b * math.comb(d, j) * t**j * (1 - t) ** (d - j)
                     for j, b in enumerate(coeffs)
                 )
-                assert value == poly_eval(p, interval.lo + interval.width * t)
+                assert value == p(interval.lo + interval.width * t)
 
     def test_split_linear(self):
         assert bernstein_split((0, 1)) == ((F(0), F(1, 2)), (F(1, 2), F(1)))
@@ -165,7 +164,7 @@ class TestBernstein:
             p = rand_intpoly(rng, rng.randint(1, 12))
             interval = Interval(F(-1, 3), F(5, 6))
             left, right = bernstein_split(to_bernstein(p, interval))
-            assert left[-1] == right[0] == poly_eval(p, interval.midpoint)
+            assert left[-1] == right[0] == p(interval.midpoint)
 
     def test_split_empty(self):
         with pytest.raises(ValueError):
@@ -284,8 +283,8 @@ class TestExtendedGcd:
 )
 def test_eval_ring_homomorphism(a, b, x):
     p, q = IntPoly(a), IntPoly(b)
-    assert poly_eval(p + q, x) == poly_eval(p, x) + poly_eval(q, x)
-    assert poly_eval(p * q, x) == poly_eval(p, x) * poly_eval(q, x)
+    assert (p + q)(x) == p(x) + q(x)
+    assert (p * q)(x) == p(x) * q(x)
 
 
 @given(st.lists(st.integers(-9, 9), max_size=6), st.integers(0, 4))
