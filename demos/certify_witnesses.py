@@ -1,9 +1,10 @@
 """Rigorous sup-norm certification, from prefilter to exact decision.
 
-The bound |f| <= B on [lo, hi] is decided exactly: B**2 - f**2 must be
-nonnegative, which reduces to a Sturm root count of its odd-multiplicity
-part plus finitely many exact evaluations.  Witnesses attain their bound
-at an endpoint, so the non-strict handling matters.
+The bound |f| <= B on [lo, hi] is decided exactly: B - f and B + f must
+both be nonnegative, which reduces to a Sturm root count of the
+odd-multiplicity part of each plus finitely many exact evaluations.
+Witnesses attain their bound at an endpoint, so the non-strict handling
+matters.
 """
 from fractions import Fraction as F
 

@@ -1,16 +1,17 @@
 """Rigorous decisions about polynomial sup norms on rational intervals.
 
-For B = N/D the bound |f| <= B holds on [lo, hi] iff the integer
-polynomial h = N**2 - D**2 f**2 is nonnegative there, so the decision is:
-find a point of [lo, hi] where h < 0, or prove there is none.  h changes
-sign only at the roots of its odd-multiplicity part, isolated by one Sturm
-chain (a primitive remainder sequence over the integers).  The chain of h
-ends in gcd(h, h') up to sign: a constant last term means h is squarefree
-and its own chain is the one used; otherwise the odd part is
-(h / g) / odd(g) for that gcd g and gets a chain of its own.  Touch points,
-where f attains its bound, are even-multiplicity roots of h and need no
-epsilon padding.  The sup-norm enclosure isolates the critical points of
-f with the same chain, built on f'.
+For B = N/D the bound |f| <= B holds on [lo, hi] iff both integer
+polynomials N - D f and N + D f are nonnegative there, so the decision is:
+check |f| at both endpoints, then find a point of (lo, hi) where one of the
+two factors is negative, or prove there is none.  A factor q changes sign
+only at the roots of its odd-multiplicity part, isolated by one Sturm chain
+(a primitive remainder sequence over the integers).  The chain of q ends
+in gcd(q, q') up to sign: a constant last term means q is squarefree and
+its own chain is the one used; otherwise the odd part is (q / g) / odd(g)
+for that gcd g and gets a chain of its own.  Touch points, where f attains
+its bound, are even-multiplicity roots of a factor and need no epsilon
+padding.  The sup-norm enclosure isolates the critical points of f with
+the same chain, built on f'.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
 sufficient check; it is sound but incomplete, and the Sturm decision is
@@ -206,21 +207,18 @@ def _probe(h: IntPoly, u: Fraction, v: Fraction) -> Fraction | None:
 
 
 def _negative_point(h: IntPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """A point of the closed [lo, hi] where h < 0, or None when h >= 0 on
-    all of it.
+    """A point of the open (lo, hi) where h < 0, or None when h >= 0 on all
+    of it, given h >= 0 at lo and at hi.
 
-    After both endpoints: h changes sign across each root of its
-    odd-multiplicity part g and only there, and one Sturm chain of g
-    isolates those roots in (lo, hi).  With none, h keeps one sign inside
-    and a probe decides.  On the first isolating interval (u, v), h keeps
-    one sign on each side of the root apart from touch points: check u and
-    v, then bisect by the sign of g, whose midpoints land on both sides of
-    the root.  A root hit exactly splits its interval into two pieces free
-    of sign changes, and a probe of each finds the negative side.
+    h changes sign across each root of its odd-multiplicity part g and only
+    there, and one Sturm chain of g isolates those roots in (lo, hi).  With
+    none, h keeps one sign inside and a probe decides.  On the first
+    isolating interval (u, v), h keeps one sign on each side of the root
+    apart from touch points: check u and v, then bisect by the sign of g,
+    whose midpoints land on both sides of the root.  A root hit exactly
+    splits its interval into two pieces free of sign changes, and a probe
+    of each finds the negative side.
     """
-    for x in (lo, hi):
-        if _sign_at(h, x) < 0:
-            return x
     if h.degree < 1:
         return None
     chain = _odd_part_chain(h)
@@ -261,15 +259,20 @@ def _negative_point(h: IntPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
 def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     """Exact decision of sup |f| <= bound on the interval; never inconclusive.
 
-    For bound = N/D, h = D**2 (bound**2 - f**2) = N**2 - D**2 f**2: a point
-    where h < 0 refutes the bound, and none certifies it.
+    For bound = N/D, |f| <= bound exactly where N - D f >= 0 and
+    N + D f >= 0.  An endpoint where |f| > bound refutes first, with no
+    chain built; then a point of the open interval where N - D f < 0, and
+    after it one where N + D f < 0.  None of these certifies the bound.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    num, den = bound.numerator, bound.denominator
-    h = IntPoly([num * num]) - f * f * (den * den)
-    point = _negative_point(h, interval.lo, interval.hi)
+    lo, hi = interval.lo, interval.hi
+    num, scaled = IntPoly([bound.numerator]), f * bound.denominator
+    point = next((x for x in (lo, hi) if abs(f(x)) > bound), None)
+    for q in (num - scaled, num + scaled):
+        if point is None:
+            point = _negative_point(q, lo, hi)
     if point is None:
         return NormCertificate(Verdict.CERTIFIED_AT_MOST, bound, "sturm")
     assert point in interval and abs(f(point)) > bound
@@ -337,7 +340,7 @@ def sup_norm_enclosure(
     odd-multiplicity part g of f'.  A root of f' of even multiplicity is no
     extremum, so the roots of g are enough.  They are isolated with the
     Sturm chain from _odd_part_chain, which is the chain of f' itself when
-    f' is squarefree, the same chain the decision builds on h.  Each
+    f' is squarefree, as the decision builds it on each factor.  Each
     isolating interval is then halved toward its root by the sign of g at
     the midpoint, with no new chain.  On an interval [u, v], |f| is at most
     the largest |c| over the Bernstein coefficients of f on [u, v] (de

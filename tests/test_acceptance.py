@@ -243,10 +243,10 @@ def _oracle_decide(poly, interval, bound, cells=96):
     return None
 
 
-def test_criterion_6_certifier_oracle_equivalence():
-    """1000 random polynomials: no disagreement with the brute-force oracle."""
+def certifier_cases():
+    """The 1000 seeded (poly, interval, bound) instances of criterion 6."""
     rng = random.Random(2718)
-    conclusive = 0
+    out = []
     for _ in range(1000):
         degree = rng.randint(0, 6)
         poly = IntPoly([rng.randint(-20, 20) for _ in range(degree + 1)])
@@ -258,6 +258,14 @@ def test_criterion_6_certifier_oracle_equivalence():
             for j in range(17)
         )
         bound = grid_max * scale if grid_max else F(rng.randint(0, 3))
+        out.append((poly, interval, bound))
+    return out
+
+
+def test_criterion_6_certifier_oracle_equivalence():
+    """1000 random polynomials: no disagreement with the brute-force oracle."""
+    conclusive = 0
+    for poly, interval, bound in certifier_cases():
         verdict = decide_sup_bound(poly, interval, bound).verdict
         oracle = _oracle_decide(poly, interval, bound)
         if oracle is None:

@@ -17,6 +17,7 @@ from monicheb import (
     parse_table_file,
     poly_gcd,
     rational_point_lower_bound,
+    search_witness,
     sup_norm_enclosure,
     to_bernstein,
     verify_witness,
@@ -30,6 +31,8 @@ from monicheb.certify import (
     _sturm_chain,
     _variations,
 )
+
+from test_acceptance import certifier_cases
 
 WITNESS = IntPoly([1, -3, 1])
 PAIR = FareyPair.from_endpoints(F(1, 3), F(2, 5))
@@ -104,7 +107,7 @@ class TestDecideSupBound:
         assert abs(f(cert2.refutation_point)) > F(4, 9) - F(1, 1000)
 
     def test_interior_negative_dip(self):
-        # h = B**2 - f**2 < 0 only well inside the interval
+        # B - f < 0 only well inside the interval
         f = IntPoly([0, 1]) * IntPoly([-1, 1])  # x(x-1), peak 1/4 at 1/2
         cert = decide_sup_bound(f, Interval(0, 1), F(1, 5))
         assert cert.verdict is Verdict.REFUTED
@@ -199,12 +202,11 @@ class TestRootIsolation:
         assert abs(f(cert.refutation_point)) > 1
 
     def test_exact_root_next_to_an_isolating_interval(self):
-        # |f| crosses the bound upward at -11/8, a bisection point of [-2, 3],
-        # and the next root is isolated in (-11/8, -3/4)
+        # f crosses the bound upward at -11/8, a bisection point of [-2, 3],
+        # and the next root of N - D f is isolated in (-11/8, -3/4)
         f = IntPoly([6, 1, 6, 1, -1])
         bound = F(40119, 4096)
-        h = IntPoly([bound.numerator**2]) - f * f * bound.denominator**2
-        chain = _odd_part_chain(h)
+        chain = _odd_part_chain(factors_of(f, bound)[0])
         assert next(_root_intervals(chain, F(-2), F(3)))[:2] == (F(-11, 8), F(-11, 8))
         cert = decide_sup_bound(f, Interval(-2, 3), bound)
         assert cert.verdict is Verdict.REFUTED
@@ -215,11 +217,13 @@ class TestRootIsolation:
         h = IntPoly([-1, 2]) ** 2
         assert _negative_point(h, F(0), F(1)) is None
 
-    def test_negative_point_checks_endpoints_first(self):
+    def test_negative_point_searches_open_interval(self):
         h = IntPoly([-1, 2]) * IntPoly([-3, 4])  # (2x - 1)(4x - 3) >= 0 on [0, 1/2]
         assert _negative_point(h, F(0), F(1, 2)) is None
-        assert _negative_point(-h, F(0), F(1)) == 0
-        assert _negative_point(IntPoly([-1]), F(0), F(1)) == 0
+        # zero at both ends of [1/2, 3/4]: h < 0 and -h > 0 strictly inside
+        assert _negative_point(h, F(1, 2), F(3, 4)) == F(5, 8)
+        assert _negative_point(-h, F(1, 2), F(3, 4)) is None
+        assert _negative_point(IntPoly([1]), F(0), F(1)) is None
         assert _negative_point(IntPoly(), F(0), F(1)) is None
 
     def test_vanishing_at_both_endpoints_refutes_at_midpoint(self):
@@ -251,9 +255,19 @@ def h_of(f, bound):
     return IntPoly([bound.numerator**2]) - f * f * bound.denominator**2
 
 
+def factors_of(f, bound):
+    """(N - D f, N + D f) for the bound N/D: |f| <= N/D where both are >= 0."""
+    num, scaled = IntPoly([bound.numerator]), f * bound.denominator
+    return num - scaled, num + scaled
+
+
 def neighbour_cases():
-    """(h, interval) for the neighbours g of seed 59, with h = h_of(g, bound)."""
-    return [(h_of(g, bound), interval) for g, interval, bound in neighbour_polys(59)]
+    """(h, interval) for the neighbours g of seed 59: first h = h_of(g, bound)
+    for each g, then h = each of the two factors_of(g, bound)."""
+    cases = neighbour_polys(59)
+    return [(h_of(g, bound), interval) for g, interval, bound in cases] + [
+        (q, interval) for g, interval, bound in cases for q in factors_of(g, bound)
+    ]
 
 
 def random_kernel_cases(count):
@@ -291,7 +305,7 @@ class TestIntegerKernelOracle:
 
     def test_odd_multiplicity_part_matches_sqf_list(self):
         sympy = pytest.importorskip("sympy")
-        assert len(self.CASES) == 102 + 200
+        assert len(self.CASES) == 102 + 2 * 102 + 200
         for h, _ in self.CASES:
             assert _odd_part_chain(h)[0] == sympy_odd_part(sympy, h), h
 
@@ -343,9 +357,12 @@ def reference_odd_part_chain(h):
 
 
 def reference_decide_sup_bound(f, interval, bound):
-    """decide_sup_bound with its chain built on the former two-sequence path."""
-    with mock.patch.object(certify, "_odd_part_chain", reference_odd_part_chain):
-        return decide_sup_bound(f, interval, bound)
+    """The former decision on the degree-2n h = N**2 - D**2 f**2: the
+    refutation point, or None when the bound is certified."""
+    for x in (interval.lo, interval.hi):
+        if abs(f(x)) > bound:
+            return x
+    return _negative_point(h_of(f, bound), interval.lo, interval.hi)
 
 
 def reference_sup_norm_enclosure(f, interval, tol):
@@ -365,11 +382,11 @@ def linear(r):
 
 def touching_cases(count):
     """(F, interval, N) with N - F = s * f * g**k, g linear and k = 2 or 3,
-    so h = N**2 - F**2 has the factor g**k and is not squarefree.
+    so the factor N - F of N**2 - F**2 has g**k and is not squarefree.
 
     The root r of g is inside the interval for k = 2 and its left end for
-    k = 3, and s * f(r) >= 0, so h >= 0 near r.  Every third f has two roots
-    in the interval, around which h can dip below zero.
+    k = 3, and s * f(r) >= 0, so N - F >= 0 near r.  Every third f has two
+    roots in the interval, around which N - F can dip below zero.
     """
     rng = random.Random(67)
     out = []
@@ -417,15 +434,17 @@ def counting(monkeypatch, name):
 
 
 class TestOneSequence:
-    """The Sturm chain of h ends in gcd(h, h'): same outputs as the
-    two-sequence path, and one remainder sequence when h is squarefree."""
+    """The decision on the two factors N -+ D f matches the decision on
+    h = N**2 - D**2 f**2, and each factor's Sturm chain ends in
+    gcd(q, q'): one remainder sequence per squarefree factor."""
 
     def assert_same_decision(self, f, interval, bound):
         got = decide_sup_bound(f, interval, bound)
         want = reference_decide_sup_bound(f, interval, bound)
-        assert (got.verdict, got.refutation_point, got.depth) == (
-            want.verdict, want.refutation_point, want.depth
-        ), (f, interval, bound)
+        assert (got.verdict is Verdict.REFUTED) == (want is not None), (f, interval, bound)
+        for point in (got.refutation_point, want):
+            if point is not None:
+                assert point in interval and abs(f(point)) > bound, (f, interval, bound)
 
     def test_decision_matches_reference_on_table(self):
         for pair, f, bound in table_witnesses():
@@ -446,9 +465,9 @@ class TestOneSequence:
         fallback = interior = 0
         for f, interval, bound in touching_cases(90):
             self.assert_same_decision(f, interval, bound)
-            h = h_of(f, bound)
-            if _sturm_chain(h)[-1].degree > 0 and all(
-                _sign_at(h, x) >= 0 for x in (interval.lo, interval.hi)
+            if all(abs(f(x)) <= bound for x in (interval.lo, interval.hi)) and any(
+                q.degree > 0 and _sturm_chain(q)[-1].degree > 0
+                for q in factors_of(f, bound)
             ):
                 fallback += 1
                 point = decide_sup_bound(f, interval, bound).refutation_point
@@ -474,32 +493,37 @@ class TestOneSequence:
         assert nonsquarefree >= 60
 
     def test_squarefree_h_runs_one_remainder_sequence(self, monkeypatch):
+        # the degree-18 neighbour keeps N - D g >= 0, so both factors get
+        # their chain, and N + D g refutes
         (pair, f, bound), = [w for w in table_witnesses() if w[1].degree == 18]
         v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
         g = f + IntPoly.monomial(7) * v
         assert not hasattr(certify, "poly_gcd")
         chains = counting(monkeypatch, "_sturm_chain")
         remainders = counting(monkeypatch, "primitive_remainder")
-        decide_sup_bound(g, pair.interval(), bound)
-        (args, chain), = chains
-        assert args == (h_of(g, bound),) and chain[-1].degree == 0
-        assert len(remainders) == len(chain) - 2
+        cert = decide_sup_bound(g, pair.interval(), bound)
+        assert cert.verdict is Verdict.REFUTED
+        assert [args for args, _ in chains] == [(q,) for q in factors_of(g, bound)]
+        assert all(chain[-1].degree == 0 for _, chain in chains)
+        assert len(remainders) == sum(len(chain) - 2 for _, chain in chains)
 
     def test_non_squarefree_h_takes_odd_part_from_chain_gcds(self, monkeypatch):
-        # F = 1 - (2x - 1)**2: h = 1 - F**2 = (2x - 1)**2 (2 - (2x - 1)**2);
-        # the chain of h ends in 1 - 2x, whose own chain ends in a constant
+        # F = 1 - (2x - 1)**2 at bound 1: the factor 1 - F = (2x - 1)**2 has
+        # a chain ending in 2x - 1, whose own chain ends in a constant, and
+        # odd part 1; the factor 1 + F = 2 - (2x - 1)**2 is squarefree
         f = IntPoly([1]) - IntPoly([-1, 2]) ** 2
-        h = h_of(f, F(1))
+        low, high = factors_of(f, F(1))
+        assert low == IntPoly([-1, 2]) ** 2
         chains = counting(monkeypatch, "_sturm_chain")
         cert = decide_sup_bound(f, Interval(0, 1), F(1))
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
         assert [args for args, _ in chains] == [
-            (h,), (IntPoly([1, -2]),), (IntPoly([-1, -4, 4]),)
+            (low,), (IntPoly([-1, 2]),), (IntPoly([1]),), (high,)
         ]
 
     def test_certified_decision_probes_once(self, monkeypatch):
-        # the degree-18 witness: no odd root of h inside, and the first probe
-        # sample, the midpoint, already has h > 0
+        # the degree-18 witness: no odd root of either factor inside, and the
+        # first probe sample, the midpoint, already has the factor > 0
         (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
         interval = pair.interval()
         signs = counting(monkeypatch, "_sign_at")
@@ -515,8 +539,29 @@ class TestOneSequence:
         monkeypatch.setattr(certify, "_probe", probe)
         cert = decide_sup_bound(poly, interval, bound)
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
-        assert probes == [((h_of(poly, bound), interval.lo, interval.hi), None, 1)]
-        assert len(signs) == 77
+        assert probes == [
+            ((q, interval.lo, interval.hi), None, 1) for q in factors_of(poly, bound)
+        ]
+        # each factor: its 19-term chain at both endpoints, then one probe
+        assert len(signs) == 2 * (2 * 19 + 1)
+
+    def test_decision_matches_reference_on_oracle_instances(self):
+        cases = certifier_cases()
+        assert len(cases) == 1000
+        for f, interval, bound in cases:
+            self.assert_same_decision(f, interval, bound)
+
+    def test_degree_30_witnesses_and_neighbours_match_reference(self):
+        for lo, hi in ((F(1, 4), F(2, 7)), (F(1, 3), F(3, 8))):
+            pair = FareyPair.from_endpoints(lo, hi)
+            f = search_witness(pair, 30, radius=0)
+            assert f is not None and f.degree == 30
+            bound = max(F(1, pair.b1), F(1, pair.b2)) ** 30
+            v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
+            cases = [f] + [f + s * (IntPoly.monomial(j) * v) for j in (5, 17) for s in (1, -1)]
+            for g in cases:
+                self.assert_same_decision(g, pair.interval(), bound)
+            assert decide_sup_bound(f, pair.interval(), bound).verdict is Verdict.CERTIFIED_AT_MOST
 
     def test_squarefree_derivative_runs_one_remainder_sequence(self, monkeypatch):
         (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
