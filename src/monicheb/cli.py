@@ -43,6 +43,10 @@ EXIT_USAGE = 3
 # refused before any work: at degree 8000 on (1/3, 2/5) the output already
 # exceeds Python's 4300-digit int-to-str limit.
 MAX_CONSTRUCT_DEGREE = 4096
+# Largest --order that farey accepts, refused before any work.  The output
+# has about 0.3 order**2 lines: order 1000 takes 2.3 s and 71 MB, or 6.7 s
+# and 91 MB with --pairs (Python 3.11, 2-core host), growing as order**2.
+MAX_FAREY_ORDER = 1000
 
 
 class _UsageError(Exception):
@@ -180,7 +184,17 @@ def _load_poly(path: str) -> IntPoly:
     raise ValueError(f"no polynomial found in {path}")
 
 
+def _witness_orientation(poly: IntPoly) -> IntPoly:
+    """poly, negated when its leading coefficient is -1: the sup norm is
+    sign-invariant and witnesses are monic.  The zero polynomial is refused."""
+    if not poly:
+        raise _UsageError("the zero polynomial is not a witness")
+    return -poly if poly.coeffs[-1] == -1 else poly
+
+
 def _cmd_farey(args, report: RunReport) -> None:
+    if args.order > MAX_FAREY_ORDER:
+        raise _UsageError(f"--order {args.order} is above the cap {MAX_FAREY_ORDER}")
     if args.pairs:
         for pair in farey_intervals(args.order):
             report.emit(
@@ -244,9 +258,7 @@ def _cmd_certify(args, report: RunReport) -> None:
                 f"[{lo}, {hi}] is not a consecutive Farey pair; --conjecture needs one"
             )
         pair = FareyPair.from_endpoints(lo, hi)
-        if poly.coeffs[-1] == -1:
-            poly = -poly  # sup norm is sign-invariant; witnesses are monic
-        record = certify_mod.verify_witness(pair, poly)
+        record = certify_mod.verify_witness(pair, _witness_orientation(poly))
         for line in record.render():
             report.emit(line)
         verdict = record.certificate.verdict
@@ -308,10 +320,7 @@ def _cmd_verify_table(args, report: RunReport) -> None:
     entries = parse_table_file(path)
     all_ok = True
     for entry in entries:
-        poly = entry.poly
-        if poly.coeffs[-1] == -1:
-            poly = -poly
-        record = certify_mod.verify_witness(entry.pair, poly)
+        record = certify_mod.verify_witness(entry.pair, _witness_orientation(entry.poly))
         status = record.certificate.verdict.value
         if record.certificate.verdict is not certify_mod.Verdict.CERTIFIED_AT_MOST:
             all_ok = False

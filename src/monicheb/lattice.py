@@ -1,14 +1,15 @@
-"""Exact LLL under arbitrary positive-definite rational forms, witness
-search over endpoint-vanishing sublattices, and the small-values
-construction for conjugation-closed point sets.
+"""Exact LLL under positive-definite rational forms, witness search over
+endpoint-vanishing sublattices, and the small-values construction for
+conjugation-closed point sets.
 
-All reduction arithmetic is exact: one integral LLL kernel runs on a
-rational Gram matrix scaled to integers, or on the witness search's
-closed-form integer Gram, and the search enumerates offsets on the same
-form.  The only approximate ingredient anywhere is the float heuristic
-that guesses integer coefficients in the small-values assembly, and those
-guesses are always re-verified with outward-rounded rational interval
-arithmetic.
+All reduction arithmetic is exact: lll_reduce is one integral LLL kernel
+on a Gram matrix held as integer rows over one scale.  The witness search
+gives it the closed-form integer Gram of its product basis, then runs
+Babai's point and the offset enumeration on the kernel's integer
+Gram-Schmidt data.  The only approximate ingredient anywhere is the float
+heuristic that guesses integer coefficients in the small-values assembly,
+and those guesses are always re-verified with outward-rounded rational
+interval arithmetic.
 """
 from __future__ import annotations
 
@@ -26,45 +27,37 @@ from .numpoly import IntPoly, Interval, poly_integrate_product
 LLL_DELTA = Fraction(3, 4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GramMatrix:
-    """Symmetric positive-definite rational matrix of inner products."""
+    """Symmetric rational matrix G of inner products, from int or Fraction
+    entries, held as the integer rows of scale * G for the least positive
+    such scale (1 for integer entries).  lll_reduce proves it positive
+    definite."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, entries) -> None:
+        scale = math.lcm(*(x.denominator for row in entries for x in row))
+        rows = tuple(
+            tuple(x.numerator * (scale // x.denominator) for x in row)
+            for row in entries
+        )
         d = len(rows)
         if any(len(row) != d for row in rows):
             raise ValueError("matrix must be square")
-        for i in range(d):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("matrix must be symmetric")
-        if not _pivots_positive(rows):
-            raise ValueError("matrix is not positive definite")
+        if any(rows[i][j] != rows[j][i] for i in range(d) for j in range(i)):
+            raise ValueError("matrix must be symmetric")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", scale)
+
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
-
-
-def _pivots_positive(rows) -> bool:
-    """Symmetric PD check: all pivots of unpivoted elimination are positive."""
-    work = [list(r) for r in rows]
-    d = len(work)
-    for k in range(d):
-        pivot = work[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, d):
-            factor = work[i][k] / pivot
-            if factor == 0:
-                continue
-            for j in range(k, d):
-                work[i][j] -= factor * work[k][j]
-    return True
+        return len(self.rows)
 
 
 def gram_matrix(polys, interval: Interval) -> GramMatrix:
@@ -76,83 +69,116 @@ def gram_matrix(polys, interval: Interval) -> GramMatrix:
             value = poly_integrate_product(p, polys[j], interval)
             entries[i][j] = value
             entries[j][i] = value
-    return GramMatrix(tuple(tuple(row) for row in entries))
+    return GramMatrix(entries)
 
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """LLL output: unimodular transform and GS data.
+    """LLL output as the integral kernel leaves it, on the form scale * G.
 
-    Column j of U holds the coordinates of the j-th reduced vector in the
-    original basis.  mu and norms (the squared GS lengths) describe the
-    Gram-Schmidt orthogonalization of the reduced basis.
+    basis[j] holds the coordinates of the j-th reduced vector in the
+    original basis; dets[i + 1] = d_i is the Gram determinant of the first
+    i + 1 of them (dets[0] = 1); and lam[i][j] = d_j mu_ij for j < i.  The
+    transform U (column j is basis[j]) and the Gram-Schmidt data of the
+    reduced basis under G, mu and norms (the squared GS lengths), are
+    computed from them on access.
     """
 
-    transform: tuple[tuple[int, ...], ...]
-    mu: tuple[tuple[Fraction, ...], ...]
-    norms: tuple[Fraction, ...]
-    delta: Fraction
+    basis: tuple[tuple[int, ...], ...]
+    dets: tuple[int, ...]
+    lam: tuple[tuple[int, ...], ...]
+    scale: int
 
     @property
     def dim(self) -> int:
-        return len(self.norms)
+        return len(self.basis)
+
+    @property
+    def transform(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.basis))
+
+    @property
+    def mu(self) -> tuple[tuple[Fraction, ...], ...]:
+        zeros = (Fraction(0),) * self.dim
+        return tuple(
+            tuple(map(Fraction, row, self.dets[1:])) + zeros[i:]
+            for i, row in enumerate(self.lam)
+        )
+
+    @property
+    def norms(self) -> tuple[Fraction, ...]:
+        dets = self.dets
+        return tuple(Fraction(dets[i + 1], dets[i] * self.scale) for i in range(self.dim))
 
     def basis_vector(self, j: int) -> tuple[int, ...]:
-        return tuple(self.transform[i][j] for i in range(self.dim))
+        return self.basis[j]
 
 
-def _lll_kernel(g, delta: Fraction):
+def _nearest(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, half to even, for b > 0: what
+    round() gives on Fraction(a, b)."""
+    q, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and q % 2):
+        q += 1
+    return q
+
+
+def _gs_row(inner, lam, dets) -> list[int]:
+    """lam_j = d_j mu_j for a vector b against the GS vectors of the basis
+    vectors b_j, from inner[j] = <b, b_j> by the recurrence of Cohen,
+    Alg. 2.6.7.  lam holds the rows of b_0 .. b_(len(lam) - 1); when inner
+    reaches j = len(lam), b is b_j itself and that last entry is d_j."""
+    out: list[int] = []
+    for j, u in enumerate(inner):
+        row = lam[j] if j < len(lam) else out
+        for l in range(j):
+            u = (dets[l + 1] * u - out[l] * row[l]) // dets[l]
+        out.append(u)
+    return out
+
+
+def lll_reduce(gram: GramMatrix) -> ReductionResult:
     """Integral LLL (Cohen, A Course in Computational Algebraic Number
-    Theory, Alg. 2.6.7) of Z^d under the integer Gram rows g.
+    Theory, Alg. 2.6.7) of Z^d under the integer form gram.rows, at
+    LLL_DELTA.
 
-    Returns the integer rows basis[j], the coordinates of the j-th reduced
-    vector; dets[i + 1] = d_i, the Gram determinant of the first i + 1 of
-    them (dets[0] = 1); and lam[i][j] = d_j mu_ij for j < i.  Divisions are
-    exact, and size reduction rounds lambda/d_j half to even, as round()
-    does on a Fraction.  Every d_i is positive (tested when its row is first
-    reached, kept by the swaps): by Sylvester's criterion that proves g
-    positive definite, and ValueError is raised otherwise.
+    Divisions are exact, and size reduction rounds lam/d_j half to even, so
+    the swaps, the transform and the GS data are the rational algorithm's
+    on G.  Every d_i is positive (tested when its row is first reached,
+    kept by the swaps): by Sylvester's criterion that proves G positive
+    definite, and ValueError is raised otherwise.
     """
-    if not Fraction(1, 4) < delta < 1:
-        raise ValueError("delta must lie in (1/4, 1)")
-    dp, dq = delta.numerator, delta.denominator
+    g = gram.rows
     d = len(g)
+    dp, dq = LLL_DELTA.numerator, LLL_DELTA.denominator
     basis = [[int(i == j) for j in range(d)] for i in range(d)]
     dets = [1] + [0] * d
-    lam = [[0] * d for _ in range(d)]
+    lam: list[list[int]] = []
 
     def add_row(i: int) -> None:
         # GS data of row i, computed when the loop first reaches it; vector
         # i is still e_i then, so <b_i, b_j> = (G U)_ij
-        for j in range(i + 1):
-            u = sum(x * y for x, y in zip(g[i], basis[j]))
-            for l in range(j):
-                u = (dets[l + 1] * u - lam[i][l] * lam[j][l]) // dets[l]
-            if j < i:
-                lam[i][j] = u
-            else:
-                dets[i + 1] = u
+        inner = [sum(x * y for x, y in zip(g[i], basis[j])) for j in range(i + 1)]
+        row = _gs_row(inner, lam, dets)
+        dets[i + 1] = row.pop()
         if dets[i + 1] <= 0:
             raise ValueError("form is not positive definite on the basis")
+        lam.append(row)
 
     def size_reduce(k: int, j: int) -> None:
-        dj = dets[j + 1]
-        if 2 * abs(lam[k][j]) > dj:
-            q, rem = divmod(lam[k][j], dj)
-            if 2 * rem > dj or (2 * rem == dj and q % 2):
-                q += 1
+        q = _nearest(lam[k][j], dets[j + 1])
+        if q:
             basis[k] = [x - q * y for x, y in zip(basis[k], basis[j])]
             for l in range(j):
                 lam[k][l] -= q * lam[j][l]
-            lam[k][j] -= q * dj
+            lam[k][j] -= q * dets[j + 1]
 
     if d:
         add_row(0)
-    k, known = 1, 1
+    k = 1
     while k < d:
-        if k == known:
+        if k == len(lam):
             add_row(k)
-            known += 1
         size_reduce(k, k - 1)
         m = lam[k][k - 1]
         if dq * (dets[k + 1] * dets[k - 1] + m * m) >= dp * dets[k] ** 2:
@@ -164,56 +190,35 @@ def _lll_kernel(g, delta: Fraction):
             basis[k], basis[k - 1] = basis[k - 1], basis[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-            for i in range(k + 1, known):
+            for i in range(k + 1, len(lam)):
                 t = lam[i][k]
                 lam[i][k] = (dets[k + 1] * lam[i][k - 1] - m * t) // dets[k]
                 lam[i][k - 1] = (swapped * t + m * lam[i][k]) // dets[k + 1]
             dets[k] = swapped
             k = max(k - 1, 1)
-    return basis, dets, lam
-
-
-def lll_reduce(gram: GramMatrix, delta=LLL_DELTA) -> ReductionResult:
-    """Lattice reduction of Z^d under the quadratic form given by gram:
-    _lll_kernel on G*D, D the lcm of the entry denominators, so the swaps,
-    the unimodular transform and the GS data are the rational algorithm's."""
-    delta = Fraction(delta)
-    scale = math.lcm(*(x.denominator for row in gram.entries for x in row))
-    g = [[int(x * scale) for x in row] for row in gram.entries]
-    basis, dets, lam = _lll_kernel(g, delta)
-    d = len(g)
-    transform = tuple(tuple(basis[j][i] for j in range(d)) for i in range(d))
-    mu = tuple(
-        tuple(
-            Fraction(lam[i][j], dets[j + 1]) if j < i else Fraction(0)
-            for j in range(d)
-        )
-        for i in range(d)
+    return ReductionResult(
+        tuple(map(tuple, basis)), tuple(dets), tuple(map(tuple, lam)), gram.scale
     )
-    norms = tuple(Fraction(dets[i + 1], dets[i] * scale) for i in range(d))
-    return ReductionResult(transform, mu, norms, delta)
 
 
-def _offsets_by_length(mu, norms, radius: int):
+def _offsets_by_length(red: ReductionResult, radius: int):
     """Yield every offset in {-radius..radius}**d in (form, offset) order.
 
-    form(off) = sum_i norms_i (off_i + sum_{j>i} mu_ji off_j)**2, which is
-    off^T G off for the Gram matrix G whose Gram-Schmidt data are mu and
-    norms.  The box is walked in shells of growing bound, 0, s, 3s, 7s, ...
-    with s the smallest norm: each shell is a depth-first walk from the
-    last coordinate down that prunes on the partial sums, and only the
-    points with previous bound < form <= bound are sorted and yielded.
-    The walk runs on the form scaled to integers.
+    form(off) = sum_i (d_i off_i + sum_{j>i} lam_ji off_j)**2 / (d_(i-1) d_i)
+    is off^T G' off for G' the reduced basis's Gram on the kernel's scale,
+    and the walk runs on it times the lcm of the d_(i-1) d_i, so on integer
+    weights.  The box is walked in shells of growing bound, 0, s, 3s, 7s,
+    ... with s the least squared GS length: each shell is a depth-first
+    walk from the last coordinate down that prunes on the partial sums, and
+    only the points with previous bound < form <= bound are sorted and
+    yielded.
     """
-    d = len(norms)
-    den = math.lcm(*(mu[j][i].denominator for j in range(d) for i in range(j)))
-    lmu = [[int(mu[j][i] * den) for i in range(j)] for j in range(d)]
-    scaled = [nrm / (den * den) for nrm in norms]
-    unit = math.lcm(*(w.denominator for w in scaled))
-    weights = [int(w * unit) for w in scaled]
-    # the least nonzero form is at least min(norms), since its last
-    # nonzero coordinate alone contributes norms_i off_i**2
-    step = min(weights, default=0) * den * den
+    dets, lam, d = red.dets, red.lam, red.dim
+    unit = math.lcm(*(dets[i] * dets[i + 1] for i in range(d)))
+    weights = [unit // (dets[i] * dets[i + 1]) for i in range(d)]
+    # the least nonzero form is at least the least squared GS length, since
+    # its last nonzero coordinate i alone contributes weights_i (d_i off_i)**2
+    step = min((w * dets[i + 1] ** 2 for i, w in enumerate(weights)), default=0)
     off = [0] * d
 
     def walk(i: int, partial: int, prev: int, bound: int, shell: list) -> bool:
@@ -223,14 +228,14 @@ def _offsets_by_length(mu, norms, radius: int):
             if partial > prev:
                 shell.append((partial, tuple(off)))
             return False
-        # off_i + sum_{j>i} mu_ji off_j = (den off_i + sigma) / den; the term
-        # is convex in off_i, so scan out from its minimum both ways
-        sigma = sum(lmu[j][i] * off[j] for j in range(i + 1, d))
-        start = min(max(-sigma // den, -radius), radius)
+        # the term is convex in off_i, so scan out from its minimum both ways
+        di = dets[i + 1]
+        sigma = sum(lam[j][i] * off[j] for j in range(i + 1, d))
+        start = min(max(-sigma // di, -radius), radius)
         pruned = False
         for x, stop, inc in ((start, -radius - 1, -1), (start + 1, radius + 1, 1)):
             while x != stop:
-                term = weights[i] * (den * x + sigma) ** 2
+                term = weights[i] * (di * x + sigma) ** 2
                 if partial + term > bound:
                     pruned = True
                     break
@@ -350,35 +355,30 @@ def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
     hankel = _beta_integrals(pair, 2 * n - 2)
     common = math.gcd(*hankel[2 : 2 * n - 3])
     gram = [[hankel[i + j + 2] // common for j in range(dim)] for i in range(dim)]
-    rows, dets, lam = _lll_kernel(gram, LLL_DELTA)
+    red = lll_reduce(GramMatrix(gram))
+    rows, dets, lam = red.basis, red.dets, red.lam
 
     # Babai nearest plane toward -p.  <-p, member_j> sums p's coordinates
     # against the integrals at total 2n - 1: products[j] / scale on the
-    # Gram's scale.  So scale * (-p) has integer inner products, and the
-    # kernel's recurrence gives lam_t[i] = d_i mu_i exactly, mu_i being its
-    # coefficient along the i-th GS vector.
+    # Gram's scale.  So scale * (-p) has integer inner products, and _gs_row
+    # gives its lam_i = scale d_i y_i, y_i being -p's coefficient along the
+    # i-th GS vector; rounding y_i changes the lower lam_j by multiples of
+    # scale lam_ij.
     cross = _beta_integrals(pair, 2 * n - 1)
     coords = _anchor_coordinates(pair, n)
     products = [
         sum(c * cross[k + j + 1] for k, c in enumerate(coords)) for j in range(dim)
     ]
     scale = 2 * n * pair.b1 * pair.b2 * common
-    lam_t: list[int] = []
-    for i, row in enumerate(rows):
-        t = sum(x * y for x, y in zip(row, products))
-        for l in range(i):
-            t = (dets[l + 1] * t - lam_t[l] * lam[i][l]) // dets[l]
-        lam_t.append(t)
-    mu = [[Fraction(lam[i][j], dets[j + 1]) for j in range(i)] for i in range(dim)]
-    y = [Fraction(t, scale * dets[i + 1]) for i, t in enumerate(lam_t)]
+    inner = [sum(x * y for x, y in zip(row, products)) for row in rows]
+    target = _gs_row(inner, lam, dets)
     center = [0] * dim
     for i in range(dim - 1, -1, -1):
-        center[i] = round(y[i])
+        center[i] = _nearest(target[i], scale * dets[i + 1])
         for j in range(i):
-            y[j] -= center[i] * mu[i][j]
+            target[j] -= center[i] * scale * lam[i][j]
 
-    norms = [Fraction(dets[i + 1], dets[i]) for i in range(dim)]
-    for off in _offsets_by_length(mu, norms, radius):
+    for off in _offsets_by_length(red, radius):
         point = [c + o for c, o in zip(center, off)]
         z = [sum(c * row[k] for c, row in zip(point, rows)) for k in range(dim)]
         f = sum((zk * member for zk, member in zip(z, sub) if zk), basis.p)
@@ -497,15 +497,10 @@ def _small_value_candidates(reps, degree: int, weight: int):
     dim = degree + 1
     w2 = Fraction(weight) ** 2
     entries = [
-        [
-            Fraction(int(i == j)) + w2 * sum(f[i] * f[j] for f in forms)
-            for j in range(dim)
-        ]
+        [(i == j) + w2 * sum(f[i] * f[j] for f in forms) for j in range(dim)]
         for i in range(dim)
     ]
-    red = lll_reduce(GramMatrix(tuple(tuple(r) for r in entries)))
-    for j in range(red.dim):
-        yield IntPoly(red.basis_vector(j))
+    yield from map(IntPoly, lll_reduce(GramMatrix(entries)).basis)
 
 
 def _solve_amounts(values: list[complex], rhs: list[complex]) -> list[float] | None:

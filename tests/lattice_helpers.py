@@ -6,13 +6,11 @@ from monicheb import GramMatrix
 
 def form(gram, u, v) -> Fraction:
     """The bilinear form u^T G v for integer or rational vectors."""
-    total = Fraction(0)
-    for i, ui in enumerate(u):
-        if ui == 0:
-            continue
-        row = gram.entries[i]
-        total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj != 0)
-    return total
+    total = 0
+    for ui, row in zip(u, gram.rows):
+        if ui != 0:
+            total += ui * sum(x * vj for x, vj in zip(row, v) if vj != 0)
+    return Fraction(total, gram.scale)
 
 
 def reduced_gram(gram, result) -> GramMatrix:

@@ -33,6 +33,7 @@ from monicheb import (
     small_value_polynomial,
     verify_witness,
 )
+from monicheb.lattice import LLL_DELTA
 
 from lattice_helpers import det_unimodular, reduced_gram
 
@@ -192,28 +193,29 @@ def _random_gram(rng, dim):
 
 def _gram_schmidt(gram):
     d = gram.dim
+    entries = gram.entries
     mu = [[F(0)] * d for _ in range(d)]
     norms = [F(0)] * d
     inner = [[F(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i):
-            val = gram.entries[i][j]
+            val = entries[i][j]
             for l in range(j):
                 val -= mu[j][l] * inner[i][l]
             inner[i][j] = val
             mu[i][j] = val / norms[j]
-        norms[i] = gram.entries[i][i] - sum(mu[i][j] * inner[i][j] for j in range(i))
+        norms[i] = entries[i][i] - sum(mu[i][j] * inner[i][j] for j in range(i))
     return norms, mu
 
 
 def test_criterion_5_lll_property_suite():
     """200 random positive-definite forms, dim <= 8, all conditions exact."""
     rng = random.Random(4321)
-    delta = F(3, 4)
+    delta = LLL_DELTA
     for trial in range(200):
         dim = rng.randint(1, 8)
         gram = _random_gram(rng, dim)
-        result = lll_reduce(gram, delta)
+        result = lll_reduce(gram)
         assert abs(det_unimodular(result.transform)) == 1
         norms, mu = _gram_schmidt(reduced_gram(gram, result))
         assert list(result.norms) == norms

@@ -312,18 +312,36 @@ class TestIntegerKernelOracle:
     def test_sturm_count_matches_count_roots(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
-        for h, interval in self.CASES:
+
+        def sturm_count(h, interval):
             chain = _odd_part_chain(h)
-            g = chain[0]
 
             def variations(point):
                 return _variations([_sign_at(p, point) for p in chain])
 
+            return variations(interval.lo) - variations(interval.hi)
+
+        def sympy_count(h, interval):
+            g = _odd_part_chain(h)[0]
             lo, hi = sympy.Rational(interval.lo), sympy.Rational(interval.hi)
             oracle = sympy.Poly(g.coeffs[::-1], x, domain="ZZ")
             # count_roots counts the closed [lo, hi]; Sturm counts (lo, hi]
-            want = oracle.count_roots(lo, hi) - (oracle.eval(lo) == 0)
-            assert variations(interval.lo) - variations(interval.hi) == want, (h, interval)
+            return oracle.count_roots(lo, hi) - (oracle.eval(lo) == 0)
+
+        squares, rest = self.CASES[:102], self.CASES[102:]
+        counts = [sympy_count(h, interval) for h, interval in rest]
+        for (h, interval), want in zip(rest, counts):
+            assert sturm_count(h, interval) == want, (h, interval)
+        # each h = (N - D g)(N + D g) of the first 102 cases has its two
+        # factors among the next 204, already checked against sympy; with
+        # N != 0 they share no root, so h's odd-multiplicity roots in
+        # (lo, hi] are theirs, and its count is the sum of theirs
+        for i, (h, interval) in enumerate(squares):
+            (minus, lo_int), (plus, hi_int) = rest[2 * i], rest[2 * i + 1]
+            assert minus * plus == h and lo_int == interval == hi_int
+            assert minus + plus  # 2N, a nonzero constant
+            want = counts[2 * i] + counts[2 * i + 1]
+            assert sturm_count(h, interval) == want, (h, interval)
 
 
 def yun_squarefree_factors(h):

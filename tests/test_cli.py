@@ -61,6 +61,14 @@ class TestCertifyCommand:
         (error,) = [l for l in report.lines if l.startswith("error=")]
         assert "integer coefficients" in error
 
+    def test_zero_polynomial_conjecture_refused(self, tmp_path):
+        # once an uncaught IndexError, exit 1, the code for "refuted"
+        path = tmp_path / "zero.poly"
+        path.write_text("poly 0\n")
+        report = run(["certify", "--poly", str(path), "--interval", "1/3", "2/5", "--conjecture"])
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == ["error=the zero polynomial is not a witness"]
+
     def test_non_farey_interval_usage_error(self, witness_file):
         report = run(["certify", "--poly", witness_file, "--interval", "1/4", "1/2", "--conjecture"])
         assert report.exit_code == EXIT_USAGE
@@ -124,6 +132,22 @@ class TestFareyCommand:
     def test_bad_order(self):
         report = run(["farey", "--order", "0"])
         assert report.exit_code == EXIT_USAGE
+
+    @pytest.mark.parametrize("extra", [[], ["--pairs"]])
+    def test_order_above_cap_refused_before_work(self, monkeypatch, extra):
+        import monicheb.cli as cli_mod
+
+        def no_work(order):
+            raise AssertionError("Farey sequence built before the order check")
+
+        monkeypatch.setattr(cli_mod, "farey_sequence", no_work)
+        monkeypatch.setattr(cli_mod, "farey_intervals", no_work)
+        for order in (cli_mod.MAX_FAREY_ORDER + 1, 20000, 10**12):
+            report = run(["farey", "--order", str(order), *extra])
+            assert report.exit_code == EXIT_USAGE
+            assert report.lines == [
+                f"error=--order {order} is above the cap {cli_mod.MAX_FAREY_ORDER}"
+            ]
 
 
 class TestConstructCommand:

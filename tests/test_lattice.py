@@ -27,8 +27,10 @@ from monicheb import (
     verify_witness,
 )
 from monicheb.lattice import (
+    LLL_DELTA,
     _anchor_coordinates,
     _beta_integrals,
+    _nearest,
     _offsets_by_length,
     _small_value_candidates,
 )
@@ -54,7 +56,7 @@ def random_gram(rng, dim, spread=6):
 
 def check_reduction(gram, result):
     d = gram.dim
-    delta = result.delta
+    delta = LLL_DELTA
     # transform is unimodular
     assert abs(det_unimodular(result.transform)) == 1
     # reported GS coefficients agree with an independent recomputation on
@@ -73,17 +75,18 @@ def check_reduction(gram, result):
 
 def _gram_schmidt(gram):
     d = gram.dim
+    entries = gram.entries
     mu = [[F(0)] * d for _ in range(d)]
     norms = [F(0)] * d
     inner_cache = [[F(0)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i):
-            val = gram.entries[i][j]
+            val = entries[i][j]
             for l in range(j):
                 val -= mu[j][l] * inner_cache[i][l]
             inner_cache[i][j] = val
             mu[i][j] = val / norms[j]
-        norms[i] = gram.entries[i][i] - sum(
+        norms[i] = entries[i][i] - sum(
             mu[i][j] * inner_cache[i][j] for j in range(i)
         )
     return norms, mu
@@ -98,17 +101,28 @@ class TestGramMatrix:
         g = gram_matrix([IntPoly([2, -11, 15])], Interval(F(1, 3), F(2, 5)))
         assert g.dim == 1 and g.entries[0][0] > 0
 
+    def test_rows_over_one_scale(self):
+        g = GramMatrix(((F(1, 2), F(1, 3)), (F(1, 3), F(1, 4))))
+        assert g.rows == ((6, 4), (4, 3)) and g.scale == 12
+        assert g.entries == ((F(1, 2), F(1, 3)), (F(1, 3), F(1, 4)))
+        h = GramMatrix([[2, 3], [3, 10]])
+        assert h.rows == ((2, 3), (3, 10)) and h.scale == 1
+
     def test_dependent_rejected(self):
-        with pytest.raises(ValueError):
-            gram_matrix([IntPoly([1]), IntPoly([2])], Interval(0, 1))
+        # the Gram of dependent polynomials is singular: the kernel's
+        # second Gram determinant is 0
+        gram = gram_matrix([IntPoly([1]), IntPoly([2])], Interval(0, 1))
+        with pytest.raises(ValueError, match="not positive definite"):
+            lll_reduce(gram)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             GramMatrix(((F(1), F(2)), (F(3), F(1))))
 
     def test_not_pd_rejected(self):
-        with pytest.raises(ValueError):
-            GramMatrix(((F(0), F(0)), (F(0), F(1))))
+        for entries in (((0, 0), (0, 1)), ((1, 2), (2, 1)), ((-1,),)):
+            with pytest.raises(ValueError, match="not positive definite"):
+                lll_reduce(GramMatrix(entries))
 
 
 class TestLLL:
@@ -125,10 +139,11 @@ class TestLLL:
         check_reduction(g, r)
 
     def test_delta_range(self):
+        # one Lovasz parameter, inside LLL's range, and no way to pass another
+        assert F(1, 4) < LLL_DELTA < 1
         g = GramMatrix(((F(1), F(0)), (F(0), F(1))))
-        for bad in (F(1, 4), F(1), F(2)):
-            with pytest.raises(ValueError):
-                lll_reduce(g, bad)
+        with pytest.raises(TypeError):
+            lll_reduce(g, F(1, 2))
 
     def test_random_property_suite(self):
         rng = random.Random(77)
@@ -141,7 +156,7 @@ class TestLLL:
             # B1**dim <= (4/(4d-1))**(dim(dim-1)) * det(G)
             det = _det_fraction(g.entries)
             lhs = reduced_gram(g, r).entries[0][0] ** dim
-            factor = (F(4) / (4 * r.delta - 1)) ** (dim * (dim - 1))
+            factor = (F(4) / (4 * LLL_DELTA - 1)) ** (dim * (dim - 1))
             assert lhs <= factor * det
 
 
@@ -206,10 +221,10 @@ def reference_lll(gram, delta=F(3, 4)):
     return transform, tuple(tuple(row) for row in mu), tuple(norms)
 
 
-def assert_matches_reference(gram, delta=F(3, 4)):
+def assert_matches_reference(gram):
     # equal transforms also give equal reduced Grams U^T G U
-    result = lll_reduce(gram, delta)
-    transform, mu, norms = reference_lll(gram, delta)
+    result = lll_reduce(gram)
+    transform, mu, norms = reference_lll(gram, LLL_DELTA)
     assert result.transform == transform
     assert result.mu == mu
     assert result.norms == norms
@@ -252,12 +267,11 @@ def table_pairs():
 class TestIntegralLLL:
     """lll_reduce against reference_lll, field by field."""
 
-    @pytest.mark.parametrize("delta", [F(1, 2), F(3, 4), F(99, 100)])
-    def test_matches_reference_random(self, delta):
+    def test_matches_reference_random(self):
         rng = random.Random(2024)
         for _ in range(60):
             g = random_gram(rng, rng.randint(1, 8), rng.choice([2, 6, 30]))
-            check_reduction(g, assert_matches_reference(g, delta))
+            check_reduction(g, assert_matches_reference(g))
 
     @pytest.mark.parametrize(
         "n, stride, first", [(14, 4, 0), (18, 12, 1), (22, 25, 2)]
@@ -273,9 +287,9 @@ class TestIntegralLLL:
 
         grams = []
 
-        def recording(gram, delta=F(3, 4)):
+        def recording(gram):
             grams.append(gram)
-            return lll_reduce(gram, delta)
+            return lll_reduce(gram)
 
         monkeypatch.setattr(lattice_mod, "lll_reduce", recording)
         reps = [(F(math.pi), F(0)), (F(0.3), F(0.8))]
@@ -301,6 +315,18 @@ class TestIntegralLLL:
         assert result.transform == transform
         assert result.mu[1][0] in (F(1, 2), F(-1, 2))
 
+    def test_nearest_rounds_like_fraction(self):
+        for a in range(-40, 41):
+            for b in range(1, 9):
+                assert _nearest(a, b) == round(F(a, b)), (a, b)
+
+    def test_kernel_and_check_are_gone(self):
+        import monicheb.lattice as lattice_mod
+
+        for name in ("_lll_kernel", "_pivots_positive"):
+            assert not hasattr(lattice_mod, name)
+        assert not hasattr(lll_reduce(GramMatrix([[1]])), "delta")
+
 
 class TestOffsetsByLength:
     @settings(max_examples=60, deadline=None)
@@ -319,18 +345,19 @@ class TestOffsetsByLength:
                 for i in range(dim)
             )
         )
-        norms, mu = _gram_schmidt(g)
+        red = lll_reduce(g)
+        reduced = reduced_gram(g, red)
         expected = sorted(
             itertools.product(range(-radius, radius + 1), repeat=dim),
-            key=lambda o: (form(g, o, o), o),
+            key=lambda o: (form(reduced, o, o), o),
         )
-        assert list(_offsets_by_length(mu, norms, radius)) == expected
+        assert list(_offsets_by_length(red, radius)) == expected
 
     def test_full_box_at_degree_12(self):
         pair = FareyPair.from_endpoints(F(6, 13), F(7, 15))
         gram = endpoint_vanishing_gram(pair, 12)
         red = lll_reduce(gram)
-        got = list(_offsets_by_length(red.mu, red.norms, 1))
+        got = list(_offsets_by_length(red, 1))
         assert len(got) == 3**10 and len(set(got)) == 3**10
         reduced = reduced_gram(gram, red)
         forms = [form(reduced, o, o) for o in got[:2000:7]]
@@ -339,7 +366,7 @@ class TestOffsetsByLength:
     def test_zero_offset_first(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         red = lll_reduce(endpoint_vanishing_gram(pair, 20))
-        assert next(_offsets_by_length(red.mu, red.norms, 3)) == (0,) * 18
+        assert next(_offsets_by_length(red, 3)) == (0,) * 18
 
 
 class TestSearchBasis:
@@ -457,6 +484,35 @@ class TestSearchWitness:
         ]
         assert tried == expected
 
+    def test_reduces_once_through_lll_reduce(self, monkeypatch):
+        import monicheb.lattice as lattice_mod
+
+        grams = []
+
+        def recording(gram):
+            grams.append(gram)
+            return lll_reduce(gram)
+
+        monkeypatch.setattr(lattice_mod, "lll_reduce", recording)
+        pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
+        assert search_witness(pair, 8, radius=1) is not None
+        (gram,) = grams
+        assert isinstance(gram, GramMatrix) and gram.dim == 8 - 2
+        assert gram.scale == 1
+
+    def test_search_builds_no_fraction(self, monkeypatch):
+        # the reduction, Babai's point and the offset walk are integral;
+        # only the certification (in certify) works with rationals
+        import monicheb.lattice as lattice_mod
+
+        def no_fraction(*args):
+            raise AssertionError("the search built a Fraction")
+
+        monkeypatch.setattr(lattice_mod, "Fraction", no_fraction)
+        pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
+        assert search_witness(pair, 8, radius=1) is not None
+        assert search_witness(pair, 12, radius=0) is not None
+
     def test_search_deterministic(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         first = search_witness(pair, 4, radius=1)
@@ -515,7 +571,7 @@ class TestSearchWitness:
         assert time.perf_counter() - start < 1
 
 
-def reference_search_witness(pair, n, delta=F(3, 4), radius=1, sub=None):
+def reference_search_witness(pair, n, radius=1, sub=None):
     """The monomial-basis search that the product basis replaced, kept as
     its oracle: lll_reduce on gram_matrix of (v, x v, ..., x**(n-3) v),
     or of the given members sub, and Babai's products from
@@ -525,7 +581,7 @@ def reference_search_witness(pair, n, delta=F(3, 4), radius=1, sub=None):
         v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
         sub = [IntPoly.monomial(i) * v for i in range(n - 2)]
     interval = pair.interval()
-    red = lll_reduce(gram_matrix(sub, interval), delta)
+    red = lll_reduce(gram_matrix(sub, interval))
     reduced = [
         sum((c * m for c, m in zip(red.basis_vector(j), sub)), IntPoly())
         for j in range(red.dim)
@@ -540,7 +596,7 @@ def reference_search_witness(pair, n, delta=F(3, 4), radius=1, sub=None):
         center[i] = round(y[i])
         for j in range(i):
             y[j] -= center[i] * red.mu[i][j]
-    for off in _offsets_by_length(red.mu, red.norms, radius):
+    for off in _offsets_by_length(red, radius):
         f = sum(((c + o) * b for c, o, b in zip(center, off, reduced)), p)
         if verify_witness(pair, f).certificate.verdict is Verdict.CERTIFIED_AT_MOST:
             return f
