@@ -3,7 +3,7 @@
 The package constructs monic integer polynomials with prescribed rational
 values, searches for sup-norm witnesses with exact LLL reduction, and
 certifies sup-norm bounds unconditionally with Sturm sequences and
-Bernstein subdivision over arbitrary-precision rationals.
+Bernstein subdivision, all in exact integer and rational arithmetic.
 """
 
 from .numpoly import (

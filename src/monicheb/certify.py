@@ -14,8 +14,8 @@ padding.  The sup-norm enclosure isolates the critical points of f with
 the same chain, built on f'.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
-sufficient check; it is sound but incomplete, and the Sturm decision is
-the fallback.
+sufficient check, on integer numerators over one denominator; it is sound
+but incomplete, and the Sturm decision is the fallback.
 """
 from __future__ import annotations
 
@@ -285,38 +285,51 @@ def bernstein_prefilter(f: IntPoly, interval: Interval, bound) -> NormCertificat
     endpoint or midpoint violates, else inconclusive once a leaf at
     PREFILTER_DEPTH halvings is neither.  The certificate's depth is the
     deepest level visited.
+
+    All of it is integer arithmetic.  For bound = N/D, a coefficient c / den
+    is within the bound when |c| D <= N den: the root's numerators are
+    scaled by D once, and the limit N den is shifted left by n = deg f at
+    each halving, as the split's denominator is.  A node at depth k covers
+    [lo + i w / 2**k, lo + (i + 1) w / 2**k] for width w, and the point of a
+    refutation is built from its index i only when one is found.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    nums, den = to_bernstein(f, interval)
+    n = len(nums) - 1
     deepest = 0
 
-    def visit(coeffs, lo, hi, depth):
+    def grid(index, depth):
+        return interval.lo + interval.width * Fraction(index, 1 << depth)
+
+    def visit(coeffs, limit, depth, index):
         nonlocal deepest
         deepest = max(deepest, depth)
         # f > bound at either end first, then f < -bound
         for sign in (1, -1):
-            if sign * coeffs[0] > bound:
-                return Verdict.REFUTED, lo
-            if sign * coeffs[-1] > bound:
-                return Verdict.REFUTED, hi
-        if all(-bound <= c <= bound for c in coeffs):
+            if sign * coeffs[0] > limit:
+                return Verdict.REFUTED, grid(index, depth)
+            if sign * coeffs[-1] > limit:
+                return Verdict.REFUTED, grid(index + 1, depth)
+        if -limit <= min(coeffs) and max(coeffs) <= limit:
             return Verdict.CERTIFIED_AT_MOST, None
         if depth >= PREFILTER_DEPTH:
             return Verdict.INCONCLUSIVE, None
-        mid = (lo + hi) / 2
         c_left, c_right = bernstein_split(coeffs)
-        left, point = visit(c_left, lo, mid, depth + 1)
+        limit <<= n
+        left, point = visit(c_left, limit, depth + 1, 2 * index)
         if left is Verdict.REFUTED:
             return left, point
-        right, point = visit(c_right, mid, hi, depth + 1)
+        right, point = visit(c_right, limit, depth + 1, 2 * index + 1)
         if right is Verdict.REFUTED:
             return right, point
         if Verdict.INCONCLUSIVE in (left, right):
             return Verdict.INCONCLUSIVE, None
         return Verdict.CERTIFIED_AT_MOST, None
 
-    verdict, point = visit(to_bernstein(f, interval), interval.lo, interval.hi, 0)
+    scaled = [c * bound.denominator for c in nums]
+    verdict, point = visit(scaled, bound.numerator * den, 0, 0)
     if point is not None:
         assert abs(f(point)) > bound
     return NormCertificate(verdict, bound, "bernstein", point, deepest)
@@ -343,11 +356,14 @@ def sup_norm_enclosure(
     f' is squarefree, as the decision builds it on each factor.  Each
     isolating interval is then halved toward its root by the sign of g at
     the midpoint, with no new chain.  On an interval [u, v], |f| is at most
-    the largest |c| over the Bernstein coefficients of f on [u, v] (de
-    Casteljau halves give the coefficients of each half), and every
-    evaluated |f(x)| is a lower bound.  An interval is dropped once its
-    upper bound is <= the best lower bound, and it stops being refined once
-    the two are within tol, so hi - lo <= tol holds by construction.
+    the largest |c| over the Bernstein coefficients of f on [u, v], and
+    every evaluated |f(x)| is a lower bound.  Each pending interval keeps
+    its coefficients as integer numerators over one denominator, which the
+    integer de Casteljau split carries to each half; a Fraction is built
+    only for the values kept: the end coefficients, the largest |c| and the
+    midpoint value.  An interval is dropped once its upper bound is <= the
+    best lower bound, and it stops being refined once the two are within
+    tol, so hi - lo <= tol holds by construction.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -363,23 +379,25 @@ def sup_norm_enclosure(
         if u == v:
             lo_b = max(lo_b, abs(f(u)))
         else:
-            pending.append((u, v, s, to_bernstein(f, Interval(u, v))))
+            pending.append((u, v, s, *to_bernstein(f, Interval(u, v))))
+    n = f.degree
     uppers = []
     while pending:
-        u, v, s, coeffs = pending.pop()
-        lo_b = max(lo_b, abs(coeffs[0]), abs(coeffs[-1]))
-        upper = max(abs(c) for c in coeffs)
+        u, v, s, nums, den = pending.pop()
+        lo_b = max(lo_b, Fraction(max(abs(nums[0]), abs(nums[-1])), den))
+        upper = Fraction(max(map(abs, nums)), den)
         if upper <= lo_b:
             continue
         if upper - lo_b <= tol:
             uppers.append(upper)
             continue
         mid, half = _halve(g, u, v, s)
-        left, right = bernstein_split(coeffs)
+        left, right = bernstein_split(nums)
+        den <<= n
         if half is None:
-            lo_b = max(lo_b, abs(left[-1]))
+            lo_b = max(lo_b, Fraction(abs(left[-1]), den))
         else:
-            pending.append((*half, s, left if half == (u, mid) else right))
+            pending.append((*half, s, left if half == (u, mid) else right, den))
     return lo_b, max([lo_b] + uppers)
 
 

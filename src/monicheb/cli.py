@@ -318,6 +318,9 @@ def _cmd_constant(args, report: RunReport) -> None:
 def _cmd_verify_table(args, report: RunReport) -> None:
     path = args.file if args.file is not None else bundled_table_path()
     entries = parse_table_file(path)
+    if not entries:
+        # exit 0 would claim that every entry certified
+        raise ValueError(f"{path}: no table entries")
     all_ok = True
     for entry in entries:
         record = certify_mod.verify_witness(entry.pair, _witness_orientation(entry.poly))

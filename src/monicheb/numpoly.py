@@ -1,10 +1,12 @@
 """Exact rational scalars and dense univariate integer polynomials.
 
 Everything in this module is exact: scalars are ``fractions.Fraction``,
-polynomial coefficients are arbitrary-precision ints, and no floating
-point enters any computation.  Polynomials are dense, ascending-by-power
-coefficient tuples with trailing zeros stripped; the zero polynomial is
-the empty tuple and its degree is the sentinel ``MINUS_INFINITY``.
+polynomial coefficients are arbitrary-precision ints, Bernstein
+coefficients are integer numerators over one positive denominator, and no
+floating point enters any computation.  Polynomials are dense,
+ascending-by-power coefficient tuples with trailing zeros stripped; the
+zero polynomial is the empty tuple and its degree is the sentinel
+``MINUS_INFINITY``.
 """
 from __future__ import annotations
 
@@ -12,6 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -273,14 +276,17 @@ def poly_integrate_product(p: IntPoly, q: IntPoly, interval: Interval) -> Fracti
     return total
 
 
-def to_bernstein(p: IntPoly, interval: Interval) -> tuple[Fraction, ...]:
-    """Bernstein coefficients of p on the interval, degree n = max(deg p, 0).
+def to_bernstein(p: IntPoly, interval: Interval) -> tuple[tuple[int, ...], int]:
+    """Bernstein coefficients of p on the interval, degree n = max(deg p, 0),
+    as integer numerators over one positive denominator: (nums, den).
 
-    The first and last coefficients equal p at the interval endpoints.
-    With lo = a/m and width w/m, P(y) = m**n p(y/m) has integer
-    coefficients, and m**n p(lo + width t) = P(a + w t): a Taylor shift of
-    P by a, then coefficient i scaled by w**i, gives the power coefficients
-    q_i in t.  Coefficient j is sum_i C(n-i, j-i) q_i / (C(n, j) m**n).
+    Coefficient j is nums[j] / den, and the first and last equal p at the
+    interval endpoints.  With lo = a/m and width w/m, P(y) = m**n p(y/m) has
+    integer coefficients, and m**n p(lo + width t) = P(a + w t): a Taylor
+    shift of P by a, then coefficient i scaled by w**i, gives the power
+    coefficients q_i in t.  Coefficient j is S_j / (C(n, j) m**n) with
+    S_j = sum_i C(n-i, j-i) q_i, so den = L m**n for L = lcm_j C(n, j)
+    and nums[j] = S_j L / C(n, j).
     """
     coeffs = p.coeffs or (0,)
     n = len(coeffs) - 1
@@ -297,31 +303,34 @@ def to_bernstein(p: IntPoly, interval: Interval) -> tuple[Fraction, ...]:
     for i in range(n + 1):
         q[i] *= power
         power *= w
-    den = m**n
-    return tuple(
-        Fraction(
-            sum(math.comb(n - i, j - i) * q[i] for i in range(j + 1)),
-            math.comb(n, j) * den,
-        )
+    binomials = [math.comb(n, j) for j in range(n + 1)]
+    lcm = math.lcm(*binomials)
+    nums = tuple(
+        sum(math.comb(n - i, j - i) * q[i] for i in range(j + 1)) * (lcm // binomials[j])
         for j in range(n + 1)
     )
+    return nums, lcm * m**n
 
 
-def bernstein_split(coeffs: Sequence[Rat]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """de Casteljau subdivision at the parameter midpoint.
+def bernstein_split(nums: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """de Casteljau subdivision at the parameter midpoint, in integers.
 
-    Returns Bernstein coefficients for the two half-intervals; the shared
-    middle value (last of left, first of right) is p at the midpoint.
+    nums are the Bernstein numerators of a degree-n polynomial over some
+    denominator den; returns the numerators of the two half-intervals, both
+    over den << n.  Each level sums neighbours without halving, so level k
+    stands over den << k and is shifted left by n - k.  The shared middle
+    value (last of left, first of right) is p at the midpoint.
     """
-    if not coeffs:
+    if not nums:
         raise ValueError("empty Bernstein coefficient list")
-    row = [Fraction(c) for c in coeffs]
-    left = [row[0]]
-    right = [row[-1]]
-    while len(row) > 1:
-        row = [(row[i] + row[i + 1]) / 2 for i in range(len(row) - 1)]
-        left.append(row[0])
-        right.append(row[-1])
+    n = len(nums) - 1
+    row = list(nums)
+    left = [row[0] << n]
+    right = [row[-1] << n]
+    for shift in range(n - 1, -1, -1):
+        row = list(map(add, row, row[1:]))
+        left.append(row[0] << shift)
+        right.append(row[-1] << shift)
     return tuple(left), tuple(right[::-1])
 
 

@@ -32,6 +32,7 @@ from monicheb.certify import (
     _variations,
 )
 
+from bernstein_helpers import reference_bernstein_enclosure, reference_bernstein_prefilter
 from test_acceptance import certifier_cases
 
 WITNESS = IntPoly([1, -3, 1])
@@ -53,7 +54,8 @@ def table_witnesses():
 def reference_enclosure(f, interval, tol):
     """The former kernel: bisection of the bound over exact decisions."""
     lo = max(abs(f(interval.lo)), abs(f(interval.hi)))
-    hi = max(F(1), sum(abs(c) for c in to_bernstein(f, interval)))
+    nums, den = to_bernstein(f, interval)
+    hi = max(F(1), F(sum(abs(c) for c in nums), den))
     while hi - lo > tol:
         mid = (lo + hi) / 2
         cert = decide_sup_bound(f, interval, mid)
@@ -587,6 +589,114 @@ class TestOneSequence:
         chains = counting(monkeypatch, "_sturm_chain")
         sup_norm_enclosure(poly, pair.interval(), bound / 1000)
         assert [args for args, _ in chains] == [(poly.derivative(),)]
+
+
+def coset_neighbours():
+    """(g, interval, bound) for every g = f + sign * x**j * v, j + 2 < deg f,
+    over the table witnesses f with bound N/D, v = (b1 x - a1)(b2 x - a2):
+    all of the coset around f that keeps g monic of the same degree."""
+    out = []
+    for pair, f, bound in table_witnesses():
+        v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
+        for j in range(f.degree - 2):
+            for sign in (1, -1):
+                out.append((f + sign * (IntPoly.monomial(j) * v), pair.interval(), bound))
+    return out
+
+
+def prefilter_cases(count):
+    """(f, interval, bound) of degree 0 to 12 on intervals with negative and
+    integer endpoints.  Four in five f have their roots inside the interval,
+    and so extrema inside it, with the bound 0.99 to 1.03 times the largest
+    |f| on a 64-step grid; the fifth is N - k g**2 (1 + x**2)**e at bound
+    N, touching it at the non-dyadic root of g.  So leaves certify, refute
+    and stay open, at every depth."""
+    rng = random.Random(83)
+    out = []
+    for idx in range(count):
+        if idx % 2:
+            lo = F(rng.randint(-3, 1))
+            interval = Interval(lo, lo + rng.randint(1, 2))
+        else:
+            lo = F(rng.randint(-8, 3), rng.choice([2, 3, 4, 8]))
+            interval = Interval(lo, lo + F(rng.randint(1, 8), rng.choice([2, 4, 8])))
+        if idx % 5 == 4:
+            g = linear(interval.lo + interval.width / 3)
+            bound = F(rng.randint(1, 50))
+            f = IntPoly([bound.numerator]) - rng.randint(1, 5) * g * g * (
+                IntPoly([1, 0, 1]) ** rng.randint(0, 5)
+            )
+        else:
+            f = IntPoly([rng.choice([-3, -1, 1, 2])])
+            for _ in range(rng.randint(0, 12)):
+                f = f * linear(interval.lo + interval.width * F(rng.randint(0, 12), 12))
+            grid_max = max(abs(f(interval.lo + k * interval.width / 64)) for k in range(65))
+            bound = grid_max * F(rng.randint(99, 103), 100)
+        out.append((f, interval, bound))
+    return out
+
+
+class TestFractionKernelOracle:
+    """The integer Bernstein kernel against the former Fraction kernel:
+    the same prefilter verdict, refutation point and depth, and the same
+    enclosure bracket."""
+
+    def assert_same_prefilter(self, cases):
+        got = []
+        for f, interval, bound in cases:
+            cert = bernstein_prefilter(f, interval, bound)
+            outcome = (cert.verdict, cert.refutation_point, cert.depth)
+            want = reference_bernstein_prefilter(f, interval, bound)
+            assert outcome == want, (f, interval, bound)
+            got.append(outcome)
+        return got
+
+    def test_prefilter_on_table(self):
+        cases = [
+            (f, pair.interval(), b)
+            for pair, f, bound in table_witnesses()
+            for b in (bound, 2 * bound, bound / 2)
+        ]
+        assert len(cases) == 3 * 73
+        verdicts = {verdict for verdict, _, _ in self.assert_same_prefilter(cases)}
+        assert verdicts == {Verdict.CERTIFIED_AT_MOST, Verdict.REFUTED}
+
+    def test_prefilter_on_coset_neighbours(self):
+        cases = coset_neighbours()
+        assert len(cases) == 356
+        outcomes = self.assert_same_prefilter(cases)
+        assert any(point not in (None, interval.lo, interval.hi)
+                   for (_, point, _), (_, interval, _) in zip(outcomes, cases))
+
+    def test_prefilter_on_random_cases(self):
+        cases = prefilter_cases(600)
+        outcomes = self.assert_same_prefilter(cases)
+        assert all(sum(verdict is v for verdict, _, _ in outcomes) >= 25 for v in Verdict)
+        assert sum(depth > 0 and verdict is Verdict.CERTIFIED_AT_MOST
+                   for verdict, _, depth in outcomes) >= 150
+        assert sum(point not in (None, interval.lo, interval.hi)
+                   for (_, point, _), (_, interval, _) in zip(outcomes, cases)) >= 40
+        assert sum(interval.lo < 0 for _, interval, _ in cases) >= 300
+        assert sum(interval.lo.denominator == interval.hi.denominator == 1
+                   for _, interval, _ in cases) >= 300
+
+    @pytest.mark.parametrize("tol", ["bound/1000", "1/10**6"])
+    def test_enclosure_on_table(self, tol):
+        for pair, poly, bound in table_witnesses():
+            t = bound / 1000 if tol == "bound/1000" else F(1, 10**6)
+            got = sup_norm_enclosure(poly, pair.interval(), t)
+            assert got == reference_bernstein_enclosure(poly, pair.interval(), t), (pair, poly)
+
+    def test_enclosure_on_random_cases(self, monkeypatch):
+        # the table's interior extrema sit well below its endpoint values, so
+        # its enclosures rarely split; these cases split about 160 times
+        rng = random.Random(41)
+        cases = [random_case(rng) for _ in range(200)] + critical_cases(60)
+        splits = counting(monkeypatch, "bernstein_split")
+        for f, interval, tol in cases:
+            got = sup_norm_enclosure(f, interval, tol)
+            assert got == reference_bernstein_enclosure(f, interval, tol), (f, interval)
+        assert len(splits) >= 100
 
 
 def multiplicity_cases(count):

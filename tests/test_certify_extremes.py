@@ -1,13 +1,23 @@
 """Sup-norm verdicts at the extremes against an independent sympy oracle:
 degrees 0 to 4, integer and negative endpoints, bounds attained at one or
 both endpoints, and bounds just below and just above the larger endpoint
-value."""
+value.  The integer Bernstein prefilter is held to the former Fraction
+kernel at degrees 0 to 12 on the same kinds of interval and bound."""
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monicheb import IntPoly, Interval, Verdict, certify_sup_bound, decide_sup_bound
+from monicheb import (
+    IntPoly,
+    Interval,
+    Verdict,
+    bernstein_prefilter,
+    certify_sup_bound,
+    decide_sup_bound,
+)
+
+from bernstein_helpers import reference_bernstein_prefilter
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -74,3 +84,25 @@ def test_verdicts_match_sympy_oracle(case):
         if cert.verdict is Verdict.REFUTED:
             assert cert.refutation_point in interval
             assert abs(f(cert.refutation_point)) > bound
+
+
+@st.composite
+def prefilter_cases(draw):
+    """(f, interval, bound) of degree 0 to 12, the bound a value of |f| on a
+    9-point grid of the interval, exact or moved by 1%."""
+    lo = F(draw(st.integers(-6, 3)), draw(st.sampled_from([1, 1, 2, 3])))
+    interval = Interval(lo, lo + F(draw(st.integers(1, 6)), draw(st.sampled_from([1, 1, 2, 4]))))
+    f = IntPoly(draw(st.lists(st.integers(-9, 9), min_size=1, max_size=13)))
+    grid = [abs(f(interval.lo + k * interval.width / 8)) for k in range(9)]
+    bound = draw(st.sampled_from(grid)) * draw(st.sampled_from([F(1), F(99, 100), F(101, 100)]))
+    return f, interval, bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefilter_cases())
+def test_prefilter_matches_fraction_kernel(case):
+    f, interval, bound = case
+    cert = bernstein_prefilter(f, interval, bound)
+    assert (cert.verdict, cert.refutation_point, cert.depth) == reference_bernstein_prefilter(
+        f, interval, bound
+    )

@@ -310,6 +310,15 @@ class TestVerifyTable:
         statuses = [l.rsplit("=", 1)[1] for l in report.lines if l.startswith("entry=")]
         assert statuses == ["certified", "refuted"]
 
+    @pytest.mark.parametrize("text", ["", "# comments only\n\n# no entries\n"],
+                             ids=["empty", "comments-only"])
+    def test_file_without_entries_refused(self, tmp_path, text):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        report = run(["verify-table", str(path)])
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == [f"error={path}: no table entries"]
+
     def test_file_order_preserved(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text(

@@ -23,6 +23,8 @@ from monicheb import (
 )
 from monicheb.numpoly import primitive_remainder
 
+from bernstein_helpers import reference_bernstein_split, reference_to_bernstein
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
@@ -109,17 +111,33 @@ class TestIntegrateProduct:
                 assert poly_integrate_product(p, p, interval) > 0
 
 
+def fractions_of(nums, den):
+    """The Bernstein coefficients nums[j] / den as Fractions."""
+    return tuple(F(c, den) for c in nums)
+
+
+def bernstein(p, interval):
+    return fractions_of(*to_bernstein(p, interval))
+
+
+def split(coeffs, den=1):
+    """bernstein_split on numerators over den, as Fractions."""
+    left, right = bernstein_split(coeffs)
+    n = len(coeffs) - 1
+    return fractions_of(left, den << n), fractions_of(right, den << n)
+
+
 class TestBernstein:
     def test_linear_on_unit(self):
-        assert to_bernstein(IntPoly([0, 1]), Interval(0, 1)) == (F(0), F(1))
+        assert bernstein(IntPoly([0, 1]), Interval(0, 1)) == (F(0), F(1))
 
     def test_constant(self):
-        assert to_bernstein(IntPoly([5]), Interval(-2, 3)) == (F(5),)
+        assert bernstein(IntPoly([5]), Interval(-2, 3)) == (F(5),)
 
     def test_endpoint_coefficients(self):
         p = IntPoly([1, -3, 1])
         interval = Interval(F(1, 3), F(2, 5))
-        coeffs = to_bernstein(p, interval)
+        coeffs = bernstein(p, interval)
         assert coeffs[0] == F(1, 9)
         assert coeffs[-1] == F(-1, 25)
 
@@ -129,7 +147,7 @@ class TestBernstein:
             p = rand_intpoly(rng, rng.randint(0, 20))
             lo = F(rng.randint(-8, 7), rng.randint(1, 5))
             interval = Interval(lo, lo + F(rng.randint(1, 9), rng.randint(1, 4)))
-            coeffs = to_bernstein(p, interval)
+            coeffs = bernstein(p, interval)
             assert coeffs[0] == p(interval.lo)
             assert coeffs[-1] == p(interval.hi)
 
@@ -141,7 +159,7 @@ class TestBernstein:
             p = rand_intpoly(rng, rng.randint(0, 20))
             lo = F(rng.randint(-8, 7), rng.randint(1, 5))
             interval = Interval(lo, lo + F(rng.randint(1, 9), rng.randint(1, 4)))
-            coeffs = to_bernstein(p, interval)
+            coeffs = bernstein(p, interval)
             d = len(coeffs) - 1
             assert d == max(p.degree, 0)
             for k in range(d + 1):
@@ -153,22 +171,53 @@ class TestBernstein:
                 assert value == p(interval.lo + interval.width * t)
 
     def test_split_linear(self):
-        assert bernstein_split((0, 1)) == ((F(0), F(1, 2)), (F(1, 2), F(1)))
+        assert split((0, 1)) == ((F(0), F(1, 2)), (F(1, 2), F(1)))
 
     def test_split_constant(self):
-        assert bernstein_split((F(2), F(2), F(2))) == ((F(2),) * 3, (F(2),) * 3)
+        assert split((2, 2, 2)) == ((F(2),) * 3, (F(2),) * 3)
 
     def test_split_midpoint_shared(self):
         rng = random.Random(11)
         for _ in range(25):
             p = rand_intpoly(rng, rng.randint(1, 12))
             interval = Interval(F(-1, 3), F(5, 6))
-            left, right = bernstein_split(to_bernstein(p, interval))
+            nums, den = to_bernstein(p, interval)
+            left, right = split(nums, den)
             assert left[-1] == right[0] == p(interval.midpoint)
 
     def test_split_empty(self):
         with pytest.raises(ValueError):
             bernstein_split(())
+
+    def test_integer_numerators_over_one_denominator(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            p = rand_intpoly(rng, rng.randint(0, 14))
+            lo = F(rng.randint(-8, 7), rng.randint(1, 5))
+            interval = Interval(lo, lo + F(rng.randint(1, 9), rng.randint(1, 4)))
+            nums, den = to_bernstein(p, interval)
+            assert type(den) is int and den > 0
+            assert type(nums) is tuple and all(type(c) is int for c in nums)
+            for half in bernstein_split(nums):
+                assert type(half) is tuple and len(half) == len(nums)
+                assert all(type(c) is int for c in half)
+
+    def test_matches_fraction_kernel(self):
+        # the integer kernel against the former Fraction kernel, three
+        # levels of halving deep
+        rng = random.Random(17)
+        for _ in range(60):
+            p = rand_intpoly(rng, rng.randint(0, 16))
+            lo = F(rng.randint(-8, 7), rng.randint(1, 5))
+            interval = Interval(lo, lo + F(rng.randint(1, 9), rng.randint(1, 4)))
+            nums, den = to_bernstein(p, interval)
+            assert fractions_of(nums, den) == reference_to_bernstein(p, interval)
+            rows, ref_rows = [nums], [reference_to_bernstein(p, interval)]
+            for _ in range(3):
+                den <<= len(nums) - 1
+                rows = [half for row in rows for half in bernstein_split(row)]
+                ref_rows = [half for row in ref_rows for half in reference_bernstein_split(row)]
+                assert [fractions_of(row, den) for row in rows] == ref_rows
 
 
 def rational_remainder(a, b):
