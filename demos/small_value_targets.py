@@ -2,10 +2,12 @@
 
 For conjugation-closed points that are transcendental (or algebraic of
 high degree), a monic integer polynomial can be made smaller than any
-epsilon at all of them simultaneously.  The construction finds a short
-lattice vector whose linear forms are small at the points, then corrects
-x**n by integer multiples of its powers; the result is verified with
-outward-rounded rational interval arithmetic, never trusted to floats.
+epsilon at all of them simultaneously.  The construction reads each point
+as an exact rational center, reduces the polynomials P of degree < n under
+a form that weights the values P(alpha) heavily, and takes Babai's
+nearest-plane point toward -x**n, so F = x**n + P is small at every
+point; F is verified with outward-rounded rational interval arithmetic,
+never trusted to floats.
 """
 import math
 from fractions import Fraction as F
@@ -38,6 +40,13 @@ h = small_value_polynomial([math.e, math.pi], F(1, 4), precision=48)
 print(f"  degree {h.degree}")
 for z in (math.e, math.pi):
     print(f"  |F({z:.5f})| ~ {float_value(h, z):.6f} < 0.25")
+print()
+
+print("Three real targets, epsilon = 1/4:")
+m = small_value_polynomial([0.1, 0.2, 0.3], F(1, 4), precision=48)
+print(f"  {format_poly(m)}")
+for z in (0.1, 0.2, 0.3):
+    print(f"  |F({z})| ~ {float_value(m, z):.6f} < 0.25")
 print()
 
 print("Rational inputs sit outside the theory (a monic integer polynomial")

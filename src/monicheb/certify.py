@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .constants import ConstantValue
+from .constants import ConstantValue, conjecture_value
 from .farey import FareyPair
 from .numpoly import (
     IntPoly,
@@ -440,8 +440,7 @@ class WitnessRecord:
         return (
             self.pair == pair
             and self.certificate.verdict is Verdict.CERTIFIED_AT_MOST
-            and self.bound
-            == max(Fraction(1, pair.b1), Fraction(1, pair.b2)) ** self.degree
+            and self.bound == _witness_bound(pair, self.degree)
         )
 
     def render(self) -> list[str]:
@@ -454,23 +453,32 @@ class WitnessRecord:
         return lines
 
 
+def _witness_bound(pair: FareyPair, n: int) -> Fraction:
+    """The bound a degree-n witness must certify on the pair's interval: the
+    conjectured constant of conjecture_value, to the n-th power."""
+    return conjecture_value(pair)[0].r ** n
+
+
 def verify_witness(pair: FareyPair, f: IntPoly) -> WitnessRecord:
     """Check that f witnesses the conjectured constant on the pair's interval.
 
-    The target bound is max(1/b1, 1/b2)**deg f.  On success the record's
-    tm_upper equals bound**(1/deg f); endpoint evaluations already force
-    sup |f| >= the bound when both denominators are >= 2, so certification
-    then implies exact equality, which is asserted.
+    The target bound is conjecture_value(pair)**deg f: 1/b**deg f for the
+    least endpoint denominator b >= 2, and 0 when both endpoints are
+    integers, so that no witness certifies there.  On success the record's tm_upper
+    equals bound**(1/deg f); the endpoint with that denominator already
+    forces sup |f| >= the bound, so certification then implies exact
+    equality, which is asserted.
     """
     if not isinstance(f, IntPoly) or not f.is_monic:
         raise ValueError("witness must be a monic IntPoly")
     n = f.degree
     if n < 1:
         raise ValueError("witness must have degree >= 1")
-    bound = max(Fraction(1, pair.b1), Fraction(1, pair.b2)) ** n
+    bound = _witness_bound(pair, n)
     cert = certify_sup_bound(f, pair.interval(), bound)
     record = WitnessRecord(pair, f, n, bound, cert, ConstantValue(bound, n))
-    if cert.verdict is Verdict.CERTIFIED_AT_MOST and min(pair.b1, pair.b2) >= 2:
-        anchor = pair.hi if pair.b1 <= pair.b2 else pair.lo
+    if cert.verdict is Verdict.CERTIFIED_AT_MOST:
+        ends = [e for e in (pair.lo, pair.hi) if e.denominator >= 2]
+        anchor = min(ends, key=lambda e: e.denominator)
         assert rational_point_lower_bound(f, anchor) == bound
     return record

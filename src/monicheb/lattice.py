@@ -2,18 +2,17 @@
 endpoint-vanishing sublattices, and the small-values construction for
 conjugation-closed point sets.
 
-All reduction arithmetic is exact: lll_reduce is one integral LLL kernel
-on a Gram matrix held as integer rows over one scale.  The witness search
-gives it the closed-form integer Gram of its product basis, then runs
-Babai's point and the offset enumeration on the kernel's integer
-Gram-Schmidt data.  The only approximate ingredient anywhere is the float
-heuristic that guesses integer coefficients in the small-values assembly,
-and those guesses are always re-verified with outward-rounded rational
+All arithmetic is exact: lll_reduce is one integral LLL kernel on a Gram
+matrix held as integer rows over one scale, and _babai is one nearest-plane
+step on its integer Gram-Schmidt data.  The witness search reduces the
+closed-form integer Gram of its product basis, takes Babai's point toward
+-p and enumerates offsets around it.  The small-values construction reduces
+a Gram built from the exact centers of the points, takes Babai's point
+toward -x**n, and verifies the result with outward-rounded rational
 interval arithmetic.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,9 +109,6 @@ class ReductionResult:
         dets = self.dets
         return tuple(Fraction(dets[i + 1], dets[i] * self.scale) for i in range(self.dim))
 
-    def basis_vector(self, j: int) -> tuple[int, ...]:
-        return self.basis[j]
-
 
 def _nearest(a: int, b: int) -> int:
     """a / b rounded to the nearest integer, half to even, for b > 0: what
@@ -199,6 +195,28 @@ def lll_reduce(gram: GramMatrix) -> ReductionResult:
     return ReductionResult(
         tuple(map(tuple, basis)), tuple(dets), tuple(map(tuple, lam)), gram.scale
     )
+
+
+def _babai(red: ReductionResult, products, scale: int) -> list[int]:
+    """Babai's nearest plane (Combinatorica 6, 1986) toward a target t on
+    the reduction's own Gram-Schmidt data: the integer coordinates, in the
+    reduced basis, of the lattice point it rounds t to.
+
+    products[j] = scale <t, e_j> under the integer form the reduction ran
+    on, so scale t has integer inner products, and _gs_row gives its
+    lam_i = scale d_i y_i, y_i being t's coefficient along the i-th GS
+    vector; rounding y_i changes the lower lam_j by multiples of scale
+    lam_ij.
+    """
+    dets, lam = red.dets, red.lam
+    inner = [sum(x * y for x, y in zip(row, products)) for row in red.basis]
+    target = _gs_row(inner, lam, dets)
+    center = [0] * red.dim
+    for i in range(red.dim - 1, -1, -1):
+        center[i] = _nearest(target[i], scale * dets[i + 1])
+        for j in range(i):
+            target[j] -= center[i] * scale * lam[i][j]
+    return center
 
 
 def _offsets_by_length(red: ReductionResult, radius: int):
@@ -356,31 +374,19 @@ def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
     common = math.gcd(*hankel[2 : 2 * n - 3])
     gram = [[hankel[i + j + 2] // common for j in range(dim)] for i in range(dim)]
     red = lll_reduce(GramMatrix(gram))
-    rows, dets, lam = red.basis, red.dets, red.lam
 
-    # Babai nearest plane toward -p.  <-p, member_j> sums p's coordinates
-    # against the integrals at total 2n - 1: products[j] / scale on the
-    # Gram's scale.  So scale * (-p) has integer inner products, and _gs_row
-    # gives its lam_i = scale d_i y_i, y_i being -p's coefficient along the
-    # i-th GS vector; rounding y_i changes the lower lam_j by multiples of
-    # scale lam_ij.
+    # Babai's point toward -p.  <-p, member_j> sums p's coordinates against
+    # the integrals at total 2n - 1: products[j] / scale on the Gram's scale
     cross = _beta_integrals(pair, 2 * n - 1)
     coords = _anchor_coordinates(pair, n)
     products = [
         sum(c * cross[k + j + 1] for k, c in enumerate(coords)) for j in range(dim)
     ]
-    scale = 2 * n * pair.b1 * pair.b2 * common
-    inner = [sum(x * y for x, y in zip(row, products)) for row in rows]
-    target = _gs_row(inner, lam, dets)
-    center = [0] * dim
-    for i in range(dim - 1, -1, -1):
-        center[i] = _nearest(target[i], scale * dets[i + 1])
-        for j in range(i):
-            target[j] -= center[i] * scale * lam[i][j]
+    center = _babai(red, products, 2 * n * pair.b1 * pair.b2 * common)
 
     for off in _offsets_by_length(red, radius):
         point = [c + o for c, o in zip(center, off)]
-        z = [sum(c * row[k] for c, row in zip(point, rows)) for k in range(dim)]
+        z = [sum(c * row[k] for c, row in zip(point, red.basis)) for k in range(dim)]
         f = sum((zk * member for zk, member in zip(z, sub) if zk), basis.p)
         record = verify_witness(pair, f)
         if record.certificate.verdict is Verdict.CERTIFIED_AT_MOST:
@@ -427,14 +433,6 @@ class _Box:
             self.ih + other.ih,
         )
 
-    def __sub__(self, other: "_Box") -> "_Box":
-        return _Box(
-            self.rl - other.rh,
-            self.rh - other.rl,
-            self.il - other.ih,
-            self.ih - other.il,
-        )
-
     def __mul__(self, other: "_Box") -> "_Box":
         rr = _mul_interval(self.rl, self.rh, other.rl, other.rh)
         ii = _mul_interval(self.il, self.ih, other.il, other.ih)
@@ -444,11 +442,6 @@ class _Box:
 
     def abs2_upper(self) -> Fraction:
         return max(self.rl**2, self.rh**2) + max(self.il**2, self.ih**2)
-
-    def abs2_lower(self) -> Fraction:
-        re2 = Fraction(0) if self.rl <= 0 <= self.rh else min(self.rl**2, self.rh**2)
-        im2 = Fraction(0) if self.il <= 0 <= self.ih else min(self.il**2, self.ih**2)
-        return re2 + im2
 
 
 def _mul_interval(a: Fraction, b: Fraction, c: Fraction, d: Fraction):
@@ -463,115 +456,64 @@ def _box_eval(poly: IntPoly, box: _Box, precision: int) -> _Box:
     return acc
 
 
-def _eval_complex(poly: IntPoly, z: complex) -> complex:
-    acc = 0j
-    for c in reversed(poly.coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def _to_exact_complex(value) -> tuple[Fraction, Fraction]:
     if isinstance(value, complex):
         return Fraction(value.real), Fraction(value.imag)
     return Fraction(value), Fraction(0)
 
 
-def _small_value_candidates(reps, degree: int, weight: int):
-    """Integer polynomials with small values at the representatives.
-
-    Reduces the scaled linear-forms lattice: vectors a in Z^(degree+1)
-    weighted by identity plus weight**2 times the squared forms
-    Re/Im sum(a_j alpha**j), one or two forms per representative.
-    """
-    forms = []
+def _small_value_candidate(reps, n: int, weight: int) -> IntPoly:
+    """x**n + P, with P Babai's point toward -x**n among the integer
+    polynomials of degree < n.  Their coefficient vectors a carry the form
+    |a|**2 + weight**2 sum |P(alpha)|**2 over the representatives alpha,
+    built from the exact center powers."""
+    powers = []  # (Re, Im) of alpha**j for j = 0..n, per representative
     for re, im in reps:
-        row_re, row_im = [], []
-        pr, pi = Fraction(1), Fraction(0)  # alpha**j, exact center powers
-        for _ in range(degree + 1):
-            row_re.append(pr)
-            row_im.append(pi)
+        pr, pi = Fraction(1), Fraction(0)
+        row = []
+        for _ in range(n + 1):
+            row.append((pr, pi))
             pr, pi = pr * re - pi * im, pr * im + pi * re
-        forms.append(row_re)
-        if im != 0:
-            forms.append(row_im)
-    dim = degree + 1
-    w2 = Fraction(weight) ** 2
-    entries = [
-        [(i == j) + w2 * sum(f[i] * f[j] for f in forms) for j in range(dim)]
-        for i in range(dim)
-    ]
-    yield from map(IntPoly, lll_reduce(GramMatrix(entries)).basis)
+        powers.append(row)
+    w2 = weight * weight
 
+    def form(i: int, j: int) -> Fraction:
+        """weight**2 sum Re(alpha**i conj(alpha**j)): the value part of the
+        form on x**i and x**j."""
+        return w2 * sum(p[i][0] * p[j][0] + p[i][1] * p[j][1] for p in powers)
 
-def _solve_amounts(values: list[complex], rhs: list[complex]) -> list[float] | None:
-    """Solve sum_j A_j v_i**j = rhs_i for real A (float heuristic, m <= 2)."""
-    m = len(values)
-    if m == 1:
-        v = values[0]
-        if v == 0:
-            return None
-        return [(rhs[0] / v).real]
-    v1, v2 = values
-    det = v1 * v2**2 - v2 * v1**2
-    if det == 0:
-        return None
-    a1 = (rhs[0] * v2**2 - rhs[1] * v1**2) / det
-    a2 = (v1 * rhs[1] - v2 * rhs[0]) / det
-    return [a1.real, a2.real]
-
-
-def _assemble_small_poly(
-    q_poly: IntPoly, boxes, reps_boxes, reps_centers, eps: Fraction, k: int, precision: int
-) -> IntPoly | None:
-    """Assemble F = x**n + sum_j b_j P(x)**j with P = x**shift * Q."""
-    for shift in range(k * (k - 1) // 2 + 2):
-        p_poly = IntPoly.monomial(shift) * q_poly if shift else q_poly
-        rep_values = [_box_eval(p_poly, b, precision) for b in reps_boxes]
-        if len(rep_values) == 2:
-            diff = rep_values[0] - rep_values[1]
-            if diff.abs2_lower() == 0:
-                continue  # cannot prove the values distinct; try next shift
-        m = len(rep_values)
-        centers = [complex(float(re), float(im)) for re, im in reps_centers]
-        value_mids = [_eval_complex(p_poly, z) for z in centers]
-        n_base = max(k * k * (k + 1) // 2, m * max(p_poly.degree, 1)) + 1
-        powers = [p_poly**j for j in range(1, m + 1)]
-        for n in range(n_base, n_base + 3):
-            rhs = [-(z**n) for z in centers]
-            amounts = _solve_amounts(value_mids, rhs)
-            if amounts is None:
-                continue
-            floors = [math.floor(a) for a in amounts]
-            for bump in itertools.product((0, 1), repeat=m):
-                coeffs = [f + d for f, d in zip(floors, bump)]
-                f_poly = IntPoly.monomial(n)
-                for b_j, p_pow in zip(coeffs, powers):
-                    if b_j:
-                        f_poly = f_poly + b_j * p_pow
-                if not f_poly.is_monic or f_poly.degree != n:
-                    continue
-                if all(
-                    _box_eval(f_poly, box, precision).abs2_upper() < eps * eps
-                    for box in boxes
-                ):
-                    return f_poly
-    return None
+    gram = GramMatrix([[(i == j) + form(i, j) for j in range(n)] for i in range(n)])
+    red = lll_reduce(gram)
+    # <-x**n, x**j> on the reduction's integer form, over a common scale
+    cross = [-gram.scale * form(n, j) for j in range(n)]
+    scale = math.lcm(*(x.denominator for x in cross))
+    products = [x.numerator * (scale // x.denominator) for x in cross]
+    center = _babai(red, products, scale)
+    coeffs = [sum(c * row[k] for c, row in zip(center, red.basis)) for k in range(n)]
+    return IntPoly(coeffs + [1])
 
 
 def small_value_polynomial(points, epsilon, precision: int = 64) -> IntPoly:
     """Monic integer F with |F(alpha_i)| < epsilon at every given point.
 
     Points must be pairwise distinct and closed under complex conjugation;
-    the success criterion is verified with outward-rounded interval
-    arithmetic at the given precision (each point is enclosed in a box of
-    halfwidth 2**-precision, so the inputs are trusted to that accuracy).
-    Raises SmallValueError when no candidate verifies; callers should then
-    raise the precision or supply more accurate points.
+    each is read exactly as a rational center.  For n = 1 .. k + 8 (k
+    points) and four weights, F = x**n + P is Babai's point of
+    _small_value_candidate, so at most 4 (k + 8) reductions of dimension
+    <= k + 8 run.  The first F whose values are below epsilon under
+    outward-rounded interval arithmetic at the given precision is returned
+    (each point is enclosed in a box of halfwidth 2**-precision, so the
+    inputs are trusted to that accuracy).  Raises SmallValueError when no
+    candidate verifies; callers should then raise the precision or supply
+    more accurate points.
     """
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    exact = [_to_exact_complex(p) for p in points]
+    try:
+        exact = [_to_exact_complex(p) for p in points]
+    except OverflowError as exc:  # an infinite coordinate
+        raise ValueError("points must be finite") from exc
     k = len(exact)
     if k == 0:
         raise ValueError("need at least one point")
@@ -585,32 +527,13 @@ def small_value_polynomial(points, epsilon, precision: int = 64) -> IntPoly:
     halfwidth = Fraction(1, 1 << precision)
     boxes = [_Box.point(re, im, halfwidth) for re, im in exact]
     reps = [(re, im) for re, im in exact if im >= 0]
-    reps_boxes = [_Box.point(re, im, halfwidth) for re, im in reps]
-    target = eps / (2 * k)
-
-    for degree in range(k, k + 8):
+    for n in range(1, k + 9):
         for wexp in (12, 24, 48, 96):
-            for q_poly in _small_value_candidates(reps, degree, 1 << wexp):
-                values = [_box_eval(q_poly, box, precision) for box in boxes]
-                # A monic candidate that already meets the target is itself
-                # a valid answer (covers degenerate low-height inputs where
-                # no strictly-nonzero small form exists).
-                if (
-                    q_poly.is_monic
-                    and q_poly.degree >= 1
-                    and all(v.abs2_upper() < eps * eps for v in values)
-                ):
-                    return q_poly
-                if any(
-                    v.abs2_lower() == 0 or v.abs2_upper() >= target * target
-                    for v in values
-                ):
-                    continue
-                result = _assemble_small_poly(
-                    q_poly, boxes, reps_boxes, reps, eps, k, precision
-                )
-                if result is not None:
-                    return result
+            f = _small_value_candidate(reps, n, 1 << wexp)
+            if all(
+                _box_eval(f, box, precision).abs2_upper() < eps * eps for box in boxes
+            ):
+                return f
     raise SmallValueError(
         "could not verify a small-value polynomial at this precision"
     )

@@ -114,10 +114,6 @@ class IntPoly:
         object.__setattr__(self, "coeffs", _strip(checked))
 
     @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls()
-
-    @classmethod
     def monomial(cls, power: int, coeff: int = 1) -> "IntPoly":
         return cls([0] * power + [coeff])
 

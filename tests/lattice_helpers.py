@@ -15,7 +15,7 @@ def form(gram, u, v) -> Fraction:
 
 def reduced_gram(gram, result) -> GramMatrix:
     """U^T G U for the transform U of an LLL result on gram."""
-    cols = [result.basis_vector(j) for j in range(result.dim)]
+    cols = [result.basis[j] for j in range(result.dim)]
     return GramMatrix(tuple(tuple(form(gram, a, b) for b in cols) for a in cols))
 
 

@@ -283,8 +283,8 @@ def test_criterion_6_certifier_oracle_equivalence():
 
 
 def test_criterion_7_small_values_desk_scale():
-    """Conjugation-closed k <= 2 sets get interval-verified small values;
-    the general conjecture stays open in docs and exit codes."""
+    """Conjugation-closed sets of any size get interval-verified small
+    values; the general conjecture stays open in docs and exit codes."""
     cases = [
         ([2.718281828459045], F(1, 2)),
         ([0.5], F(1, 2)),

@@ -6,6 +6,7 @@ import pytest
 
 from monicheb import certify
 from monicheb import (
+    PROVEN_EQUAL,
     FareyPair,
     IntPoly,
     Interval,
@@ -13,7 +14,9 @@ from monicheb import (
     bernstein_prefilter,
     bundled_table_path,
     certify_sup_bound,
+    conjecture_value,
     decide_sup_bound,
+    interval_constant,
     parse_table_file,
     poly_gcd,
     rational_point_lower_bound,
@@ -877,6 +880,28 @@ class TestVerifyWitness:
         assert lo <= record.bound <= hi
         anchor = PAIR.hi if PAIR.b1 <= PAIR.b2 else PAIR.lo
         assert rational_point_lower_bound(WITNESS, anchor) == record.bound
+
+    @pytest.mark.parametrize("poly", [IntPoly([0, -1, 1]), IntPoly([0, 1])])
+    def test_no_witness_on_integer_endpoints(self, poly):
+        # both endpoints integers: the conjectured constant is 0, so every
+        # witness is refuted and none proves a value
+        pair = FareyPair.from_endpoints(F(0), F(1))
+        record = verify_witness(pair, poly)
+        assert record.bound == 0
+        assert record.certificate.verdict is Verdict.REFUTED
+        assert not record.is_proof_for(pair)
+        with pytest.raises(ValueError):
+            conjecture_value(pair, record)
+
+    def test_integer_endpoint_proof_matches_catalog(self):
+        # an integer endpoint contributes nothing: x on [0, 1/7] proves 1/7
+        pair = FareyPair.from_endpoints(F(0), F(1, 7))
+        record = verify_witness(pair, IntPoly([0, 1]))
+        assert record.bound == F(1, 7)
+        assert record.is_proof_for(pair)
+        value, label = conjecture_value(pair, record)
+        assert label == PROVEN_EQUAL
+        assert value == interval_constant(F(0), F(1, 7))[0] == record.tm_upper
 
     def test_render_lines(self):
         record = verify_witness(PAIR, WITNESS)

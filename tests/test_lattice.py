@@ -32,7 +32,7 @@ from monicheb.lattice import (
     _beta_integrals,
     _nearest,
     _offsets_by_length,
-    _small_value_candidates,
+    _small_value_candidate,
 )
 
 from lattice_helpers import det_unimodular, form, reduced_gram
@@ -293,7 +293,7 @@ class TestIntegralLLL:
 
         monkeypatch.setattr(lattice_mod, "lll_reduce", recording)
         reps = [(F(math.pi), F(0)), (F(0.3), F(0.8))]
-        list(_small_value_candidates(reps, 5, 1 << 96))
+        _small_value_candidate(reps, 5, 1 << 96)
         monkeypatch.undo()
         (gram,) = grams
         assert max(x.denominator for row in gram.entries for x in row) > 2**96
@@ -469,7 +469,7 @@ class TestSearchWitness:
         gram = gram_matrix(sub, pair.interval())
         red = lll_reduce(gram)
         reduced = [
-            sum((c * m for c, m in zip(red.basis_vector(j), sub)), IntPoly())
+            sum((c * m for c, m in zip(red.basis[j], sub)), IntPoly())
             for j in range(red.dim)
         ]
         reduced_form = reduced_gram(gram, red)
@@ -583,7 +583,7 @@ def reference_search_witness(pair, n, radius=1, sub=None):
     interval = pair.interval()
     red = lll_reduce(gram_matrix(sub, interval))
     reduced = [
-        sum((c * m for c, m in zip(red.basis_vector(j), sub)), IntPoly())
+        sum((c * m for c, m in zip(red.basis[j], sub)), IntPoly())
         for j in range(red.dim)
     ]
     r = []
@@ -733,6 +733,54 @@ class TestSmallValues:
             small_value_polynomial([], F(1, 2))
         with pytest.raises(ValueError):
             small_value_polynomial([0.5, 0.5], F(1, 2))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), complex(0.5, float("inf"))])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            small_value_polynomial([bad], F(1, 2))
+
+    def test_three_real_points(self):
+        points = [0.1, 0.2, 0.3]
+        f = small_value_polynomial(points, F(1, 4), precision=48)
+        assert_small_at_centers(f, points, F(1, 4))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_verified_or_refused_on_random_closed_sets(self, seed):
+        # each call returns a monic F small at every center or raises
+        # SmallValueError; any other exception fails the test
+        rng = random.Random(seed)
+        points = random_closed_set(rng)
+        for eps in (F(1, 2), F(1, 4), F(1, 10), F(1, 100)):
+            try:
+                f = small_value_polynomial(points, eps, precision=48)
+            except SmallValueError:
+                continue
+            assert_small_at_centers(f, points, eps)
+
+
+def random_closed_set(rng):
+    """1 to 5 distinct points, reals and conjugate pairs."""
+    size = rng.randint(1, 5)
+    points = []
+    while len(points) < size:
+        if size - len(points) >= 2 and rng.random() < 0.5:
+            z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
+            points += [z, z.conjugate()]
+        else:
+            points.append(rng.uniform(-3, 3))
+    return points
+
+
+def assert_small_at_centers(f, points, eps):
+    """f is monic and |f(alpha)|**2 < eps**2 at every exact center alpha,
+    by Horner in Q(i) on Fractions."""
+    assert f.is_monic and f.degree >= 1
+    for z in map(complex, points):
+        re, im = F(z.real), F(z.imag)
+        vr, vi = F(0), F(0)
+        for c in reversed(f.coeffs):
+            vr, vi = vr * re - vi * im + c, vr * im + vi * re
+        assert vr * vr + vi * vi < eps * eps, (points, eps, f)
 
 
 def _horner_complex(poly, z):
