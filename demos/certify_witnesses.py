@@ -1,8 +1,9 @@
 """Rigorous sup-norm certification, from prefilter to exact decision.
 
 The bound |f| <= B on [lo, hi] is decided exactly: B - f and B + f must
-both be nonnegative, which reduces to a Sturm root count of the
-odd-multiplicity part of each plus finitely many exact evaluations.
+both be nonnegative, which integer Bernstein subdivision decides, on each
+factor when it is squarefree and on its odd-multiplicity part otherwise,
+plus finitely many exact evaluations.
 Witnesses attain their bound at an endpoint, so the non-strict handling
 matters.
 """

@@ -2,8 +2,8 @@
 
 The package constructs monic integer polynomials with prescribed rational
 values, searches for sup-norm witnesses with exact LLL reduction, and
-certifies sup-norm bounds unconditionally with Sturm sequences and
-Bernstein subdivision, all in exact integer and rational arithmetic.
+certifies sup-norm bounds unconditionally by integer Bernstein
+subdivision, all in exact integer and rational arithmetic.
 """
 
 from .numpoly import (

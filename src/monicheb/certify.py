@@ -3,19 +3,21 @@
 For B = N/D the bound |f| <= B holds on [lo, hi] iff both integer
 polynomials N - D f and N + D f are nonnegative there, so the decision is:
 check |f| at both endpoints, then find a point of (lo, hi) where one of the
-two factors is negative, or prove there is none.  A factor q changes sign
-only at the roots of its odd-multiplicity part, isolated by one Sturm chain
-(a primitive remainder sequence over the integers).  The chain of q ends
-in gcd(q, q') up to sign: a constant last term means q is squarefree and
-its own chain is the one used; otherwise the odd part is (q / g) / odd(g)
-for that gcd g and gets a chain of its own.  Touch points, where f attains
-its bound, are even-multiplicity roots of a factor and need no epsilon
-padding.  The sup-norm enclosure isolates the critical points of f with
-the same chain, built on f'.
+two factors is negative, or prove there is none.  Both searches are integer
+de Casteljau subdivision of Bernstein coefficients, which ends on a
+squarefree polynomial (Collins & Akritas, SYMSAC 1976; Eigenwillig,
+Sharma & Yap, ISSAC 2006).  A remainder sequence mod a word-size prime
+proves a factor q squarefree in the usual case; otherwise the subdivision
+runs on its odd-multiplicity part (q / g) / odd(g), g = gcd(q, q'), where
+q changes sign.  Touch points, where f attains its bound, are
+even-multiplicity roots of a factor and need no epsilon padding.  The
+sup-norm enclosure isolates the critical points of f with a Sturm chain (a
+primitive remainder sequence over the integers) on the odd part of f'.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
 sufficient check, on integer numerators over one denominator; it is sound
-but incomplete, and the Sturm decision is the fallback.
+but incomplete, stopping at a fixed depth, and the subdivision decision is
+the fallback.
 """
 from __future__ import annotations
 
@@ -31,13 +33,14 @@ from .numpoly import (
     bernstein_split,
     format_rational,
     homogeneous_value,
+    poly_gcd,
     primitive_remainder,
     to_bernstein,
 )
 
 # Subdivision depth of the Bernstein prefilter.  Verdicts do not depend on
-# it: the prefilter is sound, and the Sturm decision settles what it leaves
-# inconclusive.
+# it: the prefilter is sound, and the subdivision decision settles what it
+# leaves inconclusive.
 PREFILTER_DEPTH = 12
 
 
@@ -53,7 +56,7 @@ class NormCertificate:
 
     verdict: Verdict
     bound: Fraction
-    method: str  # "sturm" or "bernstein"
+    method: str  # "subdivision" or "bernstein"
     refutation_point: Fraction | None = None
     depth: int = 0
 
@@ -89,8 +92,8 @@ def _sturm_chain(g: IntPoly) -> list[IntPoly]:
 
 
 def _odd_part(p: IntPoly, g: IntPoly) -> IntPoly:
-    """Odd-multiplicity part of p up to a constant factor, given the last
-    term g of the Sturm chain of p, gcd(p, p') up to sign.
+    """Odd-multiplicity part of p up to a constant factor, given
+    g = gcd(p, p') up to sign, primitive.
 
     For p = c prod f_i**i, g is prod f_i**(i-1) up to sign, whose
     odd-multiplicity factors are the f_i of even i: so p / g divided by the
@@ -99,7 +102,7 @@ def _odd_part(p: IntPoly, g: IntPoly) -> IntPoly:
     """
     if g.degree == 0:
         return p
-    return (p // g) // _odd_part(g, _sturm_chain(g)[-1])
+    return (p // g) // _odd_part(g, poly_gcd(g, g.derivative()))
 
 
 def _odd_part_chain(h: IntPoly) -> list[IntPoly]:
@@ -189,94 +192,154 @@ def _halve(g: IntPoly, u: Fraction, v: Fraction, s: int):
     return mid, (mid, v)
 
 
-def _probe(h: IntPoly, u: Fraction, v: Fraction) -> Fraction | None:
-    """A point of (u, v) with h < 0, or None when h > 0 there, given that h
-    keeps one sign on (u, v) apart from its zeros.
+# The word-size prime of the modular squarefree test.
+_SQUAREFREE_PRIME = 2**31 - 1
 
-    Samples u + (v - u) / 2**k for k = 1, 2, ... and stops at the first
-    where h != 0: its sign is the sign of h on all of (u, v).  Of deg h + 1
-    samples at least one is not a zero of h.
+
+def _rem_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Remainder of a by b in F_p[x], b with a nonzero leading coefficient,
+    both ascending lists of residues; trailing zeros stripped."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    db = len(b) - 1
+    while len(a) > db:
+        c = a.pop() * inv % p
+        if c:
+            shift = len(a) - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - c * b[j]) % p
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _squarefree_mod_p(q: IntPoly) -> bool:
+    """True when p = _SQUAREFREE_PRIME does not divide lc(q) and
+    gcd(q mod p, q' mod p) = 1 in F_p[x]: then q is squarefree over Q.
+    False proves nothing.
+
+    A square factor s**2 of q over Z keeps its degree mod p, as lc(s)
+    divides lc(q), and s mod p divides both q mod p and its derivative.
     """
-    step = (v - u) / 2
-    for _ in range(h.degree + 1):
-        sign = _sign_at(h, u + step)
-        if sign:
-            return u + step if sign < 0 else None
-        step /= 2
-    raise AssertionError("nonzero polynomial vanished at every probe")
+    p = _SQUAREFREE_PRIME
+    if q.coeffs[-1] % p == 0:
+        return False
+    a = [c % p for c in q.coeffs]
+    b = [i * c % p for i, c in enumerate(q.coeffs)][1:]
+    while b and b[-1] == 0:
+        b.pop()
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return len(a) == 1
 
 
-def _negative_point(h: IntPoly, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """A point of the open (lo, hi) where h < 0, or None when h >= 0 on all
-    of it, given h >= 0 at lo and at hi.
+def _depth_bound(q: IntPoly, width: Fraction) -> int:
+    """A depth k0 such that no subdivision of nonzero q on an interval of
+    this width splits a node deeper than k0.
 
-    h changes sign across each root of its odd-multiplicity part g and only
-    there, and one Sturm chain of g isolates those roots in (lo, hi).  With
-    none, h keeps one sign inside and a probe decides.  On the first
-    isolating interval (u, v), h keeps one sign on each side of the root
-    apart from touch points: check u and v, then bisect by the sign of g,
-    whose midpoints land on both sides of the root.  A root hit exactly
-    splits its interval into two pieces free of sign changes, and a probe
-    of each finds the negative side.
+    Distinct roots of q are more than sep = sqrt(3) n**(-(n+2)/2)
+    ||q||**(1-n) apart for n = deg q >= 2 (Mahler-Mignotte, for the
+    squarefree part of q, whose Mahler measure is at most ||q||).  A node
+    narrower than that holds at most one root of q in the closed disc on
+    it as diameter, a real one, so the one-circle theorem leaves it with
+    all Bernstein coefficients of one sign or with a negative endpoint.
+    Width w / 2**k < sep holds once 3 * 4**k > w**2 n**(n+2) ||q||**(2n-2).
     """
-    if h.degree < 1:
+    n = q.degree
+    if n < 2:
+        return 0
+    norm2 = sum(c * c for c in q.coeffs)
+    top = width.numerator**2 * n ** (n + 2) * norm2 ** (n - 1)
+    bottom = 3 * width.denominator**2
+    # bottom * 4**k >= 2**(2k + bits(bottom) - 1), which exceeds top once
+    # 2k >= bits(top) - bits(bottom) + 1
+    return max(0, -(-(top.bit_length() - bottom.bit_length() + 1) // 2))
+
+
+def _first_negative(nums, interval: Interval, max_depth: int, accept=None):
+    """The first node endpoint inside the open interval where the Bernstein
+    numerators nums are negative, or None when every leaf has all of them
+    >= 0: so None proves the polynomial >= 0 on the interval.
+
+    Integer de Casteljau subdivision, depth-first and left half first.  A
+    node with every numerator >= 0 is a leaf; any other is split, and the
+    last left numerator, its midpoint value, is checked before its halves.
+    A negative midpoint is returned only where accept, when given, holds
+    too.  Splitting a node deeper than max_depth is a failed assertion,
+    never an inconclusive answer.
+    """
+    lo, width = interval.lo, interval.width
+    stack = [(nums, 0, 0)]
+    while stack:
+        coeffs, depth, index = stack.pop()
+        if min(coeffs) >= 0:
+            continue
+        assert depth <= max_depth, "subdivision passed the root-separation depth"
+        left, right = bernstein_split(coeffs)
+        depth += 1
+        if left[-1] < 0:
+            point = lo + width * Fraction(2 * index + 1, 1 << depth)
+            if accept is None or accept(point):
+                return point
+        stack.append((right, depth, 2 * index + 1))
+        stack.append((left, depth, 2 * index))
+    return None
+
+
+def _negative_point(q: IntPoly, interval: Interval, nums) -> Fraction | None:
+    """A point of the open interval where q < 0, or None when q >= 0 on all
+    of it, given q >= 0 at both ends and nums, q's Bernstein numerators on
+    the interval.
+
+    Subdivision of squarefree q ends: each node narrower than its roots'
+    separation is a leaf or shows q < 0 at an endpoint.  When the modular
+    test does not prove q squarefree, the odd-multiplicity part r of q,
+    which is squarefree, is subdivided instead.  q / r is a constant times
+    a square, so with lc(r) of the sign of lc(q), q < 0 exactly where
+    r < 0 and q != 0: a point where r < 0 is kept only where q < 0.
+    """
+    if q.degree < 1:
         return None
-    chain = _odd_part_chain(h)
-    g = chain[0]
-    roots = _root_intervals(chain, lo, hi)
-    first = next(roots, None)
-    if first is None:
-        return _probe(h, lo, hi)
-    u, v, s = first
-    if u == v:
-        # h keeps one sign on (lo, u) and the other just right of u
-        point = _probe(h, lo, u)
-        if point is not None:
-            return point
-        r = u
-        u, v, s = next(roots, (hi, hi, 0))
-        if u > r:
-            point = _probe(h, r, u)
-            assert point is not None, "no negative probe right of a sign change"
-            return point
-    for x in (u, v):
-        if lo < x < hi and _sign_at(h, x) < 0:
-            return x
-    for _ in range(4 * max(len(h.coeffs), 8) * 64):
-        mid, half = _halve(g, u, v, s)
-        if _sign_at(h, mid) < 0:
-            return mid
-        if half is None:
-            point = _probe(h, u, mid)
-            if point is None:
-                point = _probe(h, mid, v)
-            assert point is not None, "no negative probe beside a sign change"
-            return point
-        u, v = half
-    raise AssertionError("sign-change bisection failed to converge")
+    max_depth = _depth_bound(q, interval.width)
+    if _squarefree_mod_p(q):
+        return _first_negative(nums, interval, max_depth)
+    r = _odd_part(q, poly_gcd(q, q.derivative()))
+    if (r.coeffs[-1] > 0) != (q.coeffs[-1] > 0):
+        r = -r
+    return _first_negative(
+        to_bernstein(r, interval)[0],
+        interval,
+        max_depth,
+        lambda x: _sign_at(q, x) < 0,
+    )
 
 
 def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     """Exact decision of sup |f| <= bound on the interval; never inconclusive.
 
     For bound = N/D, |f| <= bound exactly where N - D f >= 0 and
-    N + D f >= 0.  An endpoint where |f| > bound refutes first, with no
-    chain built; then a point of the open interval where N - D f < 0, and
-    after it one where N + D f < 0.  None of these certifies the bound.
+    N + D f >= 0.  An endpoint where |f| > bound refutes first; then a
+    point of the open interval where N - D f < 0, and after it one where
+    N + D f < 0, each found by subdivision.  Both factors share the
+    Bernstein coefficients c / den of f: theirs are (N den -+ D c) / den.
+    None of these points certifies the bound.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    lo, hi = interval.lo, interval.hi
-    num, scaled = IntPoly([bound.numerator]), f * bound.denominator
-    point = next((x for x in (lo, hi) if abs(f(x)) > bound), None)
-    for q in (num - scaled, num + scaled):
-        if point is None:
-            point = _negative_point(q, lo, hi)
+    point = next((x for x in (interval.lo, interval.hi) if abs(f(x)) > bound), None)
     if point is None:
-        return NormCertificate(Verdict.CERTIFIED_AT_MOST, bound, "sturm")
+        nums, den = to_bernstein(f, interval)
+        limit, scale = bound.numerator * den, bound.denominator
+        for sign in (1, -1):
+            q = IntPoly([bound.numerator]) - f * (sign * scale)
+            point = _negative_point(q, interval, [limit - sign * scale * c for c in nums])
+            if point is not None:
+                break
+    if point is None:
+        return NormCertificate(Verdict.CERTIFIED_AT_MOST, bound, "subdivision")
     assert point in interval and abs(f(point)) > bound
-    return NormCertificate(Verdict.REFUTED, bound, "sturm", point)
+    return NormCertificate(Verdict.REFUTED, bound, "subdivision", point)
 
 
 def bernstein_prefilter(f: IntPoly, interval: Interval, bound) -> NormCertificate:
@@ -336,7 +399,7 @@ def bernstein_prefilter(f: IntPoly, interval: Interval, bound) -> NormCertificat
 
 
 def certify_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
-    """Cheap Bernstein prefilter first, exact Sturm decision as fallback."""
+    """Cheap Bernstein prefilter first, exact subdivision decision as fallback."""
     cert = bernstein_prefilter(f, interval, bound)
     if cert.verdict is Verdict.INCONCLUSIVE:
         return decide_sup_bound(f, interval, bound)
@@ -353,7 +416,7 @@ def sup_norm_enclosure(
     odd-multiplicity part g of f'.  A root of f' of even multiplicity is no
     extremum, so the roots of g are enough.  They are isolated with the
     Sturm chain from _odd_part_chain, which is the chain of f' itself when
-    f' is squarefree, as the decision builds it on each factor.  Each
+    f' is squarefree.  Each
     isolating interval is then halved toward its root by the sign of g at
     the midpoint, with no new chain.  On an interval [u, v], |f| is at most
     the largest |c| over the Bernstein coefficients of f on [u, v], and
@@ -449,7 +512,9 @@ class WitnessRecord:
             f"degree={self.degree}",
         ]
         lines.extend(self.certificate.render())
-        lines.append(f"tm_upper={self.tm_upper}")
+        # only a certified record bounds the constant
+        if self.certificate.verdict is Verdict.CERTIFIED_AT_MOST:
+            lines.append(f"tm_upper={self.tm_upper}")
         return lines
 
 
@@ -463,11 +528,11 @@ def verify_witness(pair: FareyPair, f: IntPoly) -> WitnessRecord:
     """Check that f witnesses the conjectured constant on the pair's interval.
 
     The target bound is conjecture_value(pair)**deg f: 1/b**deg f for the
-    least endpoint denominator b >= 2, and 0 when both endpoints are
-    integers, so that no witness certifies there.  On success the record's tm_upper
-    equals bound**(1/deg f); the endpoint with that denominator already
-    forces sup |f| >= the bound, so certification then implies exact
-    equality, which is asserted.
+    least endpoint denominator b >= 2.  A pair of two integer endpoints has
+    no such target, and conjecture_value refuses it with ValueError.  On
+    success the record's tm_upper equals bound**(1/deg f); the endpoint
+    with that denominator already forces sup |f| >= the bound, so
+    certification then implies exact equality, which is asserted.
     """
     if not isinstance(f, IntPoly) or not f.is_monic:
         raise ValueError("witness must be a monic IntPoly")

@@ -7,6 +7,7 @@ so results can be consumed by scripts.  Exit codes: 0 success/certified,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -374,9 +375,15 @@ def run(argv: list[str]) -> RunReport:
 
 def main(argv: list[str] | None = None) -> int:
     report = run(sys.argv[1:] if argv is None else argv)
-    print(f"command={report.command}")
-    for line in report.lines:
-        print(line)
+    try:
+        print(f"command={report.command}")
+        for line in report.lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: the rest of the output, and the flush
+        # at interpreter exit, go to devnull, and the exit code stays
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

@@ -433,17 +433,21 @@ def interval_constant(lo, hi) -> tuple[ConstantValue, str] | None:
 def conjecture_value(pair: FareyPair, witness=None) -> tuple[ConstantValue, str]:
     """Conjectured constant of a consecutive-Farey interval.
 
-    Each endpoint contributes the reciprocal of its denominator; integer
-    endpoints contribute nothing (their point constant vanishes, and the
-    finite-set lower bound only applies to denominators >= 2).  The label
+    Each endpoint contributes the reciprocal of its denominator; an integer
+    endpoint contributes nothing (its point constant vanishes, and the
+    finite-set lower bound only applies to denominators >= 2).  A pair of
+    two integer endpoints, [k, k + 1], has no conjectured value and is
+    refused: its constant is cataloged by interval_constant.  The label
     is CONJECTURED unless a certified witness record for this pair is
     supplied, which upgrades it to PROVEN-EQUAL by combining the two-point
     lower bound with the witness upper bound.
     """
-    contributions = [Fraction(0)]
-    for b in (pair.b1, pair.b2):
-        if b >= 2:
-            contributions.append(Fraction(1, b))
+    contributions = [Fraction(1, b) for b in (pair.b1, pair.b2) if b >= 2]
+    if not contributions:
+        raise ValueError(
+            f"[{pair.lo}, {pair.hi}] has two integer endpoints and no conjectured "
+            "value; interval_constant catalogs its constant"
+        )
     value = ConstantValue(max(contributions))
     if witness is None:
         return value, CONJECTURED

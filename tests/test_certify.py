@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monicheb import certify
 from monicheb import (
@@ -27,15 +28,20 @@ from monicheb import (
 )
 from monicheb.certify import (
     PREFILTER_DEPTH,
+    _SQUAREFREE_PRIME,
+    _depth_bound,
+    _first_negative,
     _negative_point,
     _odd_part_chain,
     _root_intervals,
     _sign_at,
+    _squarefree_mod_p,
     _sturm_chain,
     _variations,
 )
 
 from bernstein_helpers import reference_bernstein_enclosure, reference_bernstein_prefilter
+from sturm_helpers import reference_decide_factors, reference_negative_point
 from test_acceptance import certifier_cases
 
 WITNESS = IntPoly([1, -3, 1])
@@ -69,6 +75,16 @@ def reference_enclosure(f, interval, tol):
     return lo, hi
 
 
+def negative_points(h, lo, hi):
+    """(subdivision point, former Sturm point) where h < 0 on the open
+    (lo, hi), each None when h >= 0 there."""
+    interval = Interval(lo, hi)
+    return (
+        _negative_point(h, interval, to_bernstein(h, interval)[0]),
+        reference_negative_point(h, lo, hi),
+    )
+
+
 def random_case(rng):
     f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice([-2, -1, 1, 3])])
     a = F(rng.randint(-6, 6), rng.randint(1, 4))
@@ -80,7 +96,7 @@ class TestDecideSupBound:
     def test_table_bound_certifies(self):
         cert = decide_sup_bound(WITNESS, I13_25, F(1, 9))
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
-        assert cert.method == "sturm"
+        assert cert.method == "subdivision"
 
     def test_tighter_bound_refutes_at_endpoint(self):
         cert = decide_sup_bound(WITNESS, I13_25, F(1, 10))
@@ -149,16 +165,17 @@ class TestBernsteinPrefilter:
             sturm = decide_sup_bound(WITNESS, I13_25, F(1, 9))
             assert sturm.verdict is Verdict.CERTIFIED_AT_MOST
 
-    def test_touch_at_non_dyadic_point_falls_back_to_sturm(self):
+    def test_touch_at_non_dyadic_point_falls_back_to_subdivision(self):
         interval = Interval(0, F(1, 2))
         pre = bernstein_prefilter(TOUCH, interval, F(1))
         assert pre.verdict is Verdict.INCONCLUSIVE
         assert pre.depth == PREFILTER_DEPTH
         cert = certify_sup_bound(TOUCH, interval, F(1))
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
-        assert cert.method == "sturm"
+        assert cert.method == "subdivision"
 
     def test_never_contradicts_sturm(self):
+        # against the subdivision decision and the former Sturm decision
         rng = random.Random(21)
         for _ in range(150):
             f = IntPoly([rng.randint(-10, 10) for _ in range(rng.randint(1, 6))])
@@ -167,8 +184,10 @@ class TestBernsteinPrefilter:
             pre = bernstein_prefilter(f, interval, bound)
             if pre.verdict is Verdict.INCONCLUSIVE:
                 continue
-            sturm = decide_sup_bound(f, interval, bound)
-            assert pre.verdict == sturm.verdict
+            exact = decide_sup_bound(f, interval, bound)
+            sturm = reference_decide_factors(f, interval, bound)
+            assert pre.verdict == exact.verdict
+            assert (exact.verdict is Verdict.REFUTED) == (sturm is not None)
 
 
 class TestRootIsolation:
@@ -195,8 +214,8 @@ class TestRootIsolation:
         # point 1/2 is an exact sign change, and h < 0 on (1/2, 3/4)
         h = IntPoly([-1, 2]) * IntPoly([-3, 4])
         assert next(_root_intervals(_odd_part_chain(h), F(0), F(1))) == (F(1, 2), F(1, 2), 0)
-        point = _negative_point(h, F(0), F(1))
-        assert F(1, 2) < point < F(3, 4) and h(point) < 0
+        for point in negative_points(h, F(0), F(1)):
+            assert F(1, 2) < point < F(3, 4) and h(point) < 0
 
     def test_negative_point_at_first_isolation_midpoint(self):
         # f = 1 + 4(x - 1/2)(1 - x) crosses 1 upward at the midpoint of [0, 1]
@@ -220,16 +239,16 @@ class TestRootIsolation:
 
     def test_no_sign_change_gives_none(self):
         h = IntPoly([-1, 2]) ** 2
-        assert _negative_point(h, F(0), F(1)) is None
+        assert negative_points(h, F(0), F(1)) == (None, None)
 
     def test_negative_point_searches_open_interval(self):
         h = IntPoly([-1, 2]) * IntPoly([-3, 4])  # (2x - 1)(4x - 3) >= 0 on [0, 1/2]
-        assert _negative_point(h, F(0), F(1, 2)) is None
+        assert negative_points(h, F(0), F(1, 2)) == (None, None)
         # zero at both ends of [1/2, 3/4]: h < 0 and -h > 0 strictly inside
-        assert _negative_point(h, F(1, 2), F(3, 4)) == F(5, 8)
-        assert _negative_point(-h, F(1, 2), F(3, 4)) is None
-        assert _negative_point(IntPoly([1]), F(0), F(1)) is None
-        assert _negative_point(IntPoly(), F(0), F(1)) is None
+        assert negative_points(h, F(1, 2), F(3, 4)) == (F(5, 8), F(5, 8))
+        assert negative_points(-h, F(1, 2), F(3, 4)) == (None, None)
+        assert negative_points(IntPoly([1]), F(0), F(1)) == (None, None)
+        assert negative_points(IntPoly(), F(0), F(1)) == (None, None)
 
     def test_vanishing_at_both_endpoints_refutes_at_midpoint(self):
         # 1 + x - x**2 equals 1 at both ends of [0, 1] and exceeds it inside
@@ -242,7 +261,7 @@ class TestRootIsolation:
 def neighbour_polys(seed):
     """(g, interval, bound) for g = f + sign * x**j * v, j seeded, over the
     degree >= 3 table witnesses f with bound N/D, v = (b1 x - a1)(b2 x - a2).
-    g equals f at both endpoints, so a decision on g reaches Sturm."""
+    g equals f at both endpoints, so a decision on g reaches the interior."""
     rng = random.Random(seed)
     out = []
     for pair, f, bound in table_witnesses():
@@ -380,12 +399,13 @@ def reference_odd_part_chain(h):
 
 
 def reference_decide_sup_bound(f, interval, bound):
-    """The former decision on the degree-2n h = N**2 - D**2 f**2: the
-    refutation point, or None when the bound is certified."""
+    """The former decision on the degree-2n h = N**2 - D**2 f**2, by the
+    former Sturm routine: the refutation point, or None when the bound is
+    certified."""
     for x in (interval.lo, interval.hi):
         if abs(f(x)) > bound:
             return x
-    return _negative_point(h_of(f, bound), interval.lo, interval.hi)
+    return reference_negative_point(h_of(f, bound), interval.lo, interval.hi)
 
 
 def reference_sup_norm_enclosure(f, interval, tol):
@@ -457,9 +477,10 @@ def counting(monkeypatch, name):
 
 
 class TestOneSequence:
-    """The decision on the two factors N -+ D f matches the decision on
-    h = N**2 - D**2 f**2, and each factor's Sturm chain ends in
-    gcd(q, q'): one remainder sequence per squarefree factor."""
+    """The decision on the two factors N -+ D f matches the former Sturm
+    decision on h = N**2 - D**2 f**2.  It builds no Sturm chain: a factor
+    that needs subdividing runs one remainder sequence mod p, and poly_gcd
+    runs only for a factor that sequence does not prove squarefree."""
 
     def assert_same_decision(self, f, interval, bound):
         got = decide_sup_bound(f, interval, bound)
@@ -489,7 +510,7 @@ class TestOneSequence:
         for f, interval, bound in touching_cases(90):
             self.assert_same_decision(f, interval, bound)
             if all(abs(f(x)) <= bound for x in (interval.lo, interval.hi)) and any(
-                q.degree > 0 and _sturm_chain(q)[-1].degree > 0
+                q.degree > 0 and poly_gcd(q, q.derivative()).degree > 0
                 for q in factors_of(f, bound)
             ):
                 fallback += 1
@@ -516,57 +537,53 @@ class TestOneSequence:
         assert nonsquarefree >= 60
 
     def test_squarefree_h_runs_one_remainder_sequence(self, monkeypatch):
-        # the degree-18 neighbour keeps N - D g >= 0, so both factors get
-        # their chain, and N + D g refutes
+        # the degree-18 neighbour: one remainder sequence mod p proves each
+        # factor squarefree; N - D g has every Bernstein coefficient >= 0, and
+        # the subdivision of N + D g refutes
         (pair, f, bound), = [w for w in table_witnesses() if w[1].degree == 18]
         v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
         g = f + IntPoly.monomial(7) * v
-        assert not hasattr(certify, "poly_gcd")
         chains = counting(monkeypatch, "_sturm_chain")
-        remainders = counting(monkeypatch, "primitive_remainder")
+        gcds = counting(monkeypatch, "poly_gcd")
+        tests = counting(monkeypatch, "_squarefree_mod_p")
         cert = decide_sup_bound(g, pair.interval(), bound)
         assert cert.verdict is Verdict.REFUTED
-        assert [args for args, _ in chains] == [(q,) for q in factors_of(g, bound)]
-        assert all(chain[-1].degree == 0 for _, chain in chains)
-        assert len(remainders) == sum(len(chain) - 2 for _, chain in chains)
+        assert tests == [((q,), True) for q in factors_of(g, bound)]
+        assert chains == [] and gcds == []
 
-    def test_non_squarefree_h_takes_odd_part_from_chain_gcds(self, monkeypatch):
-        # F = 1 - (2x - 1)**2 at bound 1: the factor 1 - F = (2x - 1)**2 has
-        # a chain ending in 2x - 1, whose own chain ends in a constant, and
-        # odd part 1; the factor 1 + F = 2 - (2x - 1)**2 is squarefree
+    def test_non_squarefree_h_takes_odd_part_from_poly_gcd(self, monkeypatch):
+        # F = 1 - (2x - 1)**2 at bound 1: the factor 1 - F = (2x - 1)**2 is
+        # not squarefree, poly_gcd gives gcd(q, q') = 2x - 1 and then its own
+        # gcd 1, and the odd part is 1; the factor 1 + F = 2 - (2x - 1)**2 is
+        # proved squarefree mod p
         f = IntPoly([1]) - IntPoly([-1, 2]) ** 2
         low, high = factors_of(f, F(1))
         assert low == IntPoly([-1, 2]) ** 2
         chains = counting(monkeypatch, "_sturm_chain")
+        gcds = counting(monkeypatch, "poly_gcd")
+        tests = counting(monkeypatch, "_squarefree_mod_p")
         cert = decide_sup_bound(f, Interval(0, 1), F(1))
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
-        assert [args for args, _ in chains] == [
-            (low,), (IntPoly([-1, 2]),), (IntPoly([1]),), (high,)
+        assert tests == [((low,), False), ((high,), True)]
+        assert [args for args, _ in gcds] == [
+            (low, low.derivative()), (IntPoly([-1, 2]), IntPoly([2]))
         ]
+        assert chains == []
 
-    def test_certified_decision_probes_once(self, monkeypatch):
-        # the degree-18 witness: no odd root of either factor inside, and the
-        # first probe sample, the midpoint, already has the factor > 0
+    def test_certified_decision_converts_f_once(self, monkeypatch):
+        # the degree-18 witness: one Bernstein conversion of f serves both
+        # factors, each proved squarefree mod p and subdivided to its leaves
         (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
         interval = pair.interval()
-        signs = counting(monkeypatch, "_sign_at")
-        probes = []
-        original = certify._probe
-
-        def probe(*args):
-            before = len(signs)
-            result = original(*args)
-            probes.append((args, result, len(signs) - before))
-            return result
-
-        monkeypatch.setattr(certify, "_probe", probe)
+        conversions = counting(monkeypatch, "to_bernstein")
+        tests = counting(monkeypatch, "_squarefree_mod_p")
+        chains = counting(monkeypatch, "_sturm_chain")
+        gcds = counting(monkeypatch, "poly_gcd")
         cert = decide_sup_bound(poly, interval, bound)
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
-        assert probes == [
-            ((q, interval.lo, interval.hi), None, 1) for q in factors_of(poly, bound)
-        ]
-        # each factor: its 19-term chain at both endpoints, then one probe
-        assert len(signs) == 2 * (2 * 19 + 1)
+        assert [args for args, _ in conversions] == [(poly, interval)]
+        assert tests == [((q,), True) for q in factors_of(poly, bound)]
+        assert chains == [] and gcds == []
 
     def test_decision_matches_reference_on_oracle_instances(self):
         cases = certifier_cases()
@@ -588,10 +605,11 @@ class TestOneSequence:
 
     def test_squarefree_derivative_runs_one_remainder_sequence(self, monkeypatch):
         (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
-        assert not hasattr(certify, "poly_gcd")
         chains = counting(monkeypatch, "_sturm_chain")
+        gcds = counting(monkeypatch, "poly_gcd")
         sup_norm_enclosure(poly, pair.interval(), bound / 1000)
         assert [args for args, _ in chains] == [(poly.derivative(),)]
+        assert gcds == []
 
 
 def coset_neighbours():
@@ -700,6 +718,106 @@ class TestFractionKernelOracle:
             got = sup_norm_enclosure(f, interval, tol)
             assert got == reference_bernstein_enclosure(f, interval, tol), (f, interval)
         assert len(splits) >= 100
+
+
+class TestFormerSturmDecision:
+    """The subdivision decision against the former Sturm decision on the
+    same two factors: the same verdict and the same refutation point."""
+
+    def test_same_verdicts_and_points(self):
+        cases = [
+            (f, pair.interval(), b)
+            for pair, f, bound in table_witnesses()
+            for b in (bound, 2 * bound, bound / 2)
+        ]
+        cases += coset_neighbours() + prefilter_cases(600) + touching_cases(100)
+        assert len(cases) == 1275
+        points = 0
+        for f, interval, bound in cases:
+            cert = decide_sup_bound(f, interval, bound)
+            assert cert.refutation_point == reference_decide_factors(f, interval, bound), (
+                f, interval, bound
+            )
+            if cert.verdict is Verdict.REFUTED:
+                points += 1
+                assert abs(f(cert.refutation_point)) > bound
+        assert points >= 600
+
+
+nonzero_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(IntPoly).filter(bool)
+
+
+def near_touches():
+    """(f, interval, bound) with f = 1 - (3x - 1)**(2m) on [0, 1/2], m = 1..5,
+    and the bound 1 -+ 10**-k: N - D f has two complex or real roots within
+    about 10**(-k/2m) of 1/3, the maximum point of f."""
+    out = []
+    for m in range(1, 6):
+        f = IntPoly([1]) - IntPoly([-1, 3]) ** (2 * m)
+        for k in (3, 6, 9, 12):
+            for bound in (1 + F(1, 10**k), 1 - F(1, 10**k)):
+                out.append((f, Interval(0, F(1, 2)), bound))
+    return out
+
+
+class TestSubdivisionKernel:
+    """The modular squarefree test and the depth bound of the subdivision."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(nonzero_polys.filter(lambda s: s.degree >= 1), nonzero_polys)
+    def test_square_factor_never_called_squarefree(self, s, t):
+        assert not _squarefree_mod_p(s * s * t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(nonzero_polys)
+    def test_modular_test_agrees_with_poly_gcd(self, q):
+        # a squarefree q is misjudged only when p = 2**31 - 1 divides its
+        # discriminant, which no drawn example is expected to meet
+        assert _squarefree_mod_p(q) == (poly_gcd(q, q.derivative()).degree == 0)
+
+    def test_prime_dividing_the_leading_coefficient_proves_nothing(self):
+        # f = (p x - 1)(x - 1) on [0, 1] is squarefree, but p | lc(f) and
+        # lc(2 -+ f), so both factors at bound 2 take the gcd fallback
+        p = _SQUAREFREE_PRIME
+        f = IntPoly([-1, p]) * IntPoly([-1, 1])
+        assert not _squarefree_mod_p(f) and not _squarefree_mod_p(IntPoly([2]) - f)
+        assert poly_gcd(f, f.derivative()).degree == 0
+        cert = decide_sup_bound(f, Interval(0, 1), 2)
+        assert cert.verdict is Verdict.REFUTED
+        assert 0 < cert.refutation_point < 1 and abs(f(cert.refutation_point)) > 2
+        assert cert.refutation_point == reference_decide_factors(f, Interval(0, 1), F(2))
+
+    def test_near_touches_stay_within_the_depth_bound(self):
+        # the least depth cap that lets each subdivision finish is at most
+        # the bound, and one level less fails loudly
+        deepest = 0
+        for f, interval, bound in near_touches():
+            nums, den = to_bernstein(f, interval)
+            for sign in (1, -1):
+                q = IntPoly([bound.numerator]) - f * (sign * bound.denominator)
+                scaled = [bound.numerator * den - sign * bound.denominator * c for c in nums]
+                assert _squarefree_mod_p(q)
+                cap = 0
+                while True:
+                    try:
+                        point = _first_negative(scaled, interval, cap)
+                        break
+                    except AssertionError:
+                        cap += 1
+                assert cap <= _depth_bound(q, interval.width), (f, bound)
+                if cap:
+                    with pytest.raises(AssertionError):
+                        _first_negative(scaled, interval, cap - 1)
+                assert point is None or q(point) < 0
+                deepest = max(deepest, cap)
+            want = Verdict.CERTIFIED_AT_MOST if bound > 1 else Verdict.REFUTED
+            assert decide_sup_bound(f, interval, bound).verdict is want
+        assert deepest >= 15
+
+    def test_depth_bound_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(certify, "_depth_bound", lambda q, width: 3)
+        with pytest.raises(AssertionError, match="root-separation depth"):
+            decide_sup_bound(TOUCH, Interval(0, F(1, 2)), 1 + F(1, 10**9))
 
 
 def multiplicity_cases(count):
@@ -883,15 +1001,14 @@ class TestVerifyWitness:
 
     @pytest.mark.parametrize("poly", [IntPoly([0, -1, 1]), IntPoly([0, 1])])
     def test_no_witness_on_integer_endpoints(self, poly):
-        # both endpoints integers: the conjectured constant is 0, so every
-        # witness is refuted and none proves a value
+        # both endpoints integers: no conjectured value, so no witness target;
+        # the constant of [0, 1] is cataloged by interval_constant
         pair = FareyPair.from_endpoints(F(0), F(1))
-        record = verify_witness(pair, poly)
-        assert record.bound == 0
-        assert record.certificate.verdict is Verdict.REFUTED
-        assert not record.is_proof_for(pair)
-        with pytest.raises(ValueError):
-            conjecture_value(pair, record)
+        with pytest.raises(ValueError, match="interval_constant"):
+            conjecture_value(pair)
+        with pytest.raises(ValueError, match="interval_constant"):
+            verify_witness(pair, poly)
+        assert interval_constant(F(0), F(1))[0] == F(1, 2)
 
     def test_integer_endpoint_proof_matches_catalog(self):
         # an integer endpoint contributes nothing: x on [0, 1/7] proves 1/7
@@ -910,6 +1027,12 @@ class TestVerifyWitness:
         assert "bound=1/9" in lines
         assert any(line.startswith("method=") for line in lines)
         assert "tm_upper=1/3" in lines
+
+    def test_refuted_record_renders_no_tm_upper(self):
+        record = verify_witness(PAIR, IntPoly([0, 0, 1]))
+        lines = record.render()
+        assert "status=refuted" in lines
+        assert not any(line.startswith("tm_upper=") for line in lines)
 
     def test_certificate_render_refutation(self):
         cert = decide_sup_bound(WITNESS, I13_25, F(1, 10))

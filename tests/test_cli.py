@@ -78,12 +78,30 @@ class TestCertifyCommand:
         assert report.exit_code == EXIT_USAGE
 
     def test_touch_at_non_dyadic_point_certifies(self, tmp_path):
-        # 6x - 9x**2 touches 1 at x = 1/3: the prefilter is inconclusive, Sturm decides
+        # 6x - 9x**2 touches 1 at x = 1/3: the prefilter is inconclusive, and
+        # the subdivision decision takes the odd part of 1 - f = (3x - 1)**2
         path = tmp_path / "touch.poly"
         path.write_text("poly 0 6 -9\n")
         report = run(["certify", "--poly", str(path), "--interval", "0", "1/2", "--bound", "1"])
         assert report.exit_code == EXIT_OK
-        assert report.lines == ["status=certified", "bound=1", "method=sturm"]
+        assert report.lines == ["status=certified", "bound=1", "method=subdivision"]
+
+    def test_refuted_conjecture_prints_no_tm_upper(self, tmp_path):
+        path = tmp_path / "square.poly"
+        path.write_text("poly 0 0 1\n")  # x**2 exceeds 1/9 on [1/3, 2/5]
+        report = run(["certify", "--poly", str(path), "--interval", "1/3", "2/5", "--conjecture"])
+        assert report.exit_code == EXIT_REFUTED
+        assert "status=refuted" in report.lines
+        assert not any(line.startswith("tm_upper=") for line in report.lines)
+
+    def test_conjecture_on_integer_endpoints_refused(self, tmp_path):
+        # [0, 1] has no conjectured value; its constant 1/2 is in the catalog
+        path = tmp_path / "logistic.poly"
+        path.write_text("poly 0 -1 1\n")
+        report = run(["certify", "--poly", str(path), "--interval", "0", "1", "--conjecture"])
+        assert report.exit_code == EXIT_USAGE
+        (error,) = report.lines
+        assert error.startswith("error=") and "interval_constant" in error
 
 
 class TestConstantCommand:
@@ -404,13 +422,17 @@ class TestUsage:
         assert report.command == "farey --order 1"
 
 
-def test_module_entry_point_runs_without_warnings():
+def module_env():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+def test_module_entry_point_runs_without_warnings():
     result = subprocess.run(
         [sys.executable, "-m", "monicheb.cli", "farey", "--order", "3"],
-        env=env,
+        env=module_env(),
         capture_output=True,
         text=True,
         timeout=60,
@@ -418,3 +440,20 @@ def test_module_entry_point_runs_without_warnings():
     assert result.returncode == 0
     assert result.stderr == ""
     assert "count=5" in result.stdout.splitlines()
+
+
+def test_closed_pipe_ends_quietly():
+    # about 180 kB of output, more than a pipe holds, so the command writes
+    # into the pipe after its reader has closed it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monicheb.cli", "farey", "--order", "200"],
+        env=module_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.stdout.readline() == "command=farey --order 200\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert stderr == ""

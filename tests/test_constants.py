@@ -312,6 +312,11 @@ class TestConjectureValue:
         assert value == F(1, 7)
         assert label == CONJECTURED
 
+    def test_two_integer_endpoints_refused(self):
+        pair = FareyPair.from_endpoints(F(0), F(1))
+        with pytest.raises(ValueError, match="interval_constant"):
+            conjecture_value(pair)
+
     def test_high_denominators(self):
         pair = FareyPair.from_endpoints(F(4, 9), F(5, 11))
         value, _ = conjecture_value(pair)

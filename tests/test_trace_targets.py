@@ -47,3 +47,4 @@ def test_bernstein_kernels_bound_in_certify():
     # the tracer wraps a kernel where its callers bind it by name
     assert certify.to_bernstein is numpoly.to_bernstein
     assert certify.bernstein_split is numpoly.bernstein_split
+    assert certify.poly_gcd is numpoly.poly_gcd
