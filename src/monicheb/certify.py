@@ -244,16 +244,23 @@ def _depth_bound(q: IntPoly, width: Fraction) -> int:
     it as diameter, a real one, so the one-circle theorem leaves it with
     all Bernstein coefficients of one sign or with a negative endpoint.
     Width w / 2**k < sep holds once 3 * 4**k > w**2 n**(n+2) ||q||**(2n-2).
+    That product, top, is bounded from bit lengths alone, with no big
+    power: bits(x * y) <= bits(x) + bits(y) only overstates bits(top), and
+    so only deepens the bound.
     """
     n = q.degree
     if n < 2:
         return 0
     norm2 = sum(c * c for c in q.coeffs)
-    top = width.numerator**2 * n ** (n + 2) * norm2 ** (n - 1)
+    top_bits = (
+        2 * width.numerator.bit_length()
+        + (n + 2) * n.bit_length()
+        + (n - 1) * norm2.bit_length()
+    )
     bottom = 3 * width.denominator**2
     # bottom * 4**k >= 2**(2k + bits(bottom) - 1), which exceeds top once
     # 2k >= bits(top) - bits(bottom) + 1
-    return max(0, -(-(top.bit_length() - bottom.bit_length() + 1) // 2))
+    return max(0, -(-(top_bits - bottom.bit_length() + 1) // 2))
 
 
 def _first_negative(nums, interval: Interval, max_depth: int, accept=None):

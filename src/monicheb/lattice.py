@@ -5,8 +5,9 @@ conjugation-closed point sets.
 All arithmetic is exact: lll_reduce is one integral LLL kernel on a Gram
 matrix held as integer rows over one scale, and _babai is one nearest-plane
 step on its integer Gram-Schmidt data.  The witness search reduces the
-closed-form integer Gram of its product basis, takes Babai's point toward
--p and enumerates offsets around it.  The small-values construction reduces
+closed-form integer Gram of its product basis, with the members in
+ascending order of their Gram diagonal, takes Babai's point toward -p and
+enumerates offsets around it.  The small-values construction reduces
 a Gram built from the exact centers of the points, takes Babai's point
 toward -x**n, and verifies the result with outward-rounded rational
 interval arithmetic.
@@ -334,8 +335,8 @@ def _anchor_coordinates(pair: FareyPair, n: int) -> list[int]:
 # Largest offset box search_witness accepts: degree 12 at radius 1.
 MAX_OFFSETS = 3**10
 # Largest degree search_witness accepts.  At radius 0 on (1/4, 2/7) degree
-# 48 takes about 3 s (Python 3.11, 2-core Xeon), and each 6 more degrees
-# about double that.
+# 48 takes about 1.3 s from the command line (Python 3.11, 2-core Xeon),
+# and each 6 more degrees about double that.
 MAX_SEARCH_DEGREE = 48
 
 
@@ -344,10 +345,13 @@ def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
 
     Reduces the endpoint-vanishing members of the product basis (see
     SearchBasis) under the interval L2 form, whose Gram matrix is the
-    integer Hankel matrix of _beta_integrals, with LLL at LLL_DELTA, and
-    runs Babai's nearest plane toward -p on the reduction's own
-    Gram-Schmidt data.  Candidates p + sum_k z_k member_k, z = U (center +
-    off), are then tried for the integer offsets with |off_i| <= radius,
+    integer Hankel matrix of _beta_integrals, with LLL at LLL_DELTA.  The
+    members go to LLL in ascending order of their Gram diagonal, shortest
+    first (ties in basis order): the same lattice, reduced with far fewer
+    swaps than in basis order.  Babai's nearest plane toward -p runs on the
+    reduction's own Gram-Schmidt data.  Candidates p + sum_k z_k member_k,
+    with the members in that order and z = U (center + off), are then
+    tried for the integer offsets with |off_i| <= radius,
     ordered by quadratic-form length (lexicographic tie-break) and
     generated lazily, shortest first; the first one that verify_witness
     certifies is returned.  Raises ValueError, before any basis is built,
@@ -366,13 +370,16 @@ def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
     if n > MAX_SEARCH_DEGREE:
         raise ValueError(f"search degree {n} is above the cap {MAX_SEARCH_DEGREE}")
     basis = build_search_basis(pair, n)
-    sub = basis.members[1:]
-    dim = len(sub)
+    dim = n - 2
     # member_j = -u**(j+1) w**(n-2-j), so the Gram entries are the integrals
     # at total 2n - 2; dividing out their content about halves their bits
     hankel = _beta_integrals(pair, 2 * n - 2)
     common = math.gcd(*hankel[2 : 2 * n - 3])
-    gram = [[hankel[i + j + 2] // common for j in range(dim)] for i in range(dim)]
+    # the members shortest first: a permutation is unimodular, so the
+    # lattice is the same, and LLL has much less to swap
+    order = sorted(range(dim), key=lambda j: hankel[2 * j + 2])
+    sub = [basis.members[j + 1] for j in order]
+    gram = [[hankel[i + j + 2] // common for j in order] for i in order]
     red = lll_reduce(GramMatrix(gram))
 
     # Babai's point toward -p.  <-p, member_j> sums p's coordinates against
@@ -380,7 +387,7 @@ def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
     cross = _beta_integrals(pair, 2 * n - 1)
     coords = _anchor_coordinates(pair, n)
     products = [
-        sum(c * cross[k + j + 1] for k, c in enumerate(coords)) for j in range(dim)
+        sum(c * cross[k + j + 1] for k, c in enumerate(coords)) for j in order
     ]
     center = _babai(red, products, 2 * n * pair.b1 * pair.b2 * common)
 

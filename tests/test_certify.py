@@ -747,6 +747,18 @@ class TestFormerSturmDecision:
 nonzero_polys = st.lists(st.integers(-20, 20), min_size=1, max_size=6).map(IntPoly).filter(bool)
 
 
+def exact_power_depth_bound(q, width):
+    """The depth bound from the exact power top = w**2 n**(n+2)
+    ||q||**(2n-2), as first computed: least k with 2k >= bits(top) -
+    bits(3 d**2) + 1 for the width w / d."""
+    n = q.degree
+    if n < 2:
+        return 0
+    top = width.numerator**2 * n ** (n + 2) * sum(c * c for c in q.coeffs) ** (n - 1)
+    bottom = 3 * width.denominator**2
+    return max(0, -(-(top.bit_length() - bottom.bit_length() + 1) // 2))
+
+
 def near_touches():
     """(f, interval, bound) with f = 1 - (3x - 1)**(2m) on [0, 1/2], m = 1..5,
     and the bound 1 -+ 10**-k: N - D f has two complex or real roots within
@@ -813,6 +825,24 @@ class TestSubdivisionKernel:
             want = Verdict.CERTIFIED_AT_MOST if bound > 1 else Verdict.REFUTED
             assert decide_sup_bound(f, interval, bound).verdict is want
         assert deepest >= 15
+
+    def test_bit_length_bound_covers_the_exact_power_bound(self):
+        # the bound from bit lengths is never shallower than the one from
+        # the exact power top = w**2 n**(n+2) ||q||**(2n-2), and its bit
+        # lengths overstate bits(top) by less than 2n + 4
+        cases = [
+            (f, pair.interval(), b)
+            for pair, f, bound in table_witnesses()
+            for b in (bound, 2 * bound, bound / 2)
+        ]
+        cases += coset_neighbours() + near_touches()
+        for f, interval, bound in cases:
+            for sign in (1, -1):
+                q = IntPoly([bound.numerator]) - f * (sign * bound.denominator)
+                exact = exact_power_depth_bound(q, interval.width)
+                assert exact <= _depth_bound(q, interval.width) <= exact + q.degree + 3, (
+                    f, interval, bound
+                )
 
     def test_depth_bound_fails_loudly(self, monkeypatch):
         monkeypatch.setattr(certify, "_depth_bound", lambda q, width: 3)

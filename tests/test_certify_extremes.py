@@ -1,8 +1,9 @@
 """Sup-norm verdicts at the extremes against an independent sympy oracle:
 degrees 0 to 4, integer and negative endpoints, bounds attained at one or
 both endpoints, and bounds just below and just above the larger endpoint
-value.  The integer Bernstein prefilter is held to the former Fraction
-kernel at degrees 0 to 12 on the same kinds of interval and bound."""
+value; and the same at degrees 0 to 6 with coefficients up to 2**200.
+The integer Bernstein prefilter is held to the former Fraction kernel at
+degrees 0 to 12 on the same kinds of interval and bound."""
 from fractions import Fraction as F
 
 import pytest
@@ -76,6 +77,38 @@ def extreme_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(extreme_cases())
 def test_verdicts_match_sympy_oracle(case):
+    f, interval, bound = case
+    want = Verdict.CERTIFIED_AT_MOST if oracle_certifies(f, interval, bound) else Verdict.REFUTED
+    for decide in (decide_sup_bound, certify_sup_bound):
+        cert = decide(f, interval, bound)
+        assert cert.verdict is want, (decide.__name__, f, interval, bound)
+        if cert.verdict is Verdict.REFUTED:
+            assert cert.refutation_point in interval
+            assert abs(f(cert.refutation_point)) > bound
+
+
+@st.composite
+def huge_cases(draw):
+    """(f, interval, bound) as in extreme_cases, at degree <= 6 with
+    coefficients up to 2**200 in size, and the bound moved off the larger
+    endpoint value by an absolute step or by a relative one of 2**-64."""
+    lo = F(draw(st.integers(-6, 3)), draw(st.sampled_from([1, 1, 2, 3])))
+    interval = Interval(lo, lo + F(draw(st.integers(1, 6)), draw(st.sampled_from([1, 1, 2, 4]))))
+    big = st.integers(-(2**200), 2**200)
+    if draw(st.booleans()):
+        f = IntPoly(draw(st.lists(big, min_size=1, max_size=7)))
+    else:
+        v = vanishing_at(interval.lo) * vanishing_at(interval.hi)
+        f = IntPoly([draw(big)]) + draw(big) * (IntPoly.monomial(draw(st.integers(0, 4))) * v)
+    attained = max(abs(f(interval.lo)), abs(f(interval.hi)))
+    step = draw(st.sampled_from([F(1, 7), F(1), max(attained, F(1)) / 2**64]))
+    bound = draw(st.sampled_from([attained, max(attained - step, F(0)), attained + step]))
+    return f, interval, bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(huge_cases())
+def test_huge_coefficients_match_sympy_oracle(case):
     f, interval, bound = case
     want = Verdict.CERTIFIED_AT_MOST if oracle_certifies(f, interval, bound) else Verdict.REFUTED
     for decide in (decide_sup_bound, certify_sup_bound):

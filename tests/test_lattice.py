@@ -397,6 +397,20 @@ class TestSearchBasis:
             build_search_basis(pair, 3)  # 2**3 = 3 (mod 5), not 1
 
 
+def recording_lll_reduce(monkeypatch):
+    """The list of every GramMatrix the search hands to lll_reduce."""
+    import monicheb.lattice as lattice_mod
+
+    grams = []
+
+    def recording(gram):
+        grams.append(gram)
+        return lll_reduce(gram)
+
+    monkeypatch.setattr(lattice_mod, "lll_reduce", recording)
+    return grams
+
+
 class TestSearchWitness:
     def test_rediscovers_first_interval(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
@@ -463,9 +477,10 @@ class TestSearchWitness:
         found = search_witness(pair, 8, radius=1)
         assert len(tried) > 40 and found == tried[-1]
 
-        # the Gram of the members as gram_matrix integrates it: the same
-        # form up to a scale, so the same reduction and the same order
-        sub = build_search_basis(pair, 8).members[1:]
+        # the Gram of the members, in the search's order, as gram_matrix
+        # integrates it: the same form up to a scale, so the same reduction
+        # and the same order
+        sub = search_members(pair, 8)
         gram = gram_matrix(sub, pair.interval())
         red = lll_reduce(gram)
         reduced = [
@@ -485,15 +500,7 @@ class TestSearchWitness:
         assert tried == expected
 
     def test_reduces_once_through_lll_reduce(self, monkeypatch):
-        import monicheb.lattice as lattice_mod
-
-        grams = []
-
-        def recording(gram):
-            grams.append(gram)
-            return lll_reduce(gram)
-
-        monkeypatch.setattr(lattice_mod, "lll_reduce", recording)
+        grams = recording_lll_reduce(monkeypatch)
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         assert search_witness(pair, 8, radius=1) is not None
         (gram,) = grams
@@ -521,18 +528,33 @@ class TestSearchWitness:
 
     def test_radius_zero_pinned(self):
         # Babai's center on the reduction's own GS data.  At n = 8 it is
-        # the point the monomial basis gave; at n = 12 the product basis
-        # reduces to another basis and Babai lands on another witness
+        # the point the monomial basis gave; at n = 12 the members, reduced
+        # shortest first, give another basis and Babai another witness
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         assert search_witness(pair, 8, radius=0) == IntPoly(
             [16797, -319246, 2598816, -11745914, 31833454, -51732937,
              46678191, -18039357, 1]
         )
         assert search_witness(pair, 12, radius=0) == IntPoly(
-            [28439429, -852451724, 11609934005, -94836351292, 516253156005,
-             -1966449945374, 5348222988075, -10385867650059, 14112665777715,
-             -12779659851295, 6940908112556, -1712877999243, 1]
+            [28454079, -852896193, 11616060703, -94886999776, 516532165401,
+             -1967525352391, 5351182379918, -10391682086973, 14120658864988,
+             -12786981922012, 6944930726564, -1713882069438, 1]
         )
+
+    @pytest.mark.parametrize("lo, hi, n", [
+        (F(1, 3), F(2, 5), 12), (F(1, 4), F(2, 7), 18), (F(1, 3), F(3, 8), 30),
+    ])
+    def test_members_reduced_shortest_first(self, monkeypatch, lo, hi, n):
+        grams = recording_lll_reduce(monkeypatch)
+        pair = FareyPair.from_endpoints(lo, hi)
+        assert search_witness(pair, n, radius=0) is not None
+        (gram,) = grams
+        diagonal = [gram.rows[j][j] for j in range(gram.dim)]
+        assert diagonal == sorted(diagonal)
+        # the basis order is not already ascending: the search permutes it
+        sub = build_search_basis(pair, n).members[1:]
+        lengths = [poly_integrate_product(m, m, pair.interval()) for m in sub]
+        assert lengths != sorted(lengths)
 
     def test_negative_radius_rejected(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
@@ -601,6 +623,14 @@ def reference_search_witness(pair, n, radius=1, sub=None):
         if verify_witness(pair, f).certificate.verdict is Verdict.CERTIFIED_AT_MOST:
             return f
     return None
+
+
+def search_members(pair, n):
+    """The coset's members in the order search_witness reduces them: by
+    ascending interval L2 length, ties in basis order."""
+    sub = build_search_basis(pair, n).members[1:]
+    interval = pair.interval()
+    return sorted(sub, key=lambda m: poly_integrate_product(m, m, interval))
 
 
 def product_scale(pair, n):
@@ -672,13 +702,21 @@ class TestProductBasis:
             found = search_witness(pair, n, radius=radius)
             expected = reference_search_witness(pair, n, radius=radius)
             assert (found is None) == (expected is None), (pair, n)
-            # on the product members the rational pipeline makes the same
-            # reduction, Babai point and offset order
-            members = build_search_basis(pair, n).members[1:]
+            # on the product members in the search's order the rational
+            # pipeline makes the same reduction, Babai point and offset order
+            members = search_members(pair, n)
             assert found == reference_search_witness(pair, n, radius=radius, sub=members)
             if found is not None:
                 assert found.is_monic and found.degree == n
                 assert certifies(pair, found), (pair, n)
+
+    def test_radius_zero_certifies_every_coset_to_degree_24(self):
+        cosets = one_one_cosets(24)
+        assert len(cosets) == 219
+        for pair, n in cosets:
+            found = search_witness(pair, n, radius=0)
+            assert found is not None and found.is_monic and found.degree == n, (pair, n)
+            assert certifies(pair, found), (pair, n)
 
     @pytest.mark.parametrize("lo, hi", [(F(1, 4), F(2, 7)), (F(1, 3), F(3, 8))])
     def test_degree_30_radius_zero_certifies(self, lo, hi):
