@@ -7,12 +7,20 @@ non-integer rationals.  The admissible degree n is governed by
 multiplicative orders and can be astronomically large for some inputs,
 so the general construction takes an explicit degree cap and refuses
 loudly instead of running forever.
+
+Both layers assemble their output in place: one kernel,
+_add_binomial_term, adds each term scale * (l x - f)**e * V(x) straight
+into the output's coefficient list, so a degree-n output is held about
+once while it is built.  The induction takes the value it needs at each
+next point from the closed form of the terms so far, and checks every
+point once, on the assembled coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import Sequence
 
 from .farey import FareyPair, mediant
 from .numpoly import IntPoly, extended_gcd, homogeneous_value
@@ -209,20 +217,32 @@ def _order(a: int, modulus: int, factors: dict[int, int]) -> int:
     return order
 
 
-def _binomial_power(l: int, f: int, e: int, scale: int = 1) -> IntPoly:
-    """scale * (l*x - f)**e, expanded by the ratio of consecutive terms.
+def _add_binomial_term(
+    coeffs: list, scale: int, l: int, f: int, e: int, factor: Sequence[int] = (1,)
+) -> None:
+    """Add scale * (l*x - f)**e * V(x) to coeffs in place, V = sum factor[j] x**j.
 
-    Coefficient i is scale * C(e, i) * l**i * (-f)**(e-i).  Starting from
-    scale * (-f)**e, the next one is c * ((e-i)*l) // ((i+1)*(-f)), an exact
-    division, so each step is one big-by-small product and one exact
-    division, and the big multiplier scale costs a single product.
+    Coefficient i of the binomial power is scale * C(e, i) * l**i * (-f)**(e-i).
+    Starting from scale * (-f)**e, the next one is c * ((e-i)*l) // ((i+1)*(-f)),
+    an exact division, so each step is one big-by-small product and one exact
+    division.  Each one is added at once, times each factor[j], into
+    coeffs[i + j]; no list of the power is built.  coeffs must have room for
+    degree e + len(factor) - 1.
     """
+    if scale == 0:
+        return
     if f == 0:
-        return IntPoly.monomial(e, scale * l**e)
-    coeffs = [scale * (-f) ** e]
-    for i in range(e):
-        coeffs.append(coeffs[-1] * ((e - i) * l) // ((i + 1) * -f))
-    return IntPoly(coeffs)
+        c = scale * l**e
+        for j, v in enumerate(factor, e):
+            coeffs[j] += c * v
+        return
+    c = scale * (-f) ** e
+    for i in range(e + 1):
+        if i:
+            c = c * ((e - i + 1) * l) // (i * -f)
+        for j, v in enumerate(factor, i):
+            # a product by 1 would copy c
+            coeffs[j] += c if v == 1 else c * v
 
 
 def pair_polynomial(pair: FareyPair, n: int, a_hi: int = 1, a_lo: int = 1) -> IntPoly:
@@ -244,11 +264,10 @@ def pair_polynomial(pair: FareyPair, n: int, a_hi: int = 1, a_lo: int = 1) -> In
         raise CongruenceError(2, f"{a_lo} is not congruent to {a2}^{n} mod {b2}")
     c1 = (a_hi - a1**n) // b1
     c2 = (a_lo - a2**n) // b2
-    result = (
-        IntPoly.monomial(n)
-        + _binomial_power(b2, a2, n - 1, c1)
-        + _binomial_power(-b1, -a1, n - 1, c2)
-    )
+    coeffs = [0] * n + [1]
+    _add_binomial_term(coeffs, c1, b2, a2, n - 1)
+    _add_binomial_term(coeffs, c2, -b1, -a1, n - 1)
+    result = IntPoly(coeffs)
     assert result.is_monic and result.degree == n
     return result
 
@@ -269,14 +288,15 @@ def triple_polynomial(
     a3, b3 = med.numerator, med.denominator
     if (a_med - a3**n) % b3 != 0:
         raise CongruenceError(3, f"{a_med} is not congruent to {a3}^{n} mod {b3}")
-    base = pair_polynomial(pair, n, a_hi, a_lo)
+    # the pair polynomial's int coefficients are shared, not copied
+    coeffs = list(pair_polynomial(pair, n, a_hi, a_lo).coeffs)
     c1 = (a_hi - pair.a1**n) // pair.b1
     c2 = (a_lo - pair.a2**n) // pair.b2
     c3 = (a_med - a3**n) // b3
-    correction = _binomial_power(pair.b2, pair.a2, j, c3 - c2 - c1) * _binomial_power(
-        -pair.b1, -pair.a1, n - 1 - j
-    )
-    result = base + correction
+    tail = [0] * (n - j)
+    _add_binomial_term(tail, 1, -pair.b1, -pair.a1, n - 1 - j)
+    _add_binomial_term(coeffs, c3 - c2 - c1, pair.b2, pair.a2, j, tail)
+    result = IntPoly(coeffs)
     assert result.is_monic and result.degree == n
     return result
 
@@ -365,17 +385,42 @@ def admissible_degree(points) -> int:
     return construction_state(points).n
 
 
+def _closed_form_value(terms, n: int, a: int, b: int) -> int:
+    """b**n * F(a/b) for F = x**n + the sum of the terms.
+
+    A term (scale, l, f, e, V) is scale * (l*x - f)**e * V(x) with V an
+    IntPoly; at degree n it contributes
+    scale * (l*a - f*b)**e * V_h(a, b) * b**(n - e - deg V), where V_h is V
+    homogenised at its own degree.  x**n contributes a**n.
+    """
+    total = a**n
+    for scale, l, f, e, factor in terms:
+        total += (
+            scale
+            * (l * a - f * b) ** e
+            * homogeneous_value(factor, a, b)
+            * b ** (n - e - factor.degree)
+        )
+    return total
+
+
 def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
     """Monic integer F of admissible degree n with F(a_i/b_i) = 1/b_i**n.
 
     Runs the induction over the points: the base polynomial fixes the
     first point via a Bezout power, and each step adds
     A * (l x - f)**(n-(k-r)m-r) * prod(b_i x - a_i) to fix the next point
-    without disturbing the previous ones.  The required exact divisibility
-    is asserted at each step, so the underlying argument is re-checked at
-    runtime.  Each point is checked once, at the end: every later
-    correction carries the factor (b_q x - a_q) of each earlier point q, so
-    it leaves b_q**n F(a_q/b_q) unchanged.
+    without disturbing the previous ones.  The value b**n F(a/b) - 1 at
+    the next point, from which A is taken, comes from the closed form of
+    the terms so far (_closed_form_value), not from a partial polynomial.
+    The required exact divisibility is asserted at each step, so the
+    underlying argument is re-checked at runtime.  The terms are then
+    added in place into one coefficient list that starts as x**n, so peak
+    memory is about one copy of the output.  Each point is checked once,
+    at the end, on the assembled coefficients: every later correction
+    carries the factor (b_q x - a_q) of each earlier point q, so it leaves
+    b_q**n F(a_q/b_q) unchanged, and a wrong induction value gives a wrong
+    A, which fails this check.
     """
     state = construction_state(points)
     if state.n > max_degree:
@@ -388,26 +433,29 @@ def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
     l1, f1 = state.bezout[0]
     lead = 1 - a1**n
     assert lead % b1**km == 0, "base-step divisibility must hold"
-    poly = IntPoly.monomial(n) + _binomial_power(l1, f1, n - km, lead // b1**km)
-    assert poly.is_monic and poly.degree == n
-
     vanish = IntPoly([1])
+    terms = [(lead // b1**km, l1, f1, n - km, vanish)]
+
     for r in range(1, k):
         ar, br = pts[r - 1].numerator, pts[r - 1].denominator
         vanish = vanish * IntPoly([-ar, br])
         a_next, b_next = pts[r].numerator, pts[r].denominator
         l_next, f_next = state.bezout[r]
-        big_b = homogeneous_value(poly, a_next, b_next) - 1
+        big_b = _closed_form_value(terms, n, a_next, b_next) - 1
         denom = b_next ** ((k - r) * m) * state.e_values[r + 1]
         assert big_b % denom == 0, "induction divisibility must hold"
         a_mult = -(big_b // denom)
         exponent = n - (k - r) * m - r
         assert exponent >= 0
-        correction = _binomial_power(l_next, f_next, exponent, a_mult) * vanish
-        assert correction.degree < n or not correction
-        poly = poly + correction
-        assert poly.is_monic and poly.degree == n
+        terms.append((a_mult, l_next, f_next, exponent, vanish))
 
+    coeffs = [0] * n + [1]
+    for scale, l, f, e, factor in terms:
+        # every term has degree below n, so F stays monic of degree n
+        assert e + factor.degree < n
+        _add_binomial_term(coeffs, scale, l, f, e, factor.coeffs)
+    poly = IntPoly(coeffs)
+    assert poly.is_monic and poly.degree == n
     for p in pts:
         scaled = homogeneous_value(poly, p.numerator, p.denominator)
         assert scaled == 1, f"construction failed at {p}"

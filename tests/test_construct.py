@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import random
+import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from math import gcd
 
@@ -25,36 +27,7 @@ from monicheb import (
     triple_polynomial,
 )
 from monicheb import construct
-
-
-def reference_eval_scaled(poly, a, b, n):
-    """b**n * poly(a/b) term by term, as construct once evaluated it,
-    floor-dividing a power of b at every step."""
-    total = 0
-    a_pow = 1
-    b_pow = b**n
-    for c in poly.coeffs:
-        if c:
-            total += c * a_pow * b_pow
-        a_pow *= a
-        b_pow //= b
-    return total
-
-
-def reference_binomial_power(l, f, e):
-    """The former construct._binomial_power: (l*x - f)**e from binomial
-    coefficients and tables of powers."""
-    coeffs = [0] * (e + 1)
-    binom = 1
-    f_pow = [1] * (e + 1)
-    for i in range(1, e + 1):
-        f_pow[i] = f_pow[i - 1] * (-f)
-    l_pow = 1
-    for i in range(e + 1):
-        coeffs[i] = binom * l_pow * f_pow[e - i]
-        binom = binom * (e - i) // (i + 1)
-        l_pow *= l
-    return IntPoly(coeffs)
+from construct_helpers import reference_binomial_power, reference_multipoint_monic
 
 
 def band_pairs(max_degree):
@@ -263,43 +236,96 @@ class TestMultiplicativeOrder:
             multiplicative_order(2, 4)
 
 
+def criterion_3_sets(cap):
+    """Acceptance criterion 3's point sets of size <= 3 with denominators
+    <= 5 whose admissible degree is at most cap."""
+    points = [F(a, b) for b in range(2, 6) for a in range(1, b) if gcd(a, b) == 1]
+    sets = [pts for k in (1, 2, 3) for pts in itertools.combinations(points, k)]
+    return [pts for pts in sets if admissible_degree(pts) <= cap]
+
+
+def oracle_sets():
+    """The 48 band sets below 1024, criterion 3's buildable sets, and
+    {1/3, 5/6} at n = 3888, with the cap to build each at."""
+    bands = [(pts, 1024) for pts, _ in band_pairs(1024)]
+    assert len(bands) == 48
+    small = [(pts, 1000) for pts in criterion_3_sets(1000)]
+    return bands + small + [((F(1, 3), F(5, 6)), 4096)]
+
+
+def added_term(base, scale, l, f, e, factor=(1,)):
+    """IntPoly of base after construct._add_binomial_term adds the term."""
+    coeffs = list(base) + [0] * max(0, e + len(factor) - len(base))
+    construct._add_binomial_term(coeffs, scale, l, f, e, factor)
+    return IntPoly(coeffs)
+
+
+TERM_FACTORS = [(1,), (-1,), (7,), (-1, 3), (0, 5), (2, -9, 9), (-4, 0, 1)]
+
+
 class TestKernelsAgainstReference:
     @given(
         st.integers(-40, 40),
         st.integers(-40, 40),
         st.integers(0, 60),
         st.integers(-(10**30), 10**30),
+        st.lists(st.integers(-50, 50), min_size=1, max_size=3),
+        st.lists(st.integers(-(10**40), 10**40), max_size=70),
     )
     @settings(max_examples=300, deadline=None)
-    def test_binomial_power_is_scaled_power(self, l, f, e, scale):
-        expected = scale * IntPoly([-f, l]) ** e
-        assert construct._binomial_power(l, f, e, scale) == expected
-        assert construct._binomial_power(l, f, e) == reference_binomial_power(l, f, e)
+    def test_binomial_power_is_scaled_power(self, l, f, e, scale, factor, base):
+        expected = IntPoly(base) + scale * IntPoly([-f, l]) ** e * IntPoly(factor)
+        assert added_term(base, scale, l, f, e, factor) == expected
+        assert added_term([], 1, l, f, e) == reference_binomial_power(l, f, e)
 
     @pytest.mark.parametrize(
         "l, f, e, scale",
         [(3, 0, 5, 7), (-2, 0, 4, -1), (0, 0, 0, 5), (5, 2, 0, 9), (4, -3, 6, 0), (-7, 2, 3, 1)],
     )
     def test_binomial_power_edges(self, l, f, e, scale):
-        assert construct._binomial_power(l, f, e, scale) == scale * IntPoly([-f, l]) ** e
+        for factor in TERM_FACTORS:
+            for base in ([], [5, -1, 0, 7], [0] * 9 + [1]):
+                expected = IntPoly(base) + scale * IntPoly([-f, l]) ** e * IntPoly(factor)
+                assert added_term(base, scale, l, f, e, factor) == expected
 
-    def test_bands_below_1024_match_reference_construction(self, monkeypatch):
-        pairs = band_pairs(1024)
-        assert len(pairs) == 48
-        built = [multipoint_monic(pts, 1024) for pts, _ in pairs]
-        monkeypatch.setattr(
-            construct,
-            "homogeneous_value",
-            lambda poly, a, b: reference_eval_scaled(poly, a, b, poly.degree),
-        )
-        monkeypatch.setattr(
-            construct,
-            "_binomial_power",
-            lambda l, f, e, scale=1: scale * reference_binomial_power(l, f, e),
-        )
-        for (pts, n), got in zip(pairs, built):
-            assert got[0] == n
-            assert got == multipoint_monic(pts, 1024), pts
+    def test_bands_below_1024_match_reference_construction(self):
+        sets = oracle_sets()
+        assert len(sets) == 48 + 34 + 1
+        for pts, cap in sets:
+            n, poly, _ = reference_multipoint_monic(pts, cap)
+            assert multipoint_monic(pts, cap) == (n, poly), pts
+
+    def test_closed_form_values_match_partial_polynomials(self, monkeypatch):
+        recorded = []
+        closed_form = construct._closed_form_value
+
+        def recording(terms, n, a, b):
+            value = closed_form(terms, n, a, b)
+            recorded.append((terms[0][0], value))
+            return value
+
+        monkeypatch.setattr(construct, "_closed_form_value", recording)
+        steps = zero_base = 0
+        for pts, cap in oracle_sets():
+            recorded.clear()
+            multipoint_monic(pts, cap)
+            _, _, values = reference_multipoint_monic(pts, cap)
+            assert [value for _, value in recorded] == values, pts
+            steps += len(values)
+            zero_base += sum(scale == 0 for scale, _ in recorded)
+        assert steps == 79 and zero_base >= 1
+
+    @pytest.mark.parametrize("points", [(F(1, 3), F(5, 6)), (F(2, 3), F(8, 9))])
+    def test_peak_memory_is_about_one_output(self, points):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _, poly = multipoint_monic(points, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(sys.getsizeof(c) for c in poly.coeffs)
+        assert peak <= 1.25 * output, (peak, output)
 
     @pytest.mark.parametrize(
         "points, degree, digest",
