@@ -245,6 +245,22 @@ def _add_binomial_term(
             coeffs[j] += c if v == 1 else c * v
 
 
+def endpoint_corrections(
+    pair: FareyPair, n: int, a_hi: int = 1, a_lo: int = 1
+) -> tuple[int, int]:
+    """(a_hi - a1**n)/b1 and (a_lo - a2**n)/b2, the coefficients of the two
+    endpoint corrections of pair_polynomial.  Raises CongruenceError (index
+    1, then 2) when a division is not exact."""
+    a1, b1, a2, b2 = pair.a1, pair.b1, pair.a2, pair.b2
+    c1, r1 = divmod(a_hi - a1**n, b1)
+    if r1:
+        raise CongruenceError(1, f"{a_hi} is not congruent to {a1}^{n} mod {b1}")
+    c2, r2 = divmod(a_lo - a2**n, b2)
+    if r2:
+        raise CongruenceError(2, f"{a_lo} is not congruent to {a2}^{n} mod {b2}")
+    return c1, c2
+
+
 def pair_polynomial(pair: FareyPair, n: int, a_hi: int = 1, a_lo: int = 1) -> IntPoly:
     """Monic degree-n polynomial hitting prescribed values at both endpoints.
 
@@ -257,16 +273,10 @@ def pair_polynomial(pair: FareyPair, n: int, a_hi: int = 1, a_lo: int = 1) -> In
     """
     if n < 2:
         raise ValueError("degree must be >= 2")
-    a1, b1, a2, b2 = pair.a1, pair.b1, pair.a2, pair.b2
-    if (a_hi - a1**n) % b1 != 0:
-        raise CongruenceError(1, f"{a_hi} is not congruent to {a1}^{n} mod {b1}")
-    if (a_lo - a2**n) % b2 != 0:
-        raise CongruenceError(2, f"{a_lo} is not congruent to {a2}^{n} mod {b2}")
-    c1 = (a_hi - a1**n) // b1
-    c2 = (a_lo - a2**n) // b2
+    c1, c2 = endpoint_corrections(pair, n, a_hi, a_lo)
     coeffs = [0] * n + [1]
-    _add_binomial_term(coeffs, c1, b2, a2, n - 1)
-    _add_binomial_term(coeffs, c2, -b1, -a1, n - 1)
+    _add_binomial_term(coeffs, c1, pair.b2, pair.a2, n - 1)
+    _add_binomial_term(coeffs, c2, -pair.b1, -pair.a1, n - 1)
     result = IntPoly(coeffs)
     assert result.is_monic and result.degree == n
     return result
@@ -290,8 +300,7 @@ def triple_polynomial(
         raise CongruenceError(3, f"{a_med} is not congruent to {a3}^{n} mod {b3}")
     # the pair polynomial's int coefficients are shared, not copied
     coeffs = list(pair_polynomial(pair, n, a_hi, a_lo).coeffs)
-    c1 = (a_hi - pair.a1**n) // pair.b1
-    c2 = (a_lo - pair.a2**n) // pair.b2
+    c1, c2 = endpoint_corrections(pair, n, a_hi, a_lo)
     c3 = (a_med - a3**n) // b3
     tail = [0] * (n - j)
     _add_binomial_term(tail, 1, -pair.b1, -pair.a1, n - 1 - j)

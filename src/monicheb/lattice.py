@@ -7,19 +7,23 @@ matrix held as integer rows over one scale, and _babai is one nearest-plane
 step on its integer Gram-Schmidt data.  The witness search reduces the
 closed-form integer Gram of its product basis, with the members in
 ascending order of their Gram diagonal, takes Babai's point toward -p and
-enumerates offsets around it.  The small-values construction reduces
-a Gram built from the exact centers of the points, takes Babai's point
-toward -x**n, and verifies the result with outward-rounded rational
-interval arithmetic.
+enumerates offsets around it; at radius 0 it tries Babai's point alone,
+with no offset walk.  Each candidate is held as its integer coordinates in
+the degree-n forms u**k w**(n-k) and turned into a polynomial by one
+Horner pass, so the search builds no member polynomial.  The
+small-values construction reduces a Gram built from the exact centers of
+the points, takes Babai's point toward -x**n, and verifies the result
+with outward-rounded rational interval arithmetic.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .certify import Verdict, verify_witness
-from .construct import pair_polynomial
+from .construct import endpoint_corrections, pair_polynomial
 from .farey import FareyPair
 from .numpoly import IntPoly, Interval, poly_integrate_product
 
@@ -155,7 +159,7 @@ def lll_reduce(gram: GramMatrix) -> ReductionResult:
     def add_row(i: int) -> None:
         # GS data of row i, computed when the loop first reaches it; vector
         # i is still e_i then, so <b_i, b_j> = (G U)_ij
-        inner = [sum(x * y for x, y in zip(g[i], basis[j])) for j in range(i + 1)]
+        inner = [sum(map(mul, g[i], basis[j])) for j in range(i + 1)]
         row = _gs_row(inner, lam, dets)
         dets[i + 1] = row.pop()
         if dets[i + 1] <= 0:
@@ -210,7 +214,7 @@ def _babai(red: ReductionResult, products, scale: int) -> list[int]:
     lam_ij.
     """
     dets, lam = red.dets, red.lam
-    inner = [sum(x * y for x, y in zip(row, products)) for row in red.basis]
+    inner = [sum(map(mul, row, products)) for row in red.basis]
     target = _gs_row(inner, lam, dets)
     center = [0] * red.dim
     for i in range(red.dim - 1, -1, -1):
@@ -284,6 +288,9 @@ class SearchBasis:
     there, so p plus any integer combination of the rest is a monic
     degree-n candidate with the same endpoint values.  The members span
     the same lattice as x**j v, since x = a1 u + a2 w and 1 = b1 u + b2 w.
+    search_witness does not build this basis: it works on the members'
+    coordinates.  The basis is kept for demos/search_with_lll.py and the
+    tests.
     """
 
     pair: FareyPair
@@ -294,6 +301,8 @@ class SearchBasis:
 
 
 def build_search_basis(pair: FareyPair, n: int) -> SearchBasis:
+    """The SearchBasis of the degree-n (1, 1) coset, as polynomials.  The
+    search does not call it; the demo and the tests do."""
     if n < 3:
         raise ValueError("search degree must be >= 3")
     p = pair_polynomial(pair, n, 1, 1)  # raises CongruenceError when n inadmissible
@@ -313,8 +322,14 @@ def _beta_integrals(pair: FareyPair, total: int) -> list[int]:
     (total+1)! (b1 b2)**(total+1): with t = b1 u in [0, 1] and b2 w = 1 - t
     each is a Beta integral, so entry s is s! (total-s)! b1**(total-s) b2**s.
     """
-    f, b1, b2 = math.factorial, pair.b1, pair.b2
-    return [f(s) * f(total - s) * b1 ** (total - s) * b2**s for s in range(total + 1)]
+    b1, b2 = pair.b1, pair.b2
+    entry = math.factorial(total) * b1**total
+    out = [entry]
+    # entry s over entry s - 1 is s b2 / ((total - s + 1) b1), exactly
+    for s in range(1, total + 1):
+        entry = entry * (s * b2) // ((total - s + 1) * b1)
+        out.append(entry)
+    return out
 
 
 def _anchor_coordinates(pair: FareyPair, n: int) -> list[int]:
@@ -322,14 +337,38 @@ def _anchor_coordinates(pair: FareyPair, n: int) -> list[int]:
     (a1 u + a2 w)**n, and 1 = b1 u + b2 w homogenizes p's two correction
     terms c u**(n-1) and c w**(n-1)."""
     a1, b1, a2, b2 = pair.a1, pair.b1, pair.a2, pair.b2
+    c1, c2 = endpoint_corrections(pair, n)  # raises CongruenceError
     coords = [math.comb(n, k) * a1**k * a2 ** (n - k) for k in range(n + 1)]
-    c1 = (1 - a1**n) // b1
-    c2 = (1 - a2**n) // b2
     coords[n] += c1 * b1
     coords[n - 1] += c1 * b2
     coords[1] += c2 * b1
     coords[0] += c2 * b2
     return coords
+
+
+def _w_powers(pair: FareyPair, n: int) -> list[list[int]]:
+    """Coefficient lists of w**m, m = 0..n, for w = a1 - b1 x."""
+    a1, b1 = pair.a1, pair.b1
+    powers = [[1]]
+    for _ in range(n):
+        last = powers[-1]
+        powers.append([a1 * x - b1 * y for x, y in zip(last + [0], [0] + last)])
+    return powers
+
+
+def _from_coordinates(pair: FareyPair, coords, w_powers) -> list[int]:
+    """Coefficients of sum_k coords[k] u**k w**(n-k), n = len(coords) - 1,
+    by Horner's rule in u = b2 x - a2 over the table w_powers of w**m."""
+    a2, b2 = pair.a2, pair.b2
+    n = len(coords) - 1
+    acc = [coords[n]]
+    for k in range(n - 1, -1, -1):
+        c = coords[k]
+        acc = [
+            b2 * x - a2 * y + c * z
+            for x, y, z in zip([0] + acc, acc + [0], w_powers[n - k])
+        ]
+    return acc
 
 
 # Largest offset box search_witness accepts: degree 12 at radius 1.
@@ -353,10 +392,15 @@ def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
     with the members in that order and z = U (center + off), are then
     tried for the integer offsets with |off_i| <= radius,
     ordered by quadratic-form length (lexicographic tie-break) and
-    generated lazily, shortest first; the first one that verify_witness
-    certifies is returned.  Raises ValueError, before any basis is built,
-    for a negative radius, when the (2 radius + 1)**(n - 2) offsets would
-    exceed MAX_OFFSETS, and for n above MAX_SEARCH_DEGREE.
+    generated lazily, shortest first; at radius 0 Babai's point is the one
+    candidate and no offset is walked.  Each candidate is built from its
+    integer coordinates in the forms u**k w**(n-k) (see
+    _anchor_coordinates), so no member polynomial is built; the first one
+    that verify_witness certifies is returned.  Raises ValueError, before
+    any reduction, for a negative radius, when the (2 radius + 1)**(n - 2)
+    offsets would exceed MAX_OFFSETS, and for n above MAX_SEARCH_DEGREE or
+    below 3; raises CongruenceError when the degree-n (1, 1) coset does
+    not exist.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -369,7 +413,9 @@ def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
         )
     if n > MAX_SEARCH_DEGREE:
         raise ValueError(f"search degree {n} is above the cap {MAX_SEARCH_DEGREE}")
-    basis = build_search_basis(pair, n)
+    if n < 3:
+        raise ValueError("search degree must be >= 3")
+    anchor = _anchor_coordinates(pair, n)  # raises CongruenceError
     dim = n - 2
     # member_j = -u**(j+1) w**(n-2-j), so the Gram entries are the integrals
     # at total 2n - 2; dividing out their content about halves their bits
@@ -378,23 +424,29 @@ def search_witness(pair: FareyPair, n: int, radius: int = 1) -> IntPoly | None:
     # the members shortest first: a permutation is unimodular, so the
     # lattice is the same, and LLL has much less to swap
     order = sorted(range(dim), key=lambda j: hankel[2 * j + 2])
-    sub = [basis.members[j + 1] for j in order]
     gram = [[hankel[i + j + 2] // common for j in order] for i in order]
     red = lll_reduce(GramMatrix(gram))
 
     # Babai's point toward -p.  <-p, member_j> sums p's coordinates against
     # the integrals at total 2n - 1: products[j] / scale on the Gram's scale
     cross = _beta_integrals(pair, 2 * n - 1)
-    coords = _anchor_coordinates(pair, n)
-    products = [
-        sum(c * cross[k + j + 1] for k, c in enumerate(coords)) for j in order
-    ]
+    products = [sum(map(mul, anchor, cross[j + 1 : j + n + 2])) for j in order]
     center = _babai(red, products, 2 * n * pair.b1 * pair.b2 * common)
 
-    for off in _offsets_by_length(red, radius):
+    # member_j times 1 = b1 u + b2 w is -b1 u**(j+2) w**(n-2-j) - b2
+    # u**(j+1) w**(n-1-j): z_j member_j moves two coordinates
+    b1, b2 = pair.b1, pair.b2
+    w_powers = _w_powers(pair, n)
+    transform = red.transform
+    offsets = _offsets_by_length(red, radius) if radius else [(0,) * dim]
+    for off in offsets:
         point = [c + o for c, o in zip(center, off)]
-        z = [sum(c * row[k] for c, row in zip(point, red.basis)) for k in range(dim)]
-        f = sum((zk * member for zk, member in zip(z, sub) if zk), basis.p)
+        coords = list(anchor)
+        for j, column in zip(order, transform):
+            z = sum(map(mul, point, column))
+            coords[j + 2] -= b1 * z
+            coords[j + 1] -= b2 * z
+        f = IntPoly(_from_coordinates(pair, coords, w_powers))
         record = verify_witness(pair, f)
         if record.certificate.verdict is Verdict.CERTIFIED_AT_MOST:
             return f

@@ -30,12 +30,14 @@ from monicheb.lattice import (
     LLL_DELTA,
     _anchor_coordinates,
     _beta_integrals,
+    _from_coordinates,
     _nearest,
     _offsets_by_length,
     _small_value_candidate,
+    _w_powers,
 )
 
-from lattice_helpers import det_unimodular, form, reduced_gram
+from lattice_helpers import det_unimodular, form, member_search_witness, reduced_gram
 
 
 def random_gram(rng, dim, spread=6):
@@ -562,12 +564,13 @@ class TestSearchWitness:
             search_witness(pair, 4, radius=-1)
 
     def test_offset_box_too_large_refused(self, monkeypatch):
+        # the Beta integrals of the Gram are the search's first real work
         import monicheb.lattice as lattice_mod
 
-        def no_basis(*args):
-            raise AssertionError("basis built before the size check")
+        def no_integrals(*args):
+            raise AssertionError("Gram integrals computed before the size check")
 
-        monkeypatch.setattr(lattice_mod, "build_search_basis", no_basis)
+        monkeypatch.setattr(lattice_mod, "_beta_integrals", no_integrals)
         pair = FareyPair.from_endpoints(F(1, 3), F(3, 8))
         with pytest.raises(ValueError, match="offsets"):
             search_witness(pair, 14, radius=1)
@@ -575,10 +578,10 @@ class TestSearchWitness:
     def test_degree_above_cap_refused_before_basis(self, monkeypatch):
         import monicheb.lattice as lattice_mod
 
-        def no_basis(*args):
-            raise AssertionError("basis built before the degree check")
+        def no_integrals(*args):
+            raise AssertionError("Gram integrals computed before the degree check")
 
-        monkeypatch.setattr(lattice_mod, "build_search_basis", no_basis)
+        monkeypatch.setattr(lattice_mod, "_beta_integrals", no_integrals)
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         n = lattice_mod.MAX_SEARCH_DEGREE + 1
         with pytest.raises(ValueError, match=f"search degree {n} is above the cap"):
@@ -724,6 +727,85 @@ class TestProductBasis:
         found = search_witness(pair, 30, radius=0)
         assert found is not None and found.degree == 30
         assert certifies(pair, found)
+
+
+class TestCoordinateSearch:
+    """search_witness builds its candidates from product-basis coordinates;
+    member_search_witness, which sums member polynomials, is its oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_coordinates_to_power_basis(self, data):
+        pair = data.draw(st.sampled_from(table_pairs()))
+        n = data.draw(st.integers(0, 48))
+        coords = data.draw(st.lists(
+            st.one_of(st.just(0), st.integers(-10**30, 10**30)),
+            min_size=n + 1, max_size=n + 1,
+        ))
+        u = IntPoly([-pair.a2, pair.b2])
+        w = IntPoly([pair.a1, -pair.b1])
+        expected = sum(
+            (c * u**k * w ** (n - k) for k, c in enumerate(coords) if c), IntPoly()
+        )
+        assert IntPoly(_from_coordinates(pair, coords, _w_powers(pair, n))) == expected
+
+    @pytest.mark.parametrize("radius, max_degree", [(0, 24), (1, 12)])
+    def test_matches_member_search(self, radius, max_degree):
+        # every table pair and degree: the same polynomial or None, and
+        # CongruenceError (same index, same message) on the same degrees
+        returned = refused = 0
+        for pair in table_pairs():
+            for n in range(3, max_degree + 1):
+                try:
+                    expected = member_search_witness(pair, n, radius=radius)
+                except CongruenceError as exc:
+                    with pytest.raises(CongruenceError) as info:
+                        search_witness(pair, n, radius=radius)
+                    assert (info.value.index, str(info.value)) == (exc.index, str(exc))
+                    refused += 1
+                    continue
+                assert search_witness(pair, n, radius=radius) == expected, (pair, n)
+                returned += 1
+        assert returned == {0: 219, 1: 100}[radius]
+        assert refused > 0
+
+    def test_radius_zero_walks_no_offsets(self, monkeypatch):
+        import monicheb.lattice as lattice_mod
+
+        def no_walk(*args):
+            raise AssertionError("offset walk entered at radius 0")
+
+        monkeypatch.setattr(lattice_mod, "_offsets_by_length", no_walk)
+        for lo, hi, n in ((F(1, 3), F(2, 5), 8), (F(1, 4), F(2, 7), 18)):
+            pair = FareyPair.from_endpoints(lo, hi)
+            assert search_witness(pair, n, radius=0) is not None
+
+    def test_radius_one_walks_offsets(self, monkeypatch):
+        import monicheb.lattice as lattice_mod
+
+        walks = []
+
+        def recording(red, radius):
+            walks.append(radius)
+            return _offsets_by_length(red, radius)
+
+        monkeypatch.setattr(lattice_mod, "_offsets_by_length", recording)
+        pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
+        assert search_witness(pair, 8, radius=1) is not None
+        assert walks == [1]
+
+    def test_inadmissible_degree_refused_before_reduction(self, monkeypatch):
+        import monicheb.lattice as lattice_mod
+
+        def forbidden(*args):
+            raise AssertionError("p or the Gram built for an inadmissible degree")
+
+        monkeypatch.setattr(lattice_mod, "_beta_integrals", forbidden)
+        monkeypatch.setattr(lattice_mod, "pair_polynomial", forbidden)
+        pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
+        with pytest.raises(CongruenceError) as info:
+            search_witness(pair, 3, radius=0)  # 2**3 = 3 (mod 5), not 1
+        assert info.value.index == 1
 
 
 class TestSmallValues:
