@@ -11,8 +11,10 @@ proves a factor q squarefree in the usual case; otherwise the subdivision
 runs on its odd-multiplicity part (q / g) / odd(g), g = gcd(q, q'), where
 q changes sign.  Touch points, where f attains its bound, are
 even-multiplicity roots of a factor and need no epsilon padding.  The
-sup-norm enclosure isolates the critical points of f with a Sturm chain (a
-primitive remainder sequence over the integers) on the odd part of f'.
+sup-norm enclosure isolates the critical points of f by the same
+subdivision, with Descartes' rule of signs on the Bernstein coefficients
+of f', or of its odd part when the modular test does not prove f'
+squarefree.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
 sufficient check, on integer numerators over one denominator; it is sound
@@ -34,7 +36,6 @@ from .numpoly import (
     format_rational,
     homogeneous_value,
     poly_gcd,
-    primitive_remainder,
     to_bernstein,
 )
 
@@ -71,26 +72,6 @@ class NormCertificate:
         return lines
 
 
-def _sturm_chain(g: IntPoly) -> list[IntPoly]:
-    """Signed remainder sequence as primitive integer polynomials.
-
-    Each term is a positive multiple of the rational remainder, so the
-    variation counts are those of the exact rational chain.  The sequence
-    is also Euclid's for gcd(g, g'): the last term is that gcd, primitive
-    and up to sign, and it is a constant exactly when g is squarefree.
-    """
-    chain = [g.primitive()]
-    d = g.derivative()
-    if d:
-        chain.append(d.primitive())
-    while chain[-1].degree >= 1:
-        rem = primitive_remainder(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append(-rem)
-    return chain
-
-
 def _odd_part(p: IntPoly, g: IntPoly) -> IntPoly:
     """Odd-multiplicity part of p up to a constant factor, given
     g = gcd(p, p') up to sign, primitive.
@@ -103,22 +84,6 @@ def _odd_part(p: IntPoly, g: IntPoly) -> IntPoly:
     if g.degree == 0:
         return p
     return (p // g) // _odd_part(g, poly_gcd(g, g.derivative()))
-
-
-def _odd_part_chain(h: IntPoly) -> list[IntPoly]:
-    """Sturm chain whose first term is the odd-multiplicity part of nonzero
-    h, primitive with a positive leading coefficient.
-
-    For squarefree h that part is h itself, and the chain of h, negated
-    when its leading coefficient is negative, is kept.  Otherwise the last
-    term is gcd(h, h'), from which _odd_part divides the odd part out, and
-    that part gets its own chain.
-    """
-    chain = _sturm_chain(h)
-    if chain[-1].degree == 0:
-        return chain if chain[0].coeffs[-1] > 0 else [-p for p in chain]
-    odd = _odd_part(h, chain[-1])
-    return _sturm_chain(odd if odd.coeffs[-1] > 0 else -odd)
 
 
 def _sign_at(p: IntPoly, x: Fraction) -> int:
@@ -138,43 +103,6 @@ def _variations(values) -> int:
             count += 1
         prev = s
     return count
-
-
-def _root_intervals(chain: list[IntPoly], lo: Fraction, hi: Fraction):
-    """Isolate the distinct real roots of squarefree g = chain[0] in the
-    open (lo, hi), chain being the Sturm chain of g.
-
-    Yields, left to right, (u, u, 0) for a root hit exactly by a bisection
-    point, else (u, v, s) with u < v, exactly one root r in (u, v), g
-    nonzero at u or at v, and s the sign of g on (r, v).  One Sturm chain
-    serves every count: with zero signs skipped, V(u) - V(v) is the number
-    of roots in (u, v].
-    """
-    if chain[0].degree < 1:
-        return
-
-    def point(x):
-        signs = [_sign_at(p, x) for p in chain]
-        return x, _variations(signs), signs[0]
-
-    stack = [(point(lo), point(hi))]
-    while stack:
-        left, right = stack.pop()
-        (u, v_u, g_u), (v, v_v, g_v) = left, right
-        if u == v:
-            yield u, u, 0
-            continue
-        count = v_u - v_v - (g_v == 0)
-        if count == 0:
-            continue
-        if count == 1 and (g_u or g_v):
-            yield u, v, g_v or -g_u
-            continue
-        mid = point((u + v) / 2)
-        stack.append((mid, right))
-        if mid[2] == 0:
-            stack.append((mid, mid))
-        stack.append((left, mid))
 
 
 def _halve(g: IntPoly, u: Fraction, v: Fraction, s: int):
@@ -231,6 +159,16 @@ def _squarefree_mod_p(q: IntPoly) -> bool:
     while b:
         a, b = b, _rem_mod(a, b, p)
     return len(a) == 1
+
+
+def _squarefree_odd_part(q: IntPoly) -> IntPoly:
+    """A squarefree polynomial whose roots are the odd-multiplicity roots of
+    nonzero q: q itself when the modular test proves it squarefree, else
+    the odd-multiplicity part from poly_gcd(q, q').  Either way q changes
+    sign exactly at its roots."""
+    if _squarefree_mod_p(q):
+        return q
+    return _odd_part(q, poly_gcd(q, q.derivative()))
 
 
 def _depth_bound(q: IntPoly, width: Fraction) -> int:
@@ -293,24 +231,71 @@ def _first_negative(nums, interval: Interval, max_depth: int, accept=None):
     return None
 
 
+def _root_intervals(g: IntPoly, interval: Interval):
+    """Isolate the distinct real roots of squarefree g in the open interval.
+
+    Integer de Casteljau subdivision of g's Bernstein numerators,
+    depth-first and left half first, as in _first_negative.  By Descartes'
+    rule the sign variations of a node's numerators exceed the number of
+    roots of g inside the node by an even count; a root at a node's end, a
+    zero end numerator, is not counted.  A node with no variation holds no
+    root and is dropped.  A node with one holds exactly one root r and
+    yields (u, v, s) with u < v its ends and s the sign of its last nonzero
+    numerator: the sign of g on (r, v), as g(v) or, where g(v) == 0, the
+    sign just left of that simple root.  Any other node is split, and a
+    zero midpoint numerator yields (m, m, 0) for the root m it marks.  The
+    roots come in no particular order.
+
+    A node narrower than half the separation of g's roots has at most one
+    variation (two-circle theorem), so splitting a node deeper than
+    _depth_bound(g, width) + 1 is a failed assertion.
+    """
+    if g.degree < 1:
+        return
+    lo, width = interval.lo, interval.width
+    max_depth = _depth_bound(g, width) + 1
+    stack = [(to_bernstein(g, interval)[0], 0, 0)]
+    while stack:
+        nums, depth, index = stack.pop()
+        count = _variations(nums)
+        if count == 0:
+            continue
+        if count == 1:
+            last = next(c for c in reversed(nums) if c)
+            yield (
+                lo + width * Fraction(index, 1 << depth),
+                lo + width * Fraction(index + 1, 1 << depth),
+                1 if last > 0 else -1,
+            )
+            continue
+        assert depth <= max_depth, "isolation passed the root-separation depth"
+        left, right = bernstein_split(nums)
+        depth += 1
+        if left[-1] == 0:
+            mid = lo + width * Fraction(2 * index + 1, 1 << depth)
+            yield mid, mid, 0
+        stack.append((right, depth, 2 * index + 1))
+        stack.append((left, depth, 2 * index))
+
+
 def _negative_point(q: IntPoly, interval: Interval, nums) -> Fraction | None:
     """A point of the open interval where q < 0, or None when q >= 0 on all
     of it, given q >= 0 at both ends and nums, q's Bernstein numerators on
     the interval.
 
     Subdivision of squarefree q ends: each node narrower than its roots'
-    separation is a leaf or shows q < 0 at an endpoint.  When the modular
-    test does not prove q squarefree, the odd-multiplicity part r of q,
-    which is squarefree, is subdivided instead.  q / r is a constant times
-    a square, so with lc(r) of the sign of lc(q), q < 0 exactly where
+    separation is a leaf or shows q < 0 at an endpoint.  When
+    _squarefree_odd_part(q) is not q itself, that odd-multiplicity part r
+    of q, which is squarefree, is subdivided instead.  q / r is a constant
+    times a square, so with lc(r) of the sign of lc(q), q < 0 exactly where
     r < 0 and q != 0: a point where r < 0 is kept only where q < 0.
     """
     if q.degree < 1:
         return None
     max_depth = _depth_bound(q, interval.width)
-    if _squarefree_mod_p(q):
+    r = _squarefree_odd_part(q)
+    if r is q:
         return _first_negative(nums, interval, max_depth)
-    r = _odd_part(q, poly_gcd(q, q.derivative()))
     if (r.coeffs[-1] > 0) != (q.coeffs[-1] > 0):
         r = -r
     return _first_negative(
@@ -421,19 +406,18 @@ def sup_norm_enclosure(
     The maximum of |f| on the interval is reached at an endpoint or at an
     interior local extremum of f, where f' changes sign: at a root of the
     odd-multiplicity part g of f'.  A root of f' of even multiplicity is no
-    extremum, so the roots of g are enough.  They are isolated with the
-    Sturm chain from _odd_part_chain, which is the chain of f' itself when
-    f' is squarefree.  Each
-    isolating interval is then halved toward its root by the sign of g at
-    the midpoint, with no new chain.  On an interval [u, v], |f| is at most
-    the largest |c| over the Bernstein coefficients of f on [u, v], and
-    every evaluated |f(x)| is a lower bound.  Each pending interval keeps
-    its coefficients as integer numerators over one denominator, which the
-    integer de Casteljau split carries to each half; a Fraction is built
-    only for the values kept: the end coefficients, the largest |c| and the
-    midpoint value.  An interval is dropped once its upper bound is <= the
-    best lower bound, and it stops being refined once the two are within
-    tol, so hi - lo <= tol holds by construction.
+    extremum, so the roots of g are enough; g is f' itself when the modular
+    test proves f' squarefree.  _root_intervals isolates them by subdivision
+    of g's Bernstein numerators.  Each isolating interval is then halved
+    toward its root by the sign of g at the midpoint.  On an interval
+    [u, v], |f| is at most the largest |c| over the Bernstein coefficients
+    of f on [u, v], and every evaluated |f(x)| is a lower bound.  Each pending
+    interval keeps its coefficients as integer numerators over one
+    denominator, which the integer de Casteljau split carries to each half;
+    a Fraction is built only for the values kept: the end coefficients, the
+    largest |c| and the midpoint value.  An interval is dropped once its
+    upper bound is <= the best lower bound, and it stops being refined once
+    the two are within tol, so hi - lo <= tol holds by construction.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -441,11 +425,10 @@ def sup_norm_enclosure(
     if f.degree <= 0:
         value = Fraction(abs(f.coeffs[0])) if f else Fraction(0)
         return value, value
-    chain = _odd_part_chain(f.derivative())
-    g = chain[0]
+    g = _squarefree_odd_part(f.derivative())
     lo_b = max(abs(f(interval.lo)), abs(f(interval.hi)))
     pending = []
-    for u, v, s in _root_intervals(chain, interval.lo, interval.hi):
+    for u, v, s in _root_intervals(g, interval):
         if u == v:
             lo_b = max(lo_b, abs(f(u)))
         else:

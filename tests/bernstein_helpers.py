@@ -1,11 +1,15 @@
 """The former Fraction Bernstein kernel, kept as the oracle for the integer
 kernel in monicheb.numpoly and the prefilter and enclosure built on it:
-one reduced Fraction per coefficient, halved at every de Casteljau step."""
+one reduced Fraction per coefficient, halved at every de Casteljau step.
+The oracle enclosure isolates its critical points with the Sturm chain of
+sturm_helpers."""
 import math
 from fractions import Fraction
 
 from monicheb import Interval, Verdict
-from monicheb.certify import PREFILTER_DEPTH, _halve, _odd_part_chain, _root_intervals
+from monicheb.certify import PREFILTER_DEPTH, _halve
+
+from sturm_helpers import _odd_part_chain, _root_intervals
 
 
 def reference_to_bernstein(p, interval):

@@ -1,10 +1,87 @@
-"""The former Sturm decision, kept as the oracle for the subdivision decision
-in monicheb.certify: a point where h < 0 is found by isolating the roots of
-h's odd-multiplicity part with one Sturm chain, then bisecting and probing."""
+"""Sturm code, kept only as an oracle for monicheb.certify.  The Sturm
+chain, the odd-part chain and the chain-based root isolation check the
+subdivision isolation behind the enclosure; the former Sturm decision built
+on them checks the subdivision decision.  That decision finds a point where
+h < 0 by isolating the roots of h's odd-multiplicity part with one Sturm
+chain, then bisecting and probing."""
 from fractions import Fraction
 
 from monicheb import IntPoly
-from monicheb.certify import _halve, _odd_part_chain, _root_intervals, _sign_at
+from monicheb.certify import _halve, _odd_part, _sign_at, _variations
+from monicheb.numpoly import primitive_remainder
+
+
+def _sturm_chain(g: IntPoly) -> list[IntPoly]:
+    """Signed remainder sequence as primitive integer polynomials.
+
+    Each term is a positive multiple of the rational remainder, so the
+    variation counts are those of the exact rational chain.  The sequence
+    is also Euclid's for gcd(g, g'): the last term is that gcd, primitive
+    and up to sign, and it is a constant exactly when g is squarefree.
+    """
+    chain = [g.primitive()]
+    d = g.derivative()
+    if d:
+        chain.append(d.primitive())
+    while chain[-1].degree >= 1:
+        rem = primitive_remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(-rem)
+    return chain
+
+
+def _odd_part_chain(h: IntPoly) -> list[IntPoly]:
+    """Sturm chain whose first term is the odd-multiplicity part of nonzero
+    h, primitive with a positive leading coefficient.
+
+    For squarefree h that part is h itself, and the chain of h, negated
+    when its leading coefficient is negative, is kept.  Otherwise the last
+    term is gcd(h, h'), from which _odd_part divides the odd part out, and
+    that part gets its own chain.
+    """
+    chain = _sturm_chain(h)
+    if chain[-1].degree == 0:
+        return chain if chain[0].coeffs[-1] > 0 else [-p for p in chain]
+    odd = _odd_part(h, chain[-1])
+    return _sturm_chain(odd if odd.coeffs[-1] > 0 else -odd)
+
+
+def _root_intervals(chain: list[IntPoly], lo: Fraction, hi: Fraction):
+    """Isolate the distinct real roots of squarefree g = chain[0] in the
+    open (lo, hi), chain being the Sturm chain of g.
+
+    Yields, left to right, (u, u, 0) for a root hit exactly by a bisection
+    point, else (u, v, s) with u < v, exactly one root r in (u, v), g
+    nonzero at u or at v, and s the sign of g on (r, v).  One Sturm chain
+    serves every count: with zero signs skipped, V(u) - V(v) is the number
+    of roots in (u, v].
+    """
+    if chain[0].degree < 1:
+        return
+
+    def point(x):
+        signs = [_sign_at(p, x) for p in chain]
+        return x, _variations(signs), signs[0]
+
+    stack = [(point(lo), point(hi))]
+    while stack:
+        left, right = stack.pop()
+        (u, v_u, g_u), (v, v_v, g_v) = left, right
+        if u == v:
+            yield u, u, 0
+            continue
+        count = v_u - v_v - (g_v == 0)
+        if count == 0:
+            continue
+        if count == 1 and (g_u or g_v):
+            yield u, v, g_v or -g_u
+            continue
+        mid = point((u + v) / 2)
+        stack.append((mid, right))
+        if mid[2] == 0:
+            stack.append((mid, mid))
+        stack.append((left, mid))
 
 
 def reference_probe(h, u, v):

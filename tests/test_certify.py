@@ -32,16 +32,21 @@ from monicheb.certify import (
     _depth_bound,
     _first_negative,
     _negative_point,
-    _odd_part_chain,
     _root_intervals,
     _sign_at,
     _squarefree_mod_p,
-    _sturm_chain,
+    _squarefree_odd_part,
     _variations,
 )
 
 from bernstein_helpers import reference_bernstein_enclosure, reference_bernstein_prefilter
-from sturm_helpers import reference_decide_factors, reference_negative_point
+from sturm_helpers import (
+    _odd_part_chain,
+    _root_intervals as sturm_root_intervals,
+    _sturm_chain,
+    reference_decide_factors,
+    reference_negative_point,
+)
 from test_acceptance import certifier_cases
 
 WITNESS = IntPoly([1, -3, 1])
@@ -197,23 +202,34 @@ class TestRootIsolation:
         g = IntPoly([1])
         for r in roots:
             g = g * IntPoly([-r.numerator, r.denominator])
-        found = list(_root_intervals(_sturm_chain(g), F(0), F(1)))
+        # the Sturm isolation of the oracle, left to right
+        found = list(sturm_root_intervals(_sturm_chain(g), F(0), F(1)))
         assert len(found) == 3
         assert found[2] == (F(1, 2), F(1, 2), 0)
         for (u, v, s), root in zip(found[:2], roots):
             assert u < root < v and (g(u) != 0 or g(v) != 0)
             assert (g((root + v) / 2) > 0) - (g((root + v) / 2) < 0) == s
         assert found[0][1] <= found[1][0]
+        # the subdivision isolation, in no particular order
+        found = list(_root_intervals(g, Interval(0, 1)))
+        assert len(found) == 3
+        assert (F(1, 2), F(1, 2), 0) in found
+        isolated = sorted(x for x in found if x[0] < x[1])
+        for (u, v, s), root in zip(isolated, roots):
+            assert u < root < v
+            assert (g((root + v) / 2) > 0) - (g((root + v) / 2) < 0) == s
 
     def test_no_roots(self):
-        assert list(_root_intervals(_sturm_chain(IntPoly([1, 0, 1])), F(-3), F(3))) == []
-        assert list(_root_intervals(_sturm_chain(IntPoly([5])), F(0), F(1))) == []
+        assert list(sturm_root_intervals(_sturm_chain(IntPoly([1, 0, 1])), F(-3), F(3))) == []
+        assert list(sturm_root_intervals(_sturm_chain(IntPoly([5])), F(0), F(1))) == []
+        assert list(_root_intervals(IntPoly([1, 0, 1]), Interval(-3, 3))) == []
+        assert list(_root_intervals(IntPoly([5]), Interval(0, 1))) == []
 
     def test_negative_point_after_exact_midpoint_root(self):
         # h = (2x - 1)(4x - 3) > 0 at both ends of [0, 1]: the first bisection
         # point 1/2 is an exact sign change, and h < 0 on (1/2, 3/4)
         h = IntPoly([-1, 2]) * IntPoly([-3, 4])
-        assert next(_root_intervals(_odd_part_chain(h), F(0), F(1))) == (F(1, 2), F(1, 2), 0)
+        assert next(sturm_root_intervals(_odd_part_chain(h), F(0), F(1))) == (F(1, 2), F(1, 2), 0)
         for point in negative_points(h, F(0), F(1)):
             assert F(1, 2) < point < F(3, 4) and h(point) < 0
 
@@ -231,7 +247,7 @@ class TestRootIsolation:
         f = IntPoly([6, 1, 6, 1, -1])
         bound = F(40119, 4096)
         chain = _odd_part_chain(factors_of(f, bound)[0])
-        assert next(_root_intervals(chain, F(-2), F(3)))[:2] == (F(-11, 8), F(-11, 8))
+        assert next(sturm_root_intervals(chain, F(-2), F(3)))[:2] == (F(-11, 8), F(-11, 8))
         cert = decide_sup_bound(f, Interval(-2, 3), bound)
         assert cert.verdict is Verdict.REFUTED
         assert -2 < cert.refutation_point < 3
@@ -333,6 +349,14 @@ class TestIntegerKernelOracle:
         for h, _ in self.CASES:
             assert _odd_part_chain(h)[0] == sympy_odd_part(sympy, h), h
 
+    def test_squarefree_odd_part_matches_sqf_list(self):
+        # the decision's and the enclosure's squarefree part: h itself when
+        # the modular test proves it squarefree, up to a constant factor
+        sympy = pytest.importorskip("sympy")
+        for h, _ in self.CASES:
+            got = _squarefree_odd_part(h).primitive()
+            assert (got if got.coeffs[-1] > 0 else -got) == sympy_odd_part(sympy, h), h
+
     def test_sturm_count_matches_count_roots(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.Symbol("x")
@@ -411,10 +435,10 @@ def reference_decide_sup_bound(f, interval, bound):
 def reference_sup_norm_enclosure(f, interval, tol):
     """sup_norm_enclosure with the critical points taken from the squarefree
     part f' / poly_gcd(f', f''), even-multiplicity roots included."""
-    def chain(p):
-        return _sturm_chain(p // poly_gcd(p, p.derivative()))
+    def squarefree_part(p):
+        return p // poly_gcd(p, p.derivative())
 
-    with mock.patch.object(certify, "_odd_part_chain", chain):
+    with mock.patch.object(certify, "_squarefree_odd_part", squarefree_part):
         return sup_norm_enclosure(f, interval, tol)
 
 
@@ -530,7 +554,8 @@ class TestOneSequence:
         nonsquarefree = 0
         for f, interval, tol in cases:
             if f.degree >= 2:
-                nonsquarefree += _sturm_chain(f.derivative())[-1].degree > 0
+                d = f.derivative()
+                nonsquarefree += poly_gcd(d, d.derivative()).degree > 0
             assert sup_norm_enclosure(f, interval, tol) == reference_sup_norm_enclosure(
                 f, interval, tol
             ), (f, interval)
@@ -543,13 +568,12 @@ class TestOneSequence:
         (pair, f, bound), = [w for w in table_witnesses() if w[1].degree == 18]
         v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
         g = f + IntPoly.monomial(7) * v
-        chains = counting(monkeypatch, "_sturm_chain")
         gcds = counting(monkeypatch, "poly_gcd")
         tests = counting(monkeypatch, "_squarefree_mod_p")
         cert = decide_sup_bound(g, pair.interval(), bound)
         assert cert.verdict is Verdict.REFUTED
         assert tests == [((q,), True) for q in factors_of(g, bound)]
-        assert chains == [] and gcds == []
+        assert gcds == []
 
     def test_non_squarefree_h_takes_odd_part_from_poly_gcd(self, monkeypatch):
         # F = 1 - (2x - 1)**2 at bound 1: the factor 1 - F = (2x - 1)**2 is
@@ -559,7 +583,6 @@ class TestOneSequence:
         f = IntPoly([1]) - IntPoly([-1, 2]) ** 2
         low, high = factors_of(f, F(1))
         assert low == IntPoly([-1, 2]) ** 2
-        chains = counting(monkeypatch, "_sturm_chain")
         gcds = counting(monkeypatch, "poly_gcd")
         tests = counting(monkeypatch, "_squarefree_mod_p")
         cert = decide_sup_bound(f, Interval(0, 1), F(1))
@@ -568,7 +591,6 @@ class TestOneSequence:
         assert [args for args, _ in gcds] == [
             (low, low.derivative()), (IntPoly([-1, 2]), IntPoly([2]))
         ]
-        assert chains == []
 
     def test_certified_decision_converts_f_once(self, monkeypatch):
         # the degree-18 witness: one Bernstein conversion of f serves both
@@ -577,13 +599,12 @@ class TestOneSequence:
         interval = pair.interval()
         conversions = counting(monkeypatch, "to_bernstein")
         tests = counting(monkeypatch, "_squarefree_mod_p")
-        chains = counting(monkeypatch, "_sturm_chain")
         gcds = counting(monkeypatch, "poly_gcd")
         cert = decide_sup_bound(poly, interval, bound)
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
         assert [args for args, _ in conversions] == [(poly, interval)]
         assert tests == [((q,), True) for q in factors_of(poly, bound)]
-        assert chains == [] and gcds == []
+        assert gcds == []
 
     def test_decision_matches_reference_on_oracle_instances(self):
         cases = certifier_cases()
@@ -604,11 +625,13 @@ class TestOneSequence:
             assert decide_sup_bound(f, pair.interval(), bound).verdict is Verdict.CERTIFIED_AT_MOST
 
     def test_squarefree_derivative_runs_one_remainder_sequence(self, monkeypatch):
+        # the degree-18 witness: the modular test proves f' squarefree once,
+        # and its roots are isolated with no gcd
         (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
-        chains = counting(monkeypatch, "_sturm_chain")
+        tests = counting(monkeypatch, "_squarefree_mod_p")
         gcds = counting(monkeypatch, "poly_gcd")
         sup_norm_enclosure(poly, pair.interval(), bound / 1000)
-        assert [args for args, _ in chains] == [(poly.derivative(),)]
+        assert tests == [((poly.derivative(),), True)]
         assert gcds == []
 
 
@@ -848,6 +871,99 @@ class TestSubdivisionKernel:
         monkeypatch.setattr(certify, "_depth_bound", lambda q, width: 3)
         with pytest.raises(AssertionError, match="root-separation depth"):
             decide_sup_bound(TOUCH, Interval(0, F(1, 2)), 1 + F(1, 10**9))
+
+
+@st.composite
+def squarefree_isolation_cases(draw):
+    """(g, interval) with g squarefree of degree <= 12: distinct rational
+    roots, some at dyadic points lo + j w / 2**k of the interval, its ends
+    included, for depths k = 0..6, the rest anywhere near it, and at times
+    an irreducible quadratic factor with irrational or complex roots."""
+    lo = F(draw(st.integers(-4, 4)), draw(st.sampled_from([1, 2, 3])))
+    width = F(draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 4])))
+    dyadic = st.integers(0, 6).flatmap(
+        lambda k: st.integers(0, 2**k).map(lambda j: lo + width * F(j, 2**k))
+    )
+    anywhere = st.builds(F, st.integers(-40, 40), st.integers(1, 12)).map(lambda x: lo - 1 + x / 4)
+    roots = draw(st.sets(st.one_of(dyadic, anywhere), min_size=0, max_size=10))
+    g = IntPoly([draw(st.sampled_from([-3, -1, 1, 2]))])
+    for r in roots:
+        g = g * linear(r)
+    quadratic = draw(st.sampled_from([None, (-2, 0, 1), (-3, 0, 1), (1, 0, 1), (-1, -1, 1)]))
+    if quadratic is not None and g.degree <= 10:
+        g = g * IntPoly(list(quadratic))
+    return g, Interval(lo, lo + width)
+
+
+def sturm_roots_in(chain, u, v):
+    """The oracle's count of the roots of chain[0] in the open (u, v)."""
+    def variations(x):
+        return _variations([_sign_at(p, x) for p in chain])
+
+    return variations(u) - variations(v) - (_sign_at(chain[0], v) == 0)
+
+
+class TestSubdivisionIsolation:
+    """_root_intervals, Descartes' rule on the Bernstein numerators, against
+    the Sturm isolation of the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(squarefree_isolation_cases())
+    def test_matches_the_sturm_isolation(self, case):
+        g, interval = case
+        chain = _sturm_chain(g)
+        assert chain[-1].degree == 0  # squarefree
+        found = list(_root_intervals(g, interval))
+        want = list(sturm_root_intervals(chain, interval.lo, interval.hi))
+        assert len(found) == len(want)
+        exact = [u for u, v, s in found if u == v]
+        isolated = sorted((u, v, s) for u, v, s in found if u < v)
+        for x in exact:
+            assert interval.lo < x < interval.hi and g(x) == 0
+        for u, v, s in isolated:
+            assert interval.lo <= u < v <= interval.hi
+            assert sturm_roots_in(chain, u, v) == 1
+            # g(v), or just left of a simple root at v the sign of -g'(v)
+            side = _sign_at(g, v) or -_sign_at(g.derivative(), v)
+            assert s == side
+            assert not any(u < x < v for x in exact)
+        for (_, v, _), (u, _, _) in zip(isolated, isolated[1:]):
+            assert v <= u
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_close_critical_points_stay_within_the_depth_bound(self, k, monkeypatch):
+        # f' = 6 (3x - 1)(3K x - K - 3) for K = 10**k has the roots 1/3 and
+        # 1/3 + 1/K on [0, 1/2]: the least depth cap that lets the isolation
+        # finish is at most the bound, and one level less fails loudly
+        big = 10**k
+        f = IntPoly([0, 6 * (big + 3), -3 * (6 * big + 9), 18 * big])
+        g = f.derivative()
+        interval = Interval(0, F(1, 2))
+        bound = _depth_bound(g, interval.width) + 1
+
+        def isolate(cap):
+            monkeypatch.setattr(certify, "_depth_bound", lambda q, width: cap - 1)
+            return list(_root_intervals(g, interval))
+
+        cap = 0
+        while True:
+            try:
+                found = isolate(cap)
+                break
+            except AssertionError:
+                cap += 1
+        # the roots part at about log2(10**k) = 3.3 k levels
+        assert 3 * k - 2 <= cap <= bound
+        with pytest.raises(AssertionError, match="root-separation depth"):
+            isolate(cap - 1)
+        roots = [F(1, 3), F(1, 3) + F(1, big)]
+        assert len(found) == 2
+        for (u, v, s), root in zip(sorted(found), roots):
+            assert u < root < v and s == _sign_at(g, v)
+        monkeypatch.undo()
+        assert sup_norm_enclosure(f, interval, F(1, 10**6)) == reference_bernstein_enclosure(
+            f, interval, F(1, 10**6)
+        )
 
 
 def multiplicity_cases(count):
