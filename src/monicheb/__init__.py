@@ -9,7 +9,6 @@ subdivision, all in exact integer and rational arithmetic.
 from .numpoly import (
     IntPoly,
     Interval,
-    MINUS_INFINITY,
     bernstein_split,
     extended_gcd,
     format_poly,
@@ -91,7 +90,7 @@ def __getattr__(name):
 
 
 __all__ = [
-    "IntPoly", "Interval", "MINUS_INFINITY",
+    "IntPoly", "Interval",
     "bernstein_split", "extended_gcd", "format_poly", "format_rational",
     "homogeneous_value", "parse_poly", "parse_rational", "poly_gcd",
     "poly_integrate_product", "to_bernstein",

@@ -374,8 +374,8 @@ def _from_coordinates(pair: FareyPair, coords, w_powers) -> list[int]:
 # Largest offset box search_witness accepts: degree 12 at radius 1.
 MAX_OFFSETS = 3**10
 # Largest degree search_witness accepts.  At radius 0 on (1/4, 2/7) degree
-# 48 takes about 1.3 s from the command line (Python 3.11, 2-core Xeon),
-# and each 6 more degrees about double that.
+# 48 takes about 0.94 s from the command line (median of 7 runs, Python
+# 3.11.7, 2-core Xeon), and each 6 more degrees about double that.
 MAX_SEARCH_DEGREE = 48
 
 

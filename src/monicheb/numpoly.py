@@ -5,8 +5,7 @@ polynomial coefficients are arbitrary-precision ints, Bernstein
 coefficients are integer numerators over one positive denominator, and no
 floating point enters any computation.  Polynomials are dense,
 ascending-by-power coefficient tuples with trailing zeros stripped; the
-zero polynomial is the empty tuple and its degree is the sentinel
-``MINUS_INFINITY``.
+zero polynomial is the empty tuple and its degree is -1.
 """
 from __future__ import annotations
 
@@ -18,10 +17,6 @@ from operator import add
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
-
-# Degree of the zero polynomial.  Compares below every integer and is
-# never equal to one.
-MINUS_INFINITY = float("-inf")
 
 _RATIONAL_RE = re.compile(r"\A\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+))?\s*\Z")
 
@@ -118,8 +113,9 @@ class IntPoly:
         return cls([0] * power + [coeff])
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+    def degree(self) -> int:
+        """Index of the leading coefficient; -1 for the zero polynomial."""
+        return len(self.coeffs) - 1
 
     @property
     def is_monic(self) -> bool:
@@ -376,7 +372,9 @@ def primitive_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
         shift = len(rem) - dn
         for j in range(dn):
             rem[shift + j] -= q * den[j]
-    return IntPoly(rem).primitive()
+    # the gcd of an empty or all-zero list is 0: a zero remainder stays as it is
+    g = math.gcd(*rem)
+    return IntPoly([c // g for c in rem] if g > 1 else rem)
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:

@@ -503,8 +503,10 @@ def counting(monkeypatch, name):
 class TestOneSequence:
     """The decision on the two factors N -+ D f matches the former Sturm
     decision on h = N**2 - D**2 f**2.  It builds no Sturm chain: a factor
-    that needs subdividing runs one remainder sequence mod p, and poly_gcd
-    runs only for a factor that sequence does not prove squarefree."""
+    whose Bernstein numerators are all >= 0 is settled with no more work,
+    a factor that needs subdividing runs one remainder sequence mod p, and
+    poly_gcd runs only for a factor that sequence does not prove
+    squarefree."""
 
     def assert_same_decision(self, f, interval, bound):
         got = decide_sup_bound(f, interval, bound)
@@ -562,32 +564,37 @@ class TestOneSequence:
         assert nonsquarefree >= 60
 
     def test_squarefree_h_runs_one_remainder_sequence(self, monkeypatch):
-        # the degree-18 neighbour: one remainder sequence mod p proves each
-        # factor squarefree; N - D g has every Bernstein coefficient >= 0, and
-        # the subdivision of N + D g refutes
+        # the degree-18 neighbour: N - D g has every Bernstein coefficient
+        # >= 0 and is settled before any subdivision, and one remainder
+        # sequence mod p proves N + D g squarefree before its subdivision
+        # refutes
         (pair, f, bound), = [w for w in table_witnesses() if w[1].degree == 18]
         v = IntPoly([-pair.a1, pair.b1]) * IntPoly([-pair.a2, pair.b2])
         g = f + IntPoly.monomial(7) * v
+        low, high = factors_of(g, bound)
+        assert min(to_bernstein(low, pair.interval())[0]) >= 0
         gcds = counting(monkeypatch, "poly_gcd")
         tests = counting(monkeypatch, "_squarefree_mod_p")
         cert = decide_sup_bound(g, pair.interval(), bound)
         assert cert.verdict is Verdict.REFUTED
-        assert tests == [((q,), True) for q in factors_of(g, bound)]
+        assert tests == [((high,), True)]
         assert gcds == []
 
     def test_non_squarefree_h_takes_odd_part_from_poly_gcd(self, monkeypatch):
         # F = 1 - (2x - 1)**2 at bound 1: the factor 1 - F = (2x - 1)**2 is
         # not squarefree, poly_gcd gives gcd(q, q') = 2x - 1 and then its own
-        # gcd 1, and the odd part is 1; the factor 1 + F = 2 - (2x - 1)**2 is
-        # proved squarefree mod p
+        # gcd 1, and the odd part is 1; the factor 1 + F = 2 - (2x - 1)**2
+        # has the Bernstein numerators 2, 6, 2 over 2 and is settled before
+        # any subdivision
         f = IntPoly([1]) - IntPoly([-1, 2]) ** 2
         low, high = factors_of(f, F(1))
         assert low == IntPoly([-1, 2]) ** 2
+        assert to_bernstein(high, Interval(0, 1)) == ((2, 6, 2), 2)
         gcds = counting(monkeypatch, "poly_gcd")
         tests = counting(monkeypatch, "_squarefree_mod_p")
         cert = decide_sup_bound(f, Interval(0, 1), F(1))
         assert cert.verdict is Verdict.CERTIFIED_AT_MOST
-        assert tests == [((low,), False), ((high,), True)]
+        assert tests == [((low,), False)]
         assert [args for args, _ in gcds] == [
             (low, low.derivative()), (IntPoly([-1, 2]), IntPoly([2]))
         ]
@@ -605,6 +612,44 @@ class TestOneSequence:
         assert [args for args, _ in conversions] == [(poly, interval)]
         assert tests == [((q,), True) for q in factors_of(poly, bound)]
         assert gcds == []
+
+    def test_factors_with_nonnegative_numerators_are_not_subdivided(self, monkeypatch):
+        # x**2 - 3x + 1 on [1/3, 2/5] at 1/9: f's Bernstein numerators over
+        # den = 450 are 50, 15, -18, so both factors, with the numerators
+        # 450 -+ 9c, are all >= 0, and neither is built nor tested
+        assert to_bernstein(WITNESS, I13_25) == ((50, 15, -18), 450)
+        conversions = counting(monkeypatch, "to_bernstein")
+        negatives = counting(monkeypatch, "_negative_point")
+        tests = counting(monkeypatch, "_squarefree_mod_p")
+        depths = counting(monkeypatch, "_depth_bound")
+        cert = decide_sup_bound(WITNESS, I13_25, F(1, 9))
+        assert cert.verdict is Verdict.CERTIFIED_AT_MOST
+        assert [args for args, _ in conversions] == [(WITNESS, I13_25)]
+        assert negatives == [] and tests == [] and depths == []
+
+    def test_table_decisions_settled_without_subdivision(self, monkeypatch):
+        # 43 of the 73 table witnesses need no subdivision at their own bound
+        negatives = counting(monkeypatch, "_negative_point")
+        settled = 0
+        for pair, f, bound in table_witnesses():
+            before = len(negatives)
+            assert decide_sup_bound(f, pair.interval(), bound).verdict is Verdict.CERTIFIED_AT_MOST
+            settled += len(negatives) == before
+        assert settled == 43
+
+    def test_endpoint_refutation_converts_nothing(self, monkeypatch):
+        # x**2 - 3x + 1 is 1/9 and -1/25 at the ends of [1/3, 2/5], both
+        # above 1/30 in size: lo refutes first, in integers, before any
+        # Bernstein conversion
+        conversions = counting(monkeypatch, "to_bernstein")
+        negatives = counting(monkeypatch, "_negative_point")
+        cert = decide_sup_bound(WITNESS, I13_25, F(1, 30))
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.refutation_point == I13_25.lo
+        # x is 0 and 1 at the ends of [0, 1]: only hi exceeds 1/2, and refutes
+        cert = decide_sup_bound(IntPoly([0, 1]), Interval(0, 1), F(1, 2))
+        assert cert.refutation_point == 1
+        assert conversions == [] and negatives == []
 
     def test_decision_matches_reference_on_oracle_instances(self):
         cases = certifier_cases()

@@ -7,9 +7,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "monicheb"
 
 # Owners, as module.name or module.Class.method, that may use floats: the
-# -inf sentinel of numpoly and the two __float__ conversions for display.
+# two __float__ conversions for display.
 ALLOWED = {
-    "numpoly.MINUS_INFINITY",
     "constants.ConstantValue.__float__",
     "constants.SymbolicEndpoint.__float__",
 }
