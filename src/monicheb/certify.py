@@ -2,21 +2,21 @@
 
 For B = N/D the bound |f| <= B holds on [lo, hi] iff both integer
 polynomials N - D f and N + D f are nonnegative there, so the decision is:
-check |f| at both endpoints in integers, then convert f to Bernstein form
-once and settle each factor whose Bernstein numerators are all >= 0 by the
-convex-hull property, and only for a factor with a negative numerator find
-a point of (lo, hi) where it is negative, or prove there is none.  That
-search is integer de Casteljau subdivision of Bernstein coefficients,
-which ends on a squarefree polynomial (Collins & Akritas, SYMSAC 1976;
-Eigenwillig, Sharma & Yap, ISSAC 2006).  A remainder sequence mod a
-word-size prime proves a factor q squarefree in the usual case; otherwise
-the subdivision runs on its odd-multiplicity part (q / g) / odd(g),
-g = gcd(q, q'), where q changes sign.  Touch points, where f attains its
-bound, are even-multiplicity roots of a factor and need no epsilon
-padding.  The sup-norm enclosure isolates the critical points of f by the
-same subdivision, with Descartes' rule of signs on the Bernstein
-coefficients of f', or of its odd part when the modular test does not
-prove f' squarefree.
+convert f to Bernstein form once, check |f| at both endpoints from the
+first and last coefficients, settle each factor whose Bernstein
+numerators are all >= 0 by the convex-hull property, and only for a
+factor with a negative numerator find a point of (lo, hi) where it is
+negative, or prove there is none.  That search is integer de Casteljau
+subdivision of Bernstein coefficients, which ends on a squarefree
+polynomial (Collins & Akritas, SYMSAC 1976; Eigenwillig, Sharma & Yap,
+ISSAC 2006).  A remainder sequence mod a word-size prime proves a factor
+q squarefree in the usual case; otherwise the subdivision runs on its
+odd-multiplicity part (q / g) / odd(g), g = gcd(q, q'), where q changes
+sign.  Touch points, where f attains its bound, are even-multiplicity
+roots of a factor and need no epsilon padding.  The sup-norm enclosure
+isolates the critical points of f by the same subdivision, with
+Descartes' rule of signs on the Bernstein coefficients of f', or of its
+odd part when the modular test does not prove f' squarefree.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
 sufficient check, on integer numerators over one denominator; it is sound
@@ -312,11 +312,11 @@ def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     """Exact decision of sup |f| <= bound on the interval; never inconclusive.
 
     For bound = N/D, |f| <= bound exactly where N - D f >= 0 and
-    N + D f >= 0.  An endpoint a/b refutes first, lo before hi, when
-    D |b**n f(a/b)| > N b**n for n = deg f, all in integers.  Then f is
-    converted once: both factors share its Bernstein coefficients c / den,
-    and theirs are (N den -+ D c) / den.  A factor whose numerators are all
-    >= 0 is >= 0 on the interval (convex hull), with no subdivision;
+    N + D f >= 0.  f is converted once: both factors share its Bernstein
+    coefficients c / den, and theirs are (N den -+ D c) / den.  The first
+    and last of these are the values at the endpoints, so an endpoint where
+    D |c| > N den refutes first, lo before hi.  A factor whose numerators
+    are all >= 0 is >= 0 on the interval (convex hull), with no subdivision;
     for any other the subdivision finds a point of the open interval where it
     is negative, N - D f before N + D f, or proves there is none.
     """
@@ -324,19 +324,14 @@ def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     num, scale = bound.numerator, bound.denominator
-    n = max(f.degree, 0)
-    point = next(
-        (
-            x
-            for x in (interval.lo, interval.hi)
-            if scale * abs(homogeneous_value(f, x.numerator, x.denominator))
-            > num * x.denominator**n
-        ),
-        None,
-    )
-    if point is None:
-        nums, den = to_bernstein(f, interval)
-        limit = num * den
+    nums, den = to_bernstein(f, interval)
+    limit = num * den
+    point = None
+    if scale * abs(nums[0]) > limit:
+        point = interval.lo
+    elif scale * abs(nums[-1]) > limit:
+        point = interval.hi
+    else:
         # every numerator N den -+ D c is >= 0 exactly when D * max(+-c) <= N den
         for sign, peak in ((1, max(nums)), (-1, -min(nums))):
             if scale * peak <= limit:

@@ -372,9 +372,7 @@ def primitive_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
         shift = len(rem) - dn
         for j in range(dn):
             rem[shift + j] -= q * den[j]
-    # the gcd of an empty or all-zero list is 0: a zero remainder stays as it is
-    g = math.gcd(*rem)
-    return IntPoly([c // g for c in rem] if g > 1 else rem)
+    return IntPoly(rem).primitive()
 
 
 def poly_gcd(p: IntPoly, q: IntPoly) -> IntPoly:

@@ -637,10 +637,10 @@ class TestOneSequence:
             settled += len(negatives) == before
         assert settled == 43
 
-    def test_endpoint_refutation_converts_nothing(self, monkeypatch):
+    def test_endpoint_refutation_reads_end_numerators(self, monkeypatch):
         # x**2 - 3x + 1 is 1/9 and -1/25 at the ends of [1/3, 2/5], both
-        # above 1/30 in size: lo refutes first, in integers, before any
-        # Bernstein conversion
+        # above 1/30 in size: lo refutes first, from the first Bernstein
+        # numerator of the one conversion, with no subdivision
         conversions = counting(monkeypatch, "to_bernstein")
         negatives = counting(monkeypatch, "_negative_point")
         cert = decide_sup_bound(WITNESS, I13_25, F(1, 30))
@@ -649,7 +649,10 @@ class TestOneSequence:
         # x is 0 and 1 at the ends of [0, 1]: only hi exceeds 1/2, and refutes
         cert = decide_sup_bound(IntPoly([0, 1]), Interval(0, 1), F(1, 2))
         assert cert.refutation_point == 1
-        assert conversions == [] and negatives == []
+        assert [args for args, _ in conversions] == [
+            (WITNESS, I13_25), (IntPoly([0, 1]), Interval(0, 1))
+        ]
+        assert negatives == []
 
     def test_decision_matches_reference_on_oracle_instances(self):
         cases = certifier_cases()

@@ -20,7 +20,6 @@ from monicheb import (
     poly_integrate_product,
     to_bernstein,
 )
-from monicheb import numpoly
 from monicheb.numpoly import primitive_remainder
 
 from bernstein_helpers import reference_bernstein_split, reference_to_bernstein
@@ -256,25 +255,6 @@ class TestIntegerKernel:
                 assert scale > 0
                 assert [c * scale for c in got.coeffs] == want
                 assert math.gcd(*got.coeffs) == 1
-
-    def test_remainder_is_built_once(self, monkeypatch):
-        # the content is divided out of the coefficient list, so each call
-        # builds one polynomial, the zero remainder included
-        built = []
-
-        class Counting(IntPoly):
-            __slots__ = ()
-
-            def __init__(self, coeffs=()):
-                built.append(list(coeffs))
-                super().__init__(built[-1])
-
-        monkeypatch.setattr(numpoly, "IntPoly", Counting)
-        assert primitive_remainder(IntPoly([4, 0, 1]), IntPoly([0, 1])) == IntPoly([1])
-        assert primitive_remainder(IntPoly([6, 0, 2]), IntPoly([0, 3])) == IntPoly([1])
-        assert primitive_remainder(IntPoly([-1, 0, 1]), IntPoly([-1, 1])) == IntPoly()
-        assert primitive_remainder(IntPoly([2, 4]), IntPoly([1])) == IntPoly()
-        assert built == [[1], [1], [0], []]
 
     def test_exact_division(self):
         rng = random.Random(19)
