@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .constants import ConstantValue, conjecture_value
+from .constants import ConstantValue, conjecture_anchor, conjecture_value
 from .farey import FareyPair
 from .numpoly import (
     IntPoly,
@@ -529,23 +529,23 @@ def _witness_bound(pair: FareyPair, n: int) -> Fraction:
 def verify_witness(pair: FareyPair, f: IntPoly) -> WitnessRecord:
     """Check that f witnesses the conjectured constant on the pair's interval.
 
-    The target bound is conjecture_value(pair)**deg f: 1/b**deg f for the
-    least endpoint denominator b >= 2.  A pair of two integer endpoints has
-    no such target, and conjecture_value refuses it with ValueError.  On
-    success the record's tm_upper equals bound**(1/deg f); the endpoint
-    with that denominator already forces sup |f| >= the bound, so
-    certification then implies exact equality, which is asserted.
+    The target bound is conjecture_value(pair)**deg f = 1/b**deg f, for
+    the endpoint a/b of least denominator b >= 2 (conjecture_anchor),
+    built from those integers; a pair of two integer endpoints has none
+    and is refused with ValueError.  The record's tm_upper is 1/b, the
+    canonical form of bound**(1/deg f).  As b**deg f * f(a/b) is a nonzero
+    integer, sup |f| >= the bound, so a certified record has sup |f| equal
+    to the bound; the check that |b**deg f * f(a/b)| is 1 asserts it.
     """
     if not isinstance(f, IntPoly) or not f.is_monic:
         raise ValueError("witness must be a monic IntPoly")
     n = f.degree
     if n < 1:
         raise ValueError("witness must have degree >= 1")
-    bound = _witness_bound(pair, n)
+    a, b = conjecture_anchor(pair)
+    bound = Fraction(1, b**n)
     cert = certify_sup_bound(f, pair.interval(), bound)
-    record = WitnessRecord(pair, f, n, bound, cert, ConstantValue(bound, n))
+    record = WitnessRecord(pair, f, n, bound, cert, ConstantValue(Fraction(1, b)))
     if cert.verdict is Verdict.CERTIFIED_AT_MOST:
-        ends = [e for e in (pair.lo, pair.hi) if e.denominator >= 2]
-        anchor = min(ends, key=lambda e: e.denominator)
-        assert rational_point_lower_bound(f, anchor) == bound
+        assert abs(homogeneous_value(f, a, b)) == 1
     return record

@@ -7,6 +7,7 @@ so results can be consumed by scripts.  Exit codes: 0 success/certified,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -118,7 +119,11 @@ def parse_table_file(path) -> list[TableEntry]:
     return entries
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process.  parse_args keeps no
+    state between calls, and every parse gets a fresh Namespace, so one
+    parser serves every run."""
     parser = _Parser(prog="monicheb")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -341,7 +346,10 @@ def _cmd_verify_table(args, report: RunReport) -> None:
 
 
 def run(argv: list[str]) -> RunReport:
-    """Dispatch a command line; returns the full report without printing."""
+    """Dispatch a command line; returns the full report without printing.
+
+    Runs in one process share _build_parser's parser and nothing else, so
+    a run reports what the same command line reports in a new process."""
     report = RunReport(command=" ".join(argv))
     try:
         args = _build_parser().parse_args(argv)

@@ -430,6 +430,20 @@ def interval_constant(lo, hi) -> tuple[ConstantValue, str] | None:
     return None
 
 
+def conjecture_anchor(pair: FareyPair) -> tuple[int, int]:
+    """(a, b) for the endpoint a/b of least denominator b >= 2, the lower
+    endpoint on a tie.  Its 1/b is the conjectured constant of the pair
+    (conjecture_value), and [k, k + 1] has no such endpoint: ValueError.
+    """
+    ends = [(a, b) for a, b in ((pair.a2, pair.b2), (pair.a1, pair.b1)) if b >= 2]
+    if not ends:
+        raise ValueError(
+            f"[{pair.lo}, {pair.hi}] has two integer endpoints and no conjectured "
+            "value; interval_constant catalogs its constant"
+        )
+    return min(ends, key=lambda end: end[1])
+
+
 def conjecture_value(pair: FareyPair, witness=None) -> tuple[ConstantValue, str]:
     """Conjectured constant of a consecutive-Farey interval.
 
@@ -442,13 +456,7 @@ def conjecture_value(pair: FareyPair, witness=None) -> tuple[ConstantValue, str]
     supplied, which upgrades it to PROVEN-EQUAL by combining the two-point
     lower bound with the witness upper bound.
     """
-    contributions = [Fraction(1, b) for b in (pair.b1, pair.b2) if b >= 2]
-    if not contributions:
-        raise ValueError(
-            f"[{pair.lo}, {pair.hi}] has two integer endpoints and no conjectured "
-            "value; interval_constant catalogs its constant"
-        )
-    value = ConstantValue(max(contributions))
+    value = ConstantValue(Fraction(1, conjecture_anchor(pair)[1]))
     if witness is None:
         return value, CONJECTURED
     if not getattr(witness, "is_proof_for", lambda _p: False)(pair):

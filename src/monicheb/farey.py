@@ -30,8 +30,8 @@ class FareyPair:
             raise ValueError(
                 f"not a consecutive Farey pair: {self.a2}/{self.b2}, {self.a1}/{self.b1}"
             )
-        if Fraction(self.a2, self.b2) >= Fraction(self.a1, self.b1):
-            raise ValueError("lower endpoint must be strictly smaller")
+        # with b1, b2 >= 1 this gives hi - lo = 1/(b1*b2) > 0, so the
+        # endpoints need no order check
 
     @classmethod
     def from_endpoints(cls, lo: Fraction, hi: Fraction) -> "FareyPair":

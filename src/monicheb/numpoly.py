@@ -43,20 +43,23 @@ def format_rational(value: Rat) -> str:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with exact rational endpoints, lo < hi."""
+    """Closed interval [lo, hi] with exact rational endpoints, lo < hi.
+
+    The width hi - lo is computed once, in __post_init__.  It is a plain
+    attribute, not a field, so equality, hashing and repr see lo and hi
+    only.
+    """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if not self.lo < self.hi:
-            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+        lo, hi = Fraction(self.lo), Fraction(self.hi)
+        if not lo < hi:
+            raise ValueError(f"empty interval: [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "width", hi - lo)
 
     @property
     def midpoint(self) -> Fraction:
@@ -389,13 +392,24 @@ def format_poly(p: IntPoly) -> str:
     return "poly " + " ".join(format_rational(c) for c in p.coeffs) if p.coeffs else "poly"
 
 
+def _parse_coefficient(token: str) -> Rat:
+    """An integer token (optional sign, decimal digits) goes straight to
+    int; any other token goes through parse_rational.  str.isdecimal holds
+    for exactly the characters that _RATIONAL_RE's \\d matches (Unicode
+    category Nd), so the tokens accepted are parse_rational's: a bare int()
+    would also take "1_0"."""
+    digits = token[1:] if token[0] in "+-" else token
+    return int(token) if digits.isdecimal() else parse_rational(token)
+
+
 def parse_poly(text: str) -> IntPoly:
     """Parse the canonical "poly c0 c1 ... cn" form.
 
     Every coefficient must be an integer (a form such as 4/2 is read as 2);
-    ValueError otherwise.
+    ValueError otherwise.  A coefficient token is read by parse_rational's
+    grammar, and an integer token goes straight to int with no Fraction.
     """
     parts = text.split()
     if not parts or parts[0] != "poly":
         raise ValueError(f"polynomial text must start with 'poly': {text!r}")
-    return IntPoly(parse_rational(tok) for tok in parts[1:])
+    return IntPoly(_parse_coefficient(tok) for tok in parts[1:])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from monicheb import certify
 from monicheb import (
     PROVEN_EQUAL,
+    ConstantValue,
     FareyPair,
     IntPoly,
     Interval,
@@ -37,6 +39,7 @@ from monicheb.certify import (
     _squarefree_mod_p,
     _squarefree_odd_part,
     _variations,
+    _witness_bound,
 )
 
 from bernstein_helpers import reference_bernstein_enclosure, reference_bernstein_prefilter
@@ -1233,6 +1236,60 @@ class TestVerifyWitness:
         lines = cert.render()
         assert "status=refuted" in lines
         assert "refutation_point=1/3" in lines
+
+
+def least_denominator_end(pair):
+    """The anchor as a Fraction: the endpoint of least denominator >= 2."""
+    ends = [e for e in (pair.lo, pair.hi) if e.denominator >= 2]
+    return min(ends, key=lambda e: e.denominator)
+
+
+# (pair, witness root, verdict of (x - root)**n at every n) for pairs whose
+# least denominator b >= 2 is a perfect power: b at the upper endpoint, at
+# the lower one, and beside an integer endpoint.  (x - root)**n reaches the
+# bound at the anchor and certifies, except on [1/b, 2/(2b - 1)], where it
+# exceeds the bound at the upper endpoint
+PERFECT_POWER_CASES = [
+    case
+    for b in (4, 8, 9, 16, 27)
+    for case in [
+        (FareyPair.from_endpoints(F(1, b + 1), F(1, b)), 0, Verdict.CERTIFIED_AT_MOST),
+        (FareyPair.from_endpoints(F(1, b), F(2, 2 * b - 1)), 0, Verdict.REFUTED),
+        (FareyPair.from_endpoints(F(0), F(1, b)), 0, Verdict.CERTIFIED_AT_MOST),
+        (FareyPair.from_endpoints(F(b - 1, b), F(1)), 1, Verdict.CERTIFIED_AT_MOST),
+    ]
+]
+
+
+class TestIntegerWitnessPath:
+    """verify_witness builds its bound and tm_upper from the anchor's
+    integers; they must equal the Fraction forms it built before."""
+
+    @staticmethod
+    def check(pair, f):
+        record = verify_witness(pair, f)
+        n = f.degree
+        assert record.bound == _witness_bound(pair, n)
+        former = ConstantValue(record.bound, n)
+        assert (record.tm_upper.r, record.tm_upper.k) == (former.r, former.k)
+        assert str(record.tm_upper) == str(former)
+        assert record.render() == dataclasses.replace(record, tm_upper=former).render()
+        if record.certificate.verdict is Verdict.CERTIFIED_AT_MOST:
+            assert rational_point_lower_bound(f, least_denominator_end(pair)) == record.bound
+        return record
+
+    def test_every_table_entry(self):
+        for pair, f, bound in table_witnesses():
+            record = self.check(pair, f)
+            assert record.bound == bound
+            assert record.certificate.verdict is Verdict.CERTIFIED_AT_MOST
+
+    @pytest.mark.parametrize("pair, root, verdict", PERFECT_POWER_CASES,
+                             ids=[str(case[0]) for case in PERFECT_POWER_CASES])
+    def test_perfect_power_denominators(self, pair, root, verdict):
+        for n in range(1, 13):
+            record = self.check(pair, IntPoly([-root, 1]) ** n)
+            assert record.certificate.verdict is verdict
 
 
 class TestSubadditivity:

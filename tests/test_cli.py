@@ -16,7 +16,10 @@ from monicheb import (
     parse_table_file,
     run,
 )
+from monicheb import cli
 from monicheb.cli import EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -337,6 +340,19 @@ class TestVerifyTable:
         assert report.exit_code == EXIT_USAGE
         assert report.lines == [f"error={path}: no table entries"]
 
+    def test_whole_output_pinned(self):
+        report = run(["verify-table"])
+        lines = [f"command={report.command}"] + report.lines
+        assert lines == (DATA / "verify_table.out").read_text(encoding="utf-8").splitlines()
+
+    def test_underscore_coefficient_refused_with_line(self, tmp_path):
+        # int() would read 1_0 as 10; the table grammar refuses it
+        path = tmp_path / "table.txt"
+        path.write_text("interval 1/3 2/5\npoly 1_0 -3 1\n")
+        report = run(["verify-table", str(path)])
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == [f"error={path}:2: malformed rational: '1_0'"]
+
     def test_file_order_preserved(self, tmp_path):
         path = tmp_path / "table.txt"
         path.write_text(
@@ -420,6 +436,38 @@ class TestUsage:
     def test_command_echo(self):
         report = run(["farey", "--order", "1"])
         assert report.command == "farey --order 1"
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_runs_match_separate_processes(self, witness_file):
+        # usage errors (missing option, clashing options, unknown command)
+        # between valid commands that rely on defaults
+        commands = [
+            ["farey"],
+            ["farey", "--order", "3"],
+            ["certify", "--poly", witness_file, "--interval", "1/3", "2/5",
+             "--bound", "1", "--conjecture"],
+            ["construct", "pair", "1/3", "2/5", "--degree", "4"],
+            ["frobnicate"],
+            ["certify", "--poly", witness_file, "--interval", "1/3", "2/5", "--conjecture"],
+            ["search", "--interval", "1/3", "2/5", "--degree", "4"],
+        ]
+        in_process = [run(argv) for argv in commands]
+        for argv, report in zip(commands, in_process):
+            result = subprocess.run(
+                [sys.executable, "-m", "monicheb.cli", *argv],
+                env=module_env(),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            printed = [f"command={report.command}"] + report.lines
+            assert result.stdout == "".join(f"{line}\n" for line in printed)
+            assert result.returncode == report.exit_code
+        assert [r.exit_code for r in in_process] == [3, 0, 3, 0, 3, 0, 0]
 
 
 def module_env():

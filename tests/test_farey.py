@@ -85,6 +85,12 @@ class TestFareyPairType:
         with pytest.raises(ValueError):
             FareyPair(2, 4, 1, 3)
 
+    def test_reversed_endpoints_fail_determinant(self):
+        # swapping the endpoints negates a1*b2 - a2*b1, so the determinant
+        # check alone keeps lo < hi
+        with pytest.raises(ValueError, match="not a consecutive Farey pair"):
+            FareyPair.from_endpoints(F(2, 5), F(1, 3))
+
     def test_interval(self):
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         assert pair.interval().lo == F(1, 3)

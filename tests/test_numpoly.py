@@ -1,5 +1,8 @@
+import dataclasses
 import math
 import random
+import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +23,7 @@ from monicheb import (
     poly_integrate_product,
     to_bernstein,
 )
-from monicheb.numpoly import primitive_remainder
+from monicheb.numpoly import _RATIONAL_RE, primitive_remainder
 
 from bernstein_helpers import reference_bernstein_split, reference_to_bernstein
 
@@ -369,6 +372,40 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_poly("1 -3 1")
 
+    @pytest.mark.parametrize("text", ["poly 1_0", "poly 0x10"])
+    def test_int_literal_forms_refused(self, text):
+        # int() takes "1_0" as 10; the rational grammar takes neither token
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_poly(text)
+
+    def test_signed_and_fraction_tokens(self):
+        p = parse_poly("poly +3 -4 4/2")
+        assert p.coeffs == (3, -4, 2)
+        assert all(type(c) is int for c in p.coeffs)
+
+    @pytest.mark.parametrize("token", [
+        "0", "-0", "+007", "12345678901234567890", "\u0663\u0661", "-\u0967",
+        "+", "-", "+-3", "--3", "1_0", "0x10", "0b1", "1e3", "1.0", "\u00b2",
+        "\u0663/\u0661", "6/-3", "1/0",
+    ])
+    def test_tokens_read_as_parse_rational_reads_them(self, token):
+        try:
+            expected = IntPoly([parse_rational(token)])
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                parse_poly(f"poly {token}")
+        else:
+            assert parse_poly(f"poly {token}") == expected
+
+    def test_isdecimal_is_the_pattern_digit_class(self):
+        # the integer fast path tests str.isdecimal where _RATIONAL_RE uses \d
+        digit = re.compile(r"\d")
+        assert _RATIONAL_RE.pattern.count(r"\d") == 2
+        assert all(
+            ch.isdecimal() == (digit.fullmatch(ch) is not None)
+            for ch in map(chr, range(sys.maxunicode + 1))
+        )
+
 
 class TestIntervalType:
     def test_requires_order(self):
@@ -378,6 +415,26 @@ class TestIntervalType:
     def test_contains(self):
         i = Interval(F(1, 3), F(2, 5))
         assert F(1, 3) in i and F(3, 8) in i and F(1, 2) not in i
+
+    def test_width_stored_once(self):
+        i = Interval(1, F(5, 2))
+        assert i.width == i.hi - i.lo == F(3, 2)
+        assert type(i.lo) is type(i.width) is F
+        assert dataclasses.replace(i, hi=4).width == 3
+
+    def test_frozen(self):
+        i = Interval(F(1, 3), F(2, 5))
+        for name in ("lo", "hi", "width"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(i, name, F(1, 2))
+
+    def test_fields_eq_hash_repr_see_endpoints_only(self):
+        i, j = Interval(F(1, 3), F(2, 5)), Interval(F(2, 6), F(4, 10))
+        assert [f.name for f in dataclasses.fields(Interval)] == ["lo", "hi"]
+        assert i == j and hash(i) == hash(j) == hash((F(1, 3), F(2, 5)))
+        assert i != Interval(F(1, 3), F(1, 2))
+        assert repr(i) == "Interval(lo=Fraction(1, 3), hi=Fraction(2, 5))"
+        assert dataclasses.astuple(i) == (F(1, 3), F(2, 5))
 
 
 class TestHomogeneousValue:
