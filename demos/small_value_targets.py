@@ -6,8 +6,9 @@ epsilon at all of them simultaneously.  The construction reads each point
 as an exact rational center, reduces the polynomials P of degree < n under
 a form that weights the values P(alpha) heavily, and takes Babai's
 nearest-plane point toward -x**n, so F = x**n + P is small at every
-point; F is verified with outward-rounded rational interval arithmetic,
-never trusted to floats.
+point; F is verified exactly, never trusted to floats: its Taylor
+coefficients at each center bound |F| on a disc that contains the box the
+numeric point stands for.
 """
 import math
 from fractions import Fraction as F

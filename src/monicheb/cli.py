@@ -41,9 +41,10 @@ EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-# Largest --degree that construct pair/triple accepts.  Larger degrees are
-# refused before any work: at degree 8000 on (1/3, 2/5) the output already
-# exceeds Python's 4300-digit int-to-str limit.
+# Largest --degree that construct pair/triple accepts, and largest
+# --max-degree that construct multi accepts.  Larger degrees are refused
+# before any work: at degree 8000 on (1/3, 2/5) the output already exceeds
+# Python's 4300-digit int-to-str limit.
 MAX_CONSTRUCT_DEGREE = 4096
 # Largest --order that farey accepts, refused before any work.  The output
 # has about 0.3 order**2 lines: order 1000 takes 2.3 s and 71 MB, or 6.7 s
@@ -217,6 +218,10 @@ def _cmd_construct(args, report: RunReport) -> None:
     if args.mode in ("pair", "triple") and args.degree > MAX_CONSTRUCT_DEGREE:
         raise _UsageError(
             f"--degree {args.degree} is above the cap {MAX_CONSTRUCT_DEGREE}"
+        )
+    if args.mode == "multi" and args.max_degree > MAX_CONSTRUCT_DEGREE:
+        raise _UsageError(
+            f"--max-degree {args.max_degree} is above the cap {MAX_CONSTRUCT_DEGREE}"
         )
     head: list[str] = []
     if args.mode == "pair":

@@ -291,7 +291,10 @@ def parse_endpoint(text: str) -> SymbolicEndpoint:
     div = Fraction(1)
     m = re.match(r"\A\((.*)\)/(\d+)\Z", text)
     if m:
-        text, div = m.group(1), Fraction(1, int(m.group(2)))
+        q = int(m.group(2))
+        if q == 0:
+            raise ZeroDivisionError(f"zero denominator in endpoint: {text!r}")
+        text, div = m.group(1), Fraction(1, q)
     m = re.match(r"\A(-?)1/sqrt\((\d+)\)\Z", text)
     if m:
         s = int(m.group(2))

@@ -13,7 +13,7 @@ the degree-n forms u**k w**(n-k) and turned into a polynomial by one
 Horner pass, so the search builds no member polynomial.  The
 small-values construction reduces a Gram built from the exact centers of
 the points, takes Babai's point toward -x**n, and verifies the result
-with outward-rounded rational interval arithmetic.
+with an exact Taylor bound on a disc about each center.
 """
 from __future__ import annotations
 
@@ -457,62 +457,25 @@ class SmallValueError(ArithmeticError):
     """Verification failed at the given precision; raise it and retry."""
 
 
-@dataclass(frozen=True)
-class _Box:
-    """Axis-aligned complex box with exact rational corners."""
+def _small_on_disc(
+    f: IntPoly, re: Fraction, im: Fraction, radius: Fraction, eps: Fraction
+) -> bool:
+    """True when |f| < eps on the disc |z - c| <= radius, c = re + i im.
 
-    rl: Fraction
-    rh: Fraction
-    il: Fraction
-    ih: Fraction
-
-    @classmethod
-    def point(cls, re: Fraction, im: Fraction, halfwidth: Fraction) -> "_Box":
-        return cls(re - halfwidth, re + halfwidth, im - halfwidth, im + halfwidth)
-
-    @classmethod
-    def integer(cls, c: int) -> "_Box":
-        z = Fraction(0)
-        return cls(Fraction(c), Fraction(c), z, z)
-
-    def round_out(self, precision: int) -> "_Box":
-        scale = 1 << precision
-        return _Box(
-            Fraction(math.floor(self.rl * scale), scale),
-            Fraction(math.ceil(self.rh * scale), scale),
-            Fraction(math.floor(self.il * scale), scale),
-            Fraction(math.ceil(self.ih * scale), scale),
-        )
-
-    def __add__(self, other: "_Box") -> "_Box":
-        return _Box(
-            self.rl + other.rl,
-            self.rh + other.rh,
-            self.il + other.il,
-            self.ih + other.ih,
-        )
-
-    def __mul__(self, other: "_Box") -> "_Box":
-        rr = _mul_interval(self.rl, self.rh, other.rl, other.rh)
-        ii = _mul_interval(self.il, self.ih, other.il, other.ih)
-        ri = _mul_interval(self.rl, self.rh, other.il, other.ih)
-        ir = _mul_interval(self.il, self.ih, other.rl, other.rh)
-        return _Box(rr[0] - ii[1], rr[1] - ii[0], ri[0] + ir[0], ri[1] + ir[1])
-
-    def abs2_upper(self) -> Fraction:
-        return max(self.rl**2, self.rh**2) + max(self.il**2, self.ih**2)
-
-
-def _mul_interval(a: Fraction, b: Fraction, c: Fraction, d: Fraction):
-    products = (a * c, a * d, b * c, b * d)
-    return min(products), max(products)
-
-
-def _box_eval(poly: IntPoly, box: _Box, precision: int) -> _Box:
-    acc = _Box.integer(0)
-    for c in reversed(poly.coeffs):
-        acc = (acc * box + _Box.integer(c)).round_out(precision)
-    return acc
+    The Taylor coefficients t_k of f at c come exactly from the in-place
+    shift of to_bernstein on (Re, Im) pairs; f(z) = sum t_k (z - c)**k, so
+    |f| <= |t_0| + sum_{k>=1} |t_k| radius**k on the disc, and |t_k| <=
+    |Re t_k| + |Im t_k|.
+    """
+    t = [(Fraction(c), Fraction(0)) for c in f.coeffs]
+    n = len(t) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            (r, s), (hr, hi) = t[k], t[k + 1]
+            t[k] = (r + re * hr - im * hi, s + re * hi + im * hr)
+    slack = eps - sum((abs(r) + abs(s)) * radius**k for k, (r, s) in enumerate(t) if k)
+    r, s = t[0]
+    return slack > 0 and r * r + s * s < slack * slack
 
 
 def _to_exact_complex(value) -> tuple[Fraction, Fraction]:
@@ -559,13 +522,15 @@ def small_value_polynomial(points, epsilon, precision: int = 64) -> IntPoly:
     each is read exactly as a rational center.  For n = 1 .. k + 8 (k
     points) and four weights, F = x**n + P is Babai's point of
     _small_value_candidate, so at most 4 (k + 8) reductions of dimension
-    <= k + 8 run.  The first F whose values are below epsilon under
-    outward-rounded interval arithmetic at the given precision is returned
-    (each point is enclosed in a box of halfwidth 2**-precision, so the
-    inputs are trusted to that accuracy).  Raises SmallValueError when no
-    candidate verifies; callers should then raise the precision or supply
-    more accurate points.
+    <= k + 8 run.  The first F proved below epsilon on a disc of radius
+    3/2 * 2**-precision about each center is returned; the disc holds the
+    box of halfwidth 2**-precision about the center, so the inputs are
+    trusted to that accuracy.  Raises ValueError for a precision below 1,
+    and SmallValueError when no candidate verifies; callers should then
+    raise the precision or supply more accurate points.
     """
+    if precision < 1:
+        raise ValueError("precision must be at least 1")
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -583,15 +548,14 @@ def small_value_polynomial(points, epsilon, precision: int = 64) -> IntPoly:
         if im != 0 and (re, -im) not in as_set:
             raise ValueError("points must be closed under complex conjugation")
 
-    halfwidth = Fraction(1, 1 << precision)
-    boxes = [_Box.point(re, im, halfwidth) for re, im in exact]
+    # the disc of radius 3h/2 about a center holds its box of halfwidth h,
+    # since h sqrt(2) < 3h/2; a conjugate's disc mirrors its partner's
+    radius = Fraction(3, 2 << precision)
     reps = [(re, im) for re, im in exact if im >= 0]
     for n in range(1, k + 9):
         for wexp in (12, 24, 48, 96):
             f = _small_value_candidate(reps, n, 1 << wexp)
-            if all(
-                _box_eval(f, box, precision).abs2_upper() < eps * eps for box in boxes
-            ):
+            if all(_small_on_disc(f, re, im, radius, eps) for re, im in reps):
                 return f
     raise SmallValueError(
         "could not verify a small-value polynomial at this precision"

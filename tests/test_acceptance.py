@@ -283,7 +283,7 @@ def test_criterion_6_certifier_oracle_equivalence():
 
 
 def test_criterion_7_small_values_desk_scale():
-    """Conjugation-closed sets of any size get interval-verified small
+    """Conjugation-closed sets of any size get exactly verified small
     values; the general conjecture stays open in docs and exit codes."""
     cases = [
         ([2.718281828459045], F(1, 2)),

@@ -129,6 +129,11 @@ class TestConstantCommand:
         assert time.perf_counter() - start < 2
         assert report.exit_code in (EXIT_INCONCLUSIVE, EXIT_USAGE)
 
+    def test_zero_endpoint_denominator_refused(self):
+        report = run(["constant", "--interval", "(1)/0", "2"])
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == ["error=zero denominator in endpoint: '(1)/0'"]
+
     def test_point(self):
         report = run(["constant", "--point", "3/7"])
         assert "value=1/7" in report.lines
@@ -203,6 +208,18 @@ class TestConstructCommand:
         assert time.perf_counter() - start < 1
         assert report.exit_code == EXIT_USAGE
         assert report.lines == ["error=--degree 8000 is above the cap 4096"]
+
+    def test_multi_max_degree_above_cap_refused_before_work(self, monkeypatch):
+        # --max-degree 20000 on {1/4, 3/4} once built the degree-16384
+        # output at 141 MB and then failed on the int-to-str limit
+        def no_work(points, max_degree):
+            raise AssertionError("construction started before the cap check")
+
+        monkeypatch.setattr(cli, "multipoint_monic", no_work)
+        for cap in (cli.MAX_CONSTRUCT_DEGREE + 1, 20000):
+            report = run(["construct", "multi", "1/4,3/4", "--max-degree", str(cap)])
+            assert report.exit_code == EXIT_USAGE
+            assert report.lines == [f"error=--max-degree {cap} is above the cap 4096"]
 
     def test_degree_4000_pair_still_built(self):
         report = run(["construct", "pair", "1/3", "2/5", "--degree", "4000"])

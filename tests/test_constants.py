@@ -175,6 +175,11 @@ class TestEndpoints:
         with pytest.raises(ValueError, match="cannot prove"):
             SymbolicEndpoint(0, 1, 10**30 + 57)
 
+    def test_zero_divisor_refused(self):
+        # once surfaced as the bare message "Fraction(1, 0)"
+        with pytest.raises(ZeroDivisionError, match=r"zero denominator in endpoint: '\(1\)/0'"):
+            parse_endpoint("(1)/0")
+
     def test_exact_comparisons(self):
         assert parse_endpoint("1/sqrt(2)") > SymbolicEndpoint(F(7, 10))
         assert parse_endpoint("1/sqrt(2)") < SymbolicEndpoint(F(71, 100))

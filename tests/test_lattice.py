@@ -866,8 +866,9 @@ class TestSmallValues:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_verified_or_refused_on_random_closed_sets(self, seed):
-        # each call returns a monic F small at every center or raises
-        # SmallValueError; any other exception fails the test
+        # each call returns a monic F small at every center and at the four
+        # corners of its box, or raises SmallValueError; any other exception
+        # fails the test
         rng = random.Random(seed)
         points = random_closed_set(rng)
         for eps in (F(1, 2), F(1, 4), F(1, 10), F(1, 100)):
@@ -875,7 +876,53 @@ class TestSmallValues:
                 f = small_value_polynomial(points, eps, precision=48)
             except SmallValueError:
                 continue
-            assert_small_at_centers(f, points, eps)
+            assert_small_at_centers(f, points, eps, halfwidth=F(1, 2**48))
+
+    def test_pi_at_tiny_epsilon(self):
+        with pytest.raises(SmallValueError):
+            small_value_polynomial([math.pi], F(1, 10**12), precision=48)
+        f = small_value_polynomial([math.pi], F(1, 10**12), precision=64)
+        assert f.degree == 3
+        assert_small_at_centers(f, [math.pi], F(1, 10**12), halfwidth=F(1, 2**64))
+
+    @pytest.mark.parametrize("precision", [0, -1])
+    def test_rejects_precision_below_one(self, precision):
+        # -1 once failed inside the shift with "negative shift count"
+        with pytest.raises(ValueError, match="precision"):
+            small_value_polynomial([math.pi], F(1, 2), precision=precision)
+
+    # The check alone: every candidate is replaced by a fixed F at precision
+    # 4 (h = 1/16) and epsilon = 1/2, so the call returns F when the check
+    # accepts it and raises SmallValueError when it rejects it.
+    EPS = F(1, 2)
+    H = F(1, 16)
+
+    def accepts(self, monkeypatch, coeffs, points) -> bool:
+        import monicheb.lattice as lattice_mod
+
+        monkeypatch.setattr(lattice_mod, "_small_value_candidate", lambda *a: IntPoly(coeffs))
+        try:
+            small_value_polynomial(points, self.EPS, precision=4)
+        except SmallValueError:
+            return False
+        return True
+
+    def test_box_edge_above_epsilon_rejected(self, monkeypatch):
+        # |c| < eps, but the box edge c + h is above it: a check that drops
+        # the Taylor tail accepts
+        assert not self.accepts(monkeypatch, [0, 1], [self.EPS - self.H / 2])
+
+    def test_well_inside_accepted(self, monkeypatch):
+        assert self.accepts(monkeypatch, [0, 1], [self.EPS / 2])
+
+    def test_box_corner_above_epsilon_rejected(self, monkeypatch):
+        # c = x + i x with |c| + h < eps, while the corner (x + h, x + h) has
+        # |F| >= eps: a disc of radius h misses that corner and accepts
+        x = F(19, 64)
+        assert (2 * x * x) < (self.EPS - self.H) ** 2
+        assert 2 * (x + self.H) ** 2 >= self.EPS**2
+        z = complex(x, x)
+        assert not self.accepts(monkeypatch, [0, 1], [z, z.conjugate()])
 
 
 def random_closed_set(rng):
@@ -891,16 +938,19 @@ def random_closed_set(rng):
     return points
 
 
-def assert_small_at_centers(f, points, eps):
-    """f is monic and |f(alpha)|**2 < eps**2 at every exact center alpha,
-    by Horner in Q(i) on Fractions."""
+def assert_small_at_centers(f, points, eps, halfwidth=F(0)):
+    """f is monic and |f(z)|**2 < eps**2 at every exact center alpha and at
+    the four corners alpha + halfwidth (+-1 +- i) of its box, by Horner in
+    Q(i) on Fractions."""
     assert f.is_monic and f.degree >= 1
+    corners = list(itertools.product((-halfwidth, halfwidth), repeat=2)) if halfwidth else []
     for z in map(complex, points):
-        re, im = F(z.real), F(z.imag)
-        vr, vi = F(0), F(0)
-        for c in reversed(f.coeffs):
-            vr, vi = vr * re - vi * im + c, vr * im + vi * re
-        assert vr * vr + vi * vi < eps * eps, (points, eps, f)
+        for dr, di in [(0, 0)] + corners:
+            re, im = F(z.real) + dr, F(z.imag) + di
+            vr, vi = F(0), F(0)
+            for c in reversed(f.coeffs):
+                vr, vi = vr * re - vi * im + c, vr * im + vi * re
+            assert vr * vr + vi * vi < eps * eps, (points, eps, f, dr, di)
 
 
 def _horner_complex(poly, z):
