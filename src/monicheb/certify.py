@@ -25,6 +25,7 @@ the fallback.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -34,6 +35,7 @@ from .farey import FareyPair
 from .numpoly import (
     IntPoly,
     Interval,
+    bernstein_numerators,
     bernstein_split,
     format_rational,
     homogeneous_value,
@@ -423,13 +425,16 @@ def sup_norm_enclosure(
     of g's Bernstein numerators.  Each isolating interval is then halved
     toward its root by the sign of g at the midpoint.  On an interval
     [u, v], |f| is at most the largest |c| over the Bernstein coefficients
-    of f on [u, v], and every evaluated |f(x)| is a lower bound.  Each pending
-    interval keeps its coefficients as integer numerators over one
-    denominator, which the integer de Casteljau split carries to each half;
-    a Fraction is built only for the values kept: the end coefficients, the
-    largest |c| and the midpoint value.  An interval is dropped once its
-    upper bound is <= the best lower bound, and it stops being refined once
-    the two are within tol, so hi - lo <= tol holds by construction.
+    of f on [u, v], and every evaluated |f(x)| is a lower bound.  f is
+    converted on each isolating interval by bernstein_numerators, straight
+    from the integer node endpoints: [u, v] = [a/m, (a + w)/m] with
+    m = lcm(den u, den v), and no Interval is built.  Each pending interval
+    keeps its coefficients as integer numerators over one denominator, which
+    the integer de Casteljau split carries to each half; a Fraction is built
+    only for the values kept: the end coefficients, the largest |c| and the
+    midpoint value.  An interval is dropped once its upper bound is <= the
+    best lower bound, and it stops being refined once the two are within
+    tol, so hi - lo <= tol holds by construction.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -444,7 +449,11 @@ def sup_norm_enclosure(
         if u == v:
             lo_b = max(lo_b, abs(f(u)))
         else:
-            pending.append((u, v, s, *to_bernstein(f, Interval(u, v))))
+            # [u, v] = [a/m, (a + w)/m], the m that Interval(u, v) would give
+            m = math.lcm(u.denominator, v.denominator)
+            a = u.numerator * (m // u.denominator)
+            w = v.numerator * (m // v.denominator) - a
+            pending.append((u, v, s, *bernstein_numerators(f.coeffs, a, w, m)))
     n = f.degree
     uppers = []
     while pending:

@@ -13,7 +13,10 @@ class FareyPair:
     """Consecutive Farey endpoints a2/b2 < a1/b1 with a1*b2 - a2*b1 = 1.
 
     Index 1 is the upper endpoint and index 2 the lower one, matching the
-    usual ordering convention for these intervals.
+    usual ordering convention for these intervals.  The endpoints lo and hi
+    and the Interval are built once, in __post_init__.  They are plain
+    attributes, not fields, so equality, hashing and repr see the four
+    integers only.
     """
 
     a1: int
@@ -32,22 +35,18 @@ class FareyPair:
             )
         # with b1, b2 >= 1 this gives hi - lo = 1/(b1*b2) > 0, so the
         # endpoints need no order check
+        lo, hi = Fraction(self.a2, self.b2), Fraction(self.a1, self.b1)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_interval", Interval(lo, hi))
 
     @classmethod
     def from_endpoints(cls, lo: Fraction, hi: Fraction) -> "FareyPair":
         lo, hi = Fraction(lo), Fraction(hi)
         return cls(hi.numerator, hi.denominator, lo.numerator, lo.denominator)
 
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.a2, self.b2)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.a1, self.b1)
-
     def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
+        return self._interval
 
     def __str__(self) -> str:
         return f"({self.a2}/{self.b2}, {self.a1}/{self.b1})"

@@ -9,6 +9,7 @@ zero polynomial is the empty tuple and its degree is -1.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -276,35 +277,60 @@ def to_bernstein(p: IntPoly, interval: Interval) -> tuple[tuple[int, ...], int]:
     as integer numerators over one positive denominator: (nums, den).
 
     Coefficient j is nums[j] / den, and the first and last equal p at the
-    interval endpoints.  With lo = a/m and width w/m, P(y) = m**n p(y/m) has
-    integer coefficients, and m**n p(lo + width t) = P(a + w t): a Taylor
-    shift of P by a, then coefficient i scaled by w**i, gives the power
-    coefficients q_i in t.  Coefficient j is S_j / (C(n, j) m**n) with
-    S_j = sum_i C(n-i, j-i) q_i, so den = L m**n for L = lcm_j C(n, j)
-    and nums[j] = S_j L / C(n, j).
+    interval endpoints.  With m the least common denominator of lo and the
+    width, the interval is [a/m, (a + w)/m] for integers a and w, and
+    bernstein_numerators converts p's coefficients from those integers.
     """
-    coeffs = p.coeffs or (0,)
-    n = len(coeffs) - 1
     lo, width = interval.lo, interval.width
     m = math.lcm(lo.denominator, width.denominator)
-    a = lo.numerator * (m // lo.denominator)
-    w = width.numerator * (m // width.denominator)
+    return bernstein_numerators(
+        p.coeffs or (0,),
+        lo.numerator * (m // lo.denominator),
+        width.numerator * (m // width.denominator),
+        m,
+    )
+
+
+@functools.lru_cache(maxsize=32)
+def _bernstein_weights(n: int) -> tuple[int, tuple[int, ...]]:
+    """(L, row) for L = lcm_i C(n, i) and row[i] = L / C(n, i)."""
+    binomials = [math.comb(n, i) for i in range(n + 1)]
+    lcm = math.lcm(*binomials)
+    return lcm, tuple(lcm // c for c in binomials)
+
+
+def bernstein_numerators(
+    coeffs: Sequence[int], a: int, w: int, m: int
+) -> tuple[tuple[int, ...], int]:
+    """to_bernstein on the interval [a/m, (a + w)/m], for m > 0 and w > 0,
+    of the polynomial with the nonempty coefficient sequence coeffs.
+
+    P(y) = m**n p(y/m) has integer coefficients, n = len(coeffs) - 1, and
+    m**n p((a + w t)/m) = P(a + w t): a Taylor shift of P by a, then
+    coefficient i scaled by w**i, gives the power coefficients q_i in t.
+    Coefficient j is S_j / (C(n, j) m**n) with S_j = sum_i C(n-i, j-i) q_i,
+    and C(n-i, j-i) / C(n, j) = C(j, i) / C(n, i).  So with L = lcm_i C(n, i)
+    and den = L m**n, nums[j] = sum_i C(j, i) q_i L / C(n, i): the binomial
+    transform of the q_i scaled by the weight row L / C(n, i), cached per
+    degree.  The transform is n passes of neighbour sums, additions only:
+    pass k adds q[j - 1] to q[j] for j from n down to k + 1 (Farouki &
+    Rajan, CAGD 5, 1988).
+    """
+    n = len(coeffs) - 1
     q = [c * m ** (n - i) for i, c in enumerate(coeffs)]
     if a:
         for i in range(n):
             for k in range(n - 1, i - 1, -1):
                 q[k] += a * q[k + 1]
+    lcm, row = _bernstein_weights(n)
     power = 1
     for i in range(n + 1):
-        q[i] *= power
+        q[i] *= power * row[i]
         power *= w
-    binomials = [math.comb(n, j) for j in range(n + 1)]
-    lcm = math.lcm(*binomials)
-    nums = tuple(
-        sum(math.comb(n - i, j - i) * q[i] for i in range(j + 1)) * (lcm // binomials[j])
-        for j in range(n + 1)
-    )
-    return nums, lcm * m**n
+    # each pass reads the old q[j - 1], as j runs from n down to k + 1
+    for k in range(n):
+        q[k + 1:] = map(add, q[k + 1:], q[k:n])
+    return tuple(q), lcm * m**n
 
 
 def bernstein_split(nums: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:

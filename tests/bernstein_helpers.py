@@ -1,6 +1,8 @@
 """The former Fraction Bernstein kernel, kept as the oracle for the integer
 kernel in monicheb.numpoly and the prefilter and enclosure built on it:
 one reduced Fraction per coefficient, halved at every de Casteljau step.
+The former integer conversion, one math.comb per term, is kept as the
+exact oracle for the binomial transform that replaced it.
 The oracle enclosure isolates its critical points with the Sturm chain of
 sturm_helpers."""
 import math
@@ -37,6 +39,33 @@ def reference_to_bernstein(p, interval):
         )
         for j in range(n + 1)
     )
+
+
+def former_to_bernstein(p, interval):
+    """The integer kernel before the binomial transform: (nums, den) with
+    nums[j] = L / C(n, j) * sum_i C(n-i, j-i) q_i, one math.comb per term."""
+    coeffs = p.coeffs or (0,)
+    n = len(coeffs) - 1
+    lo, width = interval.lo, interval.width
+    m = math.lcm(lo.denominator, width.denominator)
+    a = lo.numerator * (m // lo.denominator)
+    w = width.numerator * (m // width.denominator)
+    q = [c * m ** (n - i) for i, c in enumerate(coeffs)]
+    if a:
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                q[k] += a * q[k + 1]
+    power = 1
+    for i in range(n + 1):
+        q[i] *= power
+        power *= w
+    binomials = [math.comb(n, j) for j in range(n + 1)]
+    lcm = math.lcm(*binomials)
+    nums = tuple(
+        sum(math.comb(n - i, j - i) * q[i] for i in range(j + 1)) * (lcm // binomials[j])
+        for j in range(n + 1)
+    )
+    return nums, lcm * m**n
 
 
 def reference_bernstein_split(coeffs):

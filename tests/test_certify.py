@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -1099,6 +1100,39 @@ class TestEnclosure:
         lo, hi = sup_norm_enclosure(poly, pair.interval(), bound / 1000)
         assert lo <= bound <= hi and hi - lo <= bound / 1000
 
+    def test_one_conversion_of_f_per_isolating_interval(self, monkeypatch):
+        # g is converted once, by to_bernstein, to isolate the critical
+        # points; then f once per isolating interval [u, v], by the integer
+        # kernel on [a/m, (a + w)/m] with m = lcm(den u, den v), and no
+        # Interval is built on the way
+        (pair, poly, bound), = [
+            w for w in table_witnesses() if (w[0].lo, w[0].hi) == (F(6, 13), F(7, 15))
+        ]
+        assert poly.degree == 12
+        interval, tol = pair.interval(), bound / 1000
+        g = _squarefree_odd_part(poly.derivative())
+        isolating = [(u, v) for u, v, _ in _root_intervals(g, interval) if u != v]
+        assert len(isolating) >= 2
+        want = [to_bernstein(poly, Interval(u, v)) for u, v in isolating]
+        conversions = counting(monkeypatch, "to_bernstein")
+        kernel = counting(monkeypatch, "bernstein_numerators")
+        built = []
+        post_init = Interval.__post_init__
+        monkeypatch.setattr(
+            Interval, "__post_init__", lambda self: built.append(self) or post_init(self)
+        )
+        got = sup_norm_enclosure(poly, interval, tol)
+        assert built == []
+        assert [args for args, _ in conversions] == [(g, interval)]
+        assert len(kernel) == len(isolating)
+        for ((coeffs, a, w, m), result), (u, v), nums in zip(kernel, isolating, want):
+            assert coeffs == poly.coeffs
+            assert m == math.lcm(u.denominator, v.denominator)
+            assert (F(a, m), F(a + w, m)) == (u, v)
+            assert result == nums
+        monkeypatch.undo()
+        assert got == reference_bernstein_enclosure(poly, interval, tol)
+
     def test_matches_reference_on_table(self):
         witnesses = [w for w in table_witnesses() if 4 <= w[1].degree <= 12]
         assert len(witnesses) == 37
@@ -1293,6 +1327,17 @@ class TestIntegerWitnessPath:
 
 
 class TestSubadditivity:
+    def test_degree_360_power_of_degree_18_witness(self):
+        # the 20th power of a witness is a witness on the same interval
+        (pair, poly, bound), = [
+            w for w in table_witnesses() if (w[0].lo, w[0].hi) == (F(9, 19), F(10, 21))
+        ]
+        assert poly.degree == 18
+        record = verify_witness(pair, poly**20)
+        assert record.degree == 360 and record.bound == bound**20
+        assert record.certificate.verdict is Verdict.CERTIFIED_AT_MOST
+        assert str(record.tm_upper) == "1/19"
+
     def test_product_of_witnesses(self):
         record = verify_witness(PAIR, WITNESS)
         prod = WITNESS * WITNESS

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 from fractions import Fraction as F
 from math import gcd
 
@@ -5,6 +7,7 @@ import pytest
 
 from monicheb import (
     FareyPair,
+    Interval,
     farey_intervals,
     farey_sequence,
     is_consecutive_pair,
@@ -95,6 +98,31 @@ class TestFareyPairType:
         pair = FareyPair.from_endpoints(F(1, 3), F(2, 5))
         assert pair.interval().lo == F(1, 3)
         assert pair.interval().hi == F(2, 5)
+
+    def test_endpoints_and_interval_built_once(self):
+        pair = FareyPair(2, 5, 1, 3)
+        assert pair.lo is pair.lo and pair.hi is pair.hi
+        assert pair.interval() is pair.interval()
+        assert (pair.lo, pair.hi) == (F(1, 3), F(2, 5))
+        assert type(pair.lo) is type(pair.hi) is F
+        assert pair.interval() == Interval(F(1, 3), F(2, 5))
+        assert pair.interval().width == F(1, 15)
+        assert dataclasses.replace(pair, a1=1, b1=2).hi == F(1, 2)
+        for name in ("lo", "hi", "a1"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(pair, name, F(1, 2))
+
+    def test_fields_eq_hash_repr_see_integers_only(self):
+        pair = FareyPair(2, 5, 1, 3)
+        assert [f.name for f in dataclasses.fields(FareyPair)] == ["a1", "b1", "a2", "b2"]
+        assert pair == FareyPair.from_endpoints(F(1, 3), F(2, 5))
+        assert hash(pair) == hash((2, 5, 1, 3))
+        assert pair != FareyPair(1, 2, 1, 3)
+        assert repr(pair) == "FareyPair(a1=2, b1=5, a2=1, b2=3)"
+        assert str(pair) == "(1/3, 2/5)"
+        assert dataclasses.astuple(pair) == (2, 5, 1, 3)
+        copy = pickle.loads(pickle.dumps(pair))
+        assert copy == pair and copy.interval() == pair.interval()
 
 
 class TestMediant:

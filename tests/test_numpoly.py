@@ -23,9 +23,13 @@ from monicheb import (
     poly_integrate_product,
     to_bernstein,
 )
-from monicheb.numpoly import _RATIONAL_RE, primitive_remainder
+from monicheb.numpoly import _RATIONAL_RE, _bernstein_weights, primitive_remainder
 
-from bernstein_helpers import reference_bernstein_split, reference_to_bernstein
+from bernstein_helpers import (
+    former_to_bernstein,
+    reference_bernstein_split,
+    reference_to_bernstein,
+)
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
@@ -220,6 +224,65 @@ class TestBernstein:
                 rows = [half for row in rows for half in bernstein_split(row)]
                 ref_rows = [half for row in ref_rows for half in reference_bernstein_split(row)]
                 assert [fractions_of(row, den) for row in rows] == ref_rows
+
+
+# lo: a negative, zero or integer endpoint, or any rational; widths from
+# 2**-80 up, with denominators of up to 80 bits
+lower_ends = st.one_of(
+    st.just(F(0)),
+    st.integers(-40, 40).map(F),
+    st.fractions(min_value=-40, max_value=-F(1, 10**9), max_denominator=10**9),
+    st.fractions(min_value=-40, max_value=40, max_denominator=2**80),
+)
+widths = st.one_of(
+    st.integers(1, 9).map(F),
+    st.builds(F, st.integers(1, 2**40), st.integers(1, 2**80)),
+)
+
+
+class TestBinomialTransform:
+    """to_bernstein, the binomial transform over a cached weight row, against
+    the former kernel with one math.comb per term: the same tuple."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(0, 96).flatmap(
+            lambda n: st.lists(st.integers(-2**64, 2**64), min_size=n + 1, max_size=n + 1)
+        ),
+        lower_ends,
+        widths,
+    )
+    def test_matches_former_kernel(self, coeffs, lo, width):
+        p = IntPoly(coeffs)
+        interval = Interval(lo, lo + width)
+        assert to_bernstein(p, interval) == former_to_bernstein(p, interval)
+
+    @pytest.mark.parametrize("lo", [F(0), F(3), F(-2), F(-7, 3), F(5, 2**70)])
+    def test_zero_and_constant_polynomials(self, lo):
+        interval = Interval(lo, lo + F(1, 3**40))
+        for p in (IntPoly([]), IntPoly([0]), IntPoly([-5])):
+            assert to_bernstein(p, interval) == former_to_bernstein(p, interval)
+        assert to_bernstein(IntPoly([]), interval) == ((0,), 1)
+
+    def test_weight_row(self):
+        # C(4, i) = 1, 4, 6, 4, 1 and L = 12
+        assert _bernstein_weights(4) == (12, (12, 3, 2, 3, 12))
+        assert _bernstein_weights(0) == (1, (1,))
+
+    def test_evicted_degree_converts_the_same(self):
+        # more than the cache's 32 degrees in between push degree 5 out,
+        # and its weight row is built again
+        rng = random.Random(19)
+        interval = Interval(F(-3, 7), F(2, 5))
+        first = rand_intpoly(rng, 5)
+        want = to_bernstein(first, interval)
+        for n in range(40, 80):
+            p = rand_intpoly(rng, n)
+            assert to_bernstein(p, interval) == former_to_bernstein(p, interval)
+        assert _bernstein_weights.cache_info().maxsize == 32
+        misses = _bernstein_weights.cache_info().misses
+        assert to_bernstein(first, interval) == want == former_to_bernstein(first, interval)
+        assert _bernstein_weights.cache_info().misses == misses + 1
 
 
 def rational_remainder(a, b):
