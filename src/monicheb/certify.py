@@ -16,7 +16,11 @@ sign.  Touch points, where f attains its bound, are even-multiplicity
 roots of a factor and need no epsilon padding.  The sup-norm enclosure
 isolates the critical points of f by the same subdivision, with
 Descartes' rule of signs on the Bernstein coefficients of f', or of its
-odd part when the modular test does not prove f' squarefree.
+odd part when the modular test does not prove f' squarefree.  Its nodes
+are integer pairs (a, m) for [a/m, (a + w)/m] at a fixed w, from the
+isolation through the refinement (Rouillier & Zimmermann, J. Comput.
+Appl. Math. 162, 2004), and its bounds are integer pairs compared by
+cross-multiplication: no Fraction is built per node.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
 sufficient check, on integer numerators over one denominator; it is sound
@@ -107,21 +111,6 @@ def _variations(values) -> int:
             count += 1
         prev = s
     return count
-
-
-def _halve(g: IntPoly, u: Fraction, v: Fraction, s: int):
-    """Split (u, v) at its midpoint m toward the one root r of g inside.
-
-    s is the sign of g on (r, v).  Returns (m, None) when g(m) == 0, else
-    (m, the half that holds r).
-    """
-    mid = (u + v) / 2
-    sign = _sign_at(g, mid)
-    if sign == 0:
-        return mid, None
-    if sign == s:
-        return mid, (u, mid)
-    return mid, (mid, v)
 
 
 # The word-size prime of the modular squarefree test.
@@ -235,51 +224,49 @@ def _first_negative(nums, interval: Interval, max_depth: int, accept=None):
     return None
 
 
-def _root_intervals(g: IntPoly, interval: Interval):
-    """Isolate the distinct real roots of squarefree g in the open interval.
+def _root_intervals(g: IntPoly, a: int, w: int, m: int):
+    """Isolate the distinct real roots of squarefree g in the open interval
+    (a/m, (a + w)/m), for m > 0 and w > 0.
 
     Integer de Casteljau subdivision of g's Bernstein numerators,
-    depth-first and left half first, as in _first_negative.  By Descartes'
-    rule the sign variations of a node's numerators exceed the number of
-    roots of g inside the node by an even count; a root at a node's end, a
-    zero end numerator, is not counted.  A node with no variation holds no
-    root and is dropped.  A node with one holds exactly one root r and
-    yields (u, v, s) with u < v its ends and s the sign of its last nonzero
-    numerator: the sign of g on (r, v), as g(v) or, where g(v) == 0, the
-    sign just left of that simple root.  Any other node is split, and a
-    zero midpoint numerator yields (m, m, 0) for the root m it marks.  The
-    roots come in no particular order.
+    depth-first and left half first, as in _first_negative.  Every node is
+    an integer pair: the node of index i at depth k is [a'/m', (a' + w)/m']
+    with a' = (a << k) + i w and m' = m << k, so its halves are (2 a', 2 m')
+    and (2 a' + w, 2 m'), and no Fraction is built.  By Descartes' rule the
+    sign variations of a node's numerators exceed the number of roots of g
+    inside the node by an even count; a root at a node's end, a zero end
+    numerator, is not counted.  A node with no variation holds no root and
+    is dropped.  A node with one holds exactly one root r and yields
+    (a', m', s), s the sign of its last nonzero numerator: the sign of g on
+    (r, (a' + w)/m'), as g there or, where that end is a simple root, the
+    sign just left of it.  Any other node is split, and a zero midpoint
+    numerator yields (2 a' + w, 2 m', 0) for the root (2 a' + w)/(2 m') it
+    marks.  The roots come in no particular order.
 
     A node narrower than half the separation of g's roots has at most one
     variation (two-circle theorem), so splitting a node deeper than
-    _depth_bound(g, width) + 1 is a failed assertion.
+    _depth_bound(g, w/m) + 1 is a failed assertion.
     """
     if g.degree < 1:
         return
-    lo, width = interval.lo, interval.width
-    max_depth = _depth_bound(g, width) + 1
-    stack = [(to_bernstein(g, interval)[0], 0, 0)]
+    max_depth = _depth_bound(g, Fraction(w, m)) + 1
+    stack = [(bernstein_numerators(g.coeffs, a, w, m)[0], a, m, 0)]
     while stack:
-        nums, depth, index = stack.pop()
+        nums, a, m, depth = stack.pop()
         count = _variations(nums)
         if count == 0:
             continue
         if count == 1:
             last = next(c for c in reversed(nums) if c)
-            yield (
-                lo + width * Fraction(index, 1 << depth),
-                lo + width * Fraction(index + 1, 1 << depth),
-                1 if last > 0 else -1,
-            )
+            yield a, m, 1 if last > 0 else -1
             continue
         assert depth <= max_depth, "isolation passed the root-separation depth"
         left, right = bernstein_split(nums)
-        depth += 1
+        a, m, depth = a << 1, m << 1, depth + 1
         if left[-1] == 0:
-            mid = lo + width * Fraction(2 * index + 1, 1 << depth)
-            yield mid, mid, 0
-        stack.append((right, depth, 2 * index + 1))
-        stack.append((left, depth, 2 * index))
+            yield a + w, m, 0
+        stack.append((right, a + w, m, depth))
+        stack.append((left, a, m, depth))
 
 
 def _negative_point(q: IntPoly, interval: Interval, nums) -> Fraction | None:
@@ -421,20 +408,23 @@ def sup_norm_enclosure(
     interior local extremum of f, where f' changes sign: at a root of the
     odd-multiplicity part g of f'.  A root of f' of even multiplicity is no
     extremum, so the roots of g are enough; g is f' itself when the modular
-    test proves f' squarefree.  _root_intervals isolates them by subdivision
-    of g's Bernstein numerators.  Each isolating interval is then halved
-    toward its root by the sign of g at the midpoint.  On an interval
-    [u, v], |f| is at most the largest |c| over the Bernstein coefficients
-    of f on [u, v], and every evaluated |f(x)| is a lower bound.  f is
-    converted on each isolating interval by bernstein_numerators, straight
-    from the integer node endpoints: [u, v] = [a/m, (a + w)/m] with
-    m = lcm(den u, den v), and no Interval is built.  Each pending interval
-    keeps its coefficients as integer numerators over one denominator, which
-    the integer de Casteljau split carries to each half; a Fraction is built
-    only for the values kept: the end coefficients, the largest |c| and the
-    midpoint value.  An interval is dropped once its upper bound is <= the
-    best lower bound, and it stops being refined once the two are within
-    tol, so hi - lo <= tol holds by construction.
+    test proves f' squarefree.  With the interval [a/m, (a + w)/m] in
+    integers, _root_intervals isolates them by subdivision of g's Bernstein
+    numerators, on integer nodes (a', m') standing for [a'/m', (a' + w)/m'].
+    Each isolating node is then halved toward its root by the sign of g at
+    its midpoint (2 a' + w)/(2 m'), read from homogeneous_value, to the half
+    (2 a', 2 m') or (2 a' + w, 2 m').  On a node, |f| is at most the largest |c| over the
+    Bernstein coefficients of f there, and every evaluated |f(x)| is a lower
+    bound.  f is converted on each isolating node by bernstein_numerators,
+    and each pending node keeps its coefficients as integer numerators over
+    one denominator, which the integer de Casteljau split carries to each
+    half.  The best lower bound and every upper bound are kept as integer
+    pairs (numerator, denominator), compared by cross-multiplication: the
+    value at x = a'/m' is |homogeneous_value(f, a', m')| over m'**n, and a
+    coefficient is |c| over den.  No Fraction is built until the returned
+    bracket.  A node is dropped once its upper bound is <= the best lower
+    bound, and it stops being refined once the two are within tol, so
+    hi - lo <= tol holds by construction.
     """
     tol = Fraction(tol)
     if tol <= 0:
@@ -442,37 +432,54 @@ def sup_norm_enclosure(
     if f.degree <= 0:
         value = Fraction(abs(f.coeffs[0])) if f else Fraction(0)
         return value, value
-    g = _squarefree_odd_part(f.derivative())
-    lo_b = max(abs(f(interval.lo)), abs(f(interval.hi)))
-    pending = []
-    for u, v, s in _root_intervals(g, interval):
-        if u == v:
-            lo_b = max(lo_b, abs(f(u)))
-        else:
-            # [u, v] = [a/m, (a + w)/m], the m that Interval(u, v) would give
-            m = math.lcm(u.denominator, v.denominator)
-            a = u.numerator * (m // u.denominator)
-            w = v.numerator * (m // v.denominator) - a
-            pending.append((u, v, s, *bernstein_numerators(f.coeffs, a, w, m)))
     n = f.degree
+    lo, width = interval.lo, interval.width
+    m = math.lcm(lo.denominator, width.denominator)
+    a = lo.numerator * (m // lo.denominator)
+    w = width.numerator * (m // width.denominator)
+    g = _squarefree_odd_part(f.derivative())
+    # the best lower bound, low / low_den
+    low = max(abs(homogeneous_value(f, a, m)), abs(homogeneous_value(f, a + w, m)))
+    low_den = m**n
+    pending = []
+    for a_k, m_k, s in _root_intervals(g, a, w, m):
+        if s:
+            pending.append((a_k, m_k, s, *bernstein_numerators(f.coeffs, a_k, w, m_k)))
+        else:
+            value, den = abs(homogeneous_value(f, a_k, m_k)), m_k**n
+            if value * low_den > low * den:
+                low, low_den = value, den
     uppers = []
     while pending:
-        u, v, s, nums, den = pending.pop()
-        lo_b = max(lo_b, Fraction(max(abs(nums[0]), abs(nums[-1])), den))
-        upper = Fraction(max(map(abs, nums)), den)
-        if upper <= lo_b:
+        a_k, m_k, s, nums, den = pending.pop()
+        value = max(abs(nums[0]), abs(nums[-1]))
+        if value * low_den > low * den:
+            low, low_den = value, den
+        upper = max(map(abs, nums))
+        # (upper / den - low / low_den) * den * low_den
+        gap = upper * low_den - low * den
+        if gap <= 0:
             continue
-        if upper - lo_b <= tol:
-            uppers.append(upper)
+        if gap * tol.denominator <= tol.numerator * den * low_den:
+            uppers.append((upper, den))
             continue
-        mid, half = _halve(g, u, v, s)
+        a_k, m_k = a_k << 1, m_k << 1
+        sign = homogeneous_value(g, a_k + w, m_k)
         left, right = bernstein_split(nums)
         den <<= n
-        if half is None:
-            lo_b = max(lo_b, Fraction(abs(left[-1]), den))
+        if sign == 0:
+            value = abs(left[-1])
+            if value * low_den > low * den:
+                low, low_den = value, den
+        elif (sign > 0) == (s > 0):
+            pending.append((a_k, m_k, s, left, den))
         else:
-            pending.append((*half, s, left if half == (u, mid) else right, den))
-    return lo_b, max([lo_b] + uppers)
+            pending.append((a_k + w, m_k, s, right, den))
+    high, high_den = low, low_den
+    for upper, den in uppers:
+        if upper * high_den > high * den:
+            high, high_den = upper, den
+    return Fraction(low, low_den), Fraction(high, high_den)
 
 
 def rational_point_lower_bound(f: IntPoly, p) -> Fraction:

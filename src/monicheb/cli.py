@@ -34,6 +34,7 @@ from .numpoly import (
     format_rational,
     parse_poly,
     parse_rational,
+    parse_rational_pair,
 )
 
 EXIT_OK = 0
@@ -82,9 +83,15 @@ def bundled_table_path() -> Path:
     return Path(resources.files("monicheb").joinpath("data/farey_table.txt"))
 
 
+def _format_endpoint(a: int, b: int) -> str:
+    """format_rational of a reduced a/b, b > 0, from its integers."""
+    return str(a) if b == 1 else f"{a}/{b}"
+
+
 def parse_table_file(path) -> list[TableEntry]:
     """Parse fixture records: an `interval <lo> <hi>` line followed by a
     `poly <c0> ... <cn>` line; `#` comments and blank lines are ignored.
+    Each endpoint is read to its reduced integer pair, with no Fraction.
     """
     entries: list[TableEntry] = []
     pending: tuple[int, FareyPair] | None = None
@@ -100,9 +107,9 @@ def parse_table_file(path) -> list[TableEntry]:
                         raise ValueError("interval record missing its poly line")
                     if len(fields) != 3:
                         raise ValueError("interval line needs two endpoints")
-                    lo = parse_rational(fields[1])
-                    hi = parse_rational(fields[2])
-                    pending = (lineno, FareyPair.from_endpoints(lo, hi))
+                    a2, b2 = parse_rational_pair(fields[1])
+                    a1, b1 = parse_rational_pair(fields[2])
+                    pending = (lineno, FareyPair(a1, b1, a2, b2))
                 elif fields[0] == "poly":
                     if pending is None:
                         raise ValueError("poly line without a preceding interval")
@@ -334,14 +341,15 @@ def _cmd_verify_table(args, report: RunReport) -> None:
         raise ValueError(f"{path}: no table entries")
     all_ok = True
     for entry in entries:
-        record = certify_mod.verify_witness(entry.pair, _witness_orientation(entry.poly))
+        pair = entry.pair
+        record = certify_mod.verify_witness(pair, _witness_orientation(entry.poly))
         status = record.certificate.verdict.value
         if record.certificate.verdict is not certify_mod.Verdict.CERTIFIED_AT_MOST:
             all_ok = False
         report.emit(
             "entry={lo}..{hi} degree={deg} status={status}".format(
-                lo=format_rational(entry.pair.lo),
-                hi=format_rational(entry.pair.hi),
+                lo=_format_endpoint(pair.a2, pair.b2),
+                hi=_format_endpoint(pair.a1, pair.b1),
                 deg=record.degree,
                 status=status,
             )

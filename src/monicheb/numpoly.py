@@ -22,8 +22,9 @@ Rat = Union[int, Fraction]
 _RATIONAL_RE = re.compile(r"\A\s*([+-]?\d+)\s*(?:/\s*([+-]?\d+))?\s*\Z")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "a" or "a/b" (signs allowed on either part) into a reduced Fraction."""
+def parse_rational_pair(text: str) -> tuple[int, int]:
+    """Parse "a" or "a/b" (signs allowed on either part) into the reduced
+    integer pair (a, b) with b > 0, building no Fraction."""
     m = _RATIONAL_RE.match(text)
     if m is None:
         raise ValueError(f"malformed rational: {text!r}")
@@ -31,7 +32,15 @@ def parse_rational(text: str) -> Fraction:
     den = int(m.group(2)) if m.group(2) is not None else 1
     if den == 0:
         raise ZeroDivisionError(f"zero denominator in rational: {text!r}")
-    return Fraction(num, den)
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "a" or "a/b" (signs allowed on either part) into a reduced Fraction."""
+    return Fraction(*parse_rational_pair(text))
 
 
 def format_rational(value: Rat) -> str:

@@ -9,9 +9,9 @@ import math
 from fractions import Fraction
 
 from monicheb import Interval, Verdict
-from monicheb.certify import PREFILTER_DEPTH, _halve
+from monicheb.certify import PREFILTER_DEPTH
 
-from sturm_helpers import _odd_part_chain, _root_intervals
+from sturm_helpers import _halve, _odd_part_chain, _root_intervals
 
 
 def reference_to_bernstein(p, interval):

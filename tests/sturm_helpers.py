@@ -7,8 +7,23 @@ chain, then bisecting and probing."""
 from fractions import Fraction
 
 from monicheb import IntPoly
-from monicheb.certify import _halve, _odd_part, _sign_at, _variations
+from monicheb.certify import _odd_part, _sign_at, _variations
 from monicheb.numpoly import primitive_remainder
+
+
+def _halve(g: IntPoly, u: Fraction, v: Fraction, s: int):
+    """Split (u, v) at its midpoint m toward the one root r of g inside.
+
+    s is the sign of g on (r, v).  Returns (m, None) when g(m) == 0, else
+    (m, the half that holds r).
+    """
+    mid = (u + v) / 2
+    sign = _sign_at(g, mid)
+    if sign == 0:
+        return mid, None
+    if sign == s:
+        return mid, (u, mid)
+    return mid, (mid, v)
 
 
 def _sturm_chain(g: IntPoly) -> list[IntPoly]:

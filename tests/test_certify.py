@@ -94,6 +94,32 @@ def negative_points(h, lo, hi):
     )
 
 
+def integer_ends(interval):
+    """(a, w, m) with the interval [a/m, (a + w)/m], m the least common
+    denominator of its lower end and its width."""
+    lo, width = interval.lo, interval.width
+    m = math.lcm(lo.denominator, width.denominator)
+    return lo.numerator * (m // lo.denominator), width.numerator * (m // width.denominator), m
+
+
+def root_intervals(g, interval):
+    """_root_intervals on the interval, each node (a', m', s) checked to lie
+    on the dyadic grid, a' = (a << k) + i w and m' = m << k with 0 <= i < 2**k,
+    and mapped to the Sturm isolation's form: (u, u, 0) for a root hit
+    exactly, else (u, v, s) with [u, v] the node."""
+    a, w, m = integer_ends(interval)
+    for a_k, m_k, s in _root_intervals(g, a, w, m):
+        k = m_k.bit_length() - m.bit_length()
+        index, rest = divmod(a_k - (a << k), w)
+        assert m_k == m << k and rest == 0 and 0 <= index < 1 << k
+        u = F(a_k, m_k)
+        if s == 0:
+            assert index % 2 == 1
+            yield u, u, 0
+        else:
+            yield u, F(a_k + w, m_k), s
+
+
 def random_case(rng):
     f = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))] + [rng.choice([-2, -1, 1, 3])])
     a = F(rng.randint(-6, 6), rng.randint(1, 4))
@@ -215,7 +241,7 @@ class TestRootIsolation:
             assert (g((root + v) / 2) > 0) - (g((root + v) / 2) < 0) == s
         assert found[0][1] <= found[1][0]
         # the subdivision isolation, in no particular order
-        found = list(_root_intervals(g, Interval(0, 1)))
+        found = list(root_intervals(g, Interval(0, 1)))
         assert len(found) == 3
         assert (F(1, 2), F(1, 2), 0) in found
         isolated = sorted(x for x in found if x[0] < x[1])
@@ -226,8 +252,8 @@ class TestRootIsolation:
     def test_no_roots(self):
         assert list(sturm_root_intervals(_sturm_chain(IntPoly([1, 0, 1])), F(-3), F(3))) == []
         assert list(sturm_root_intervals(_sturm_chain(IntPoly([5])), F(0), F(1))) == []
-        assert list(_root_intervals(IntPoly([1, 0, 1]), Interval(-3, 3))) == []
-        assert list(_root_intervals(IntPoly([5]), Interval(0, 1))) == []
+        assert list(root_intervals(IntPoly([1, 0, 1]), Interval(-3, 3))) == []
+        assert list(root_intervals(IntPoly([5]), Interval(0, 1))) == []
 
     def test_negative_point_after_exact_midpoint_root(self):
         # h = (2x - 1)(4x - 3) > 0 at both ends of [0, 1]: the first bisection
@@ -965,7 +991,7 @@ class TestSubdivisionIsolation:
         g, interval = case
         chain = _sturm_chain(g)
         assert chain[-1].degree == 0  # squarefree
-        found = list(_root_intervals(g, interval))
+        found = list(root_intervals(g, interval))
         want = list(sturm_root_intervals(chain, interval.lo, interval.hi))
         assert len(found) == len(want)
         exact = [u for u, v, s in found if u == v]
@@ -995,7 +1021,7 @@ class TestSubdivisionIsolation:
 
         def isolate(cap):
             monkeypatch.setattr(certify, "_depth_bound", lambda q, width: cap - 1)
-            return list(_root_intervals(g, interval))
+            return list(root_intervals(g, interval))
 
         cap = 0
         while True:
@@ -1095,43 +1121,69 @@ class TestEnclosure:
         f = IntPoly([1]) - IntPoly([-1, 2]) ** 2  # 1 - (2x - 1)**2, max 1 at 1/2
         assert sup_norm_enclosure(f, Interval(0, 1), F(1, 1000)) == (1, 1)
 
+    def test_critical_point_hit_by_the_isolation(self):
+        # f = 10 - 2x**2 - 10x**4 on [-1, 1]: f' = -4x(10x**2 + 1) has three
+        # sign variations, so the isolation splits at 0, a root it yields as
+        # (0, 2, 0), and no node is left: the max f(0) = 10 is known from
+        # that root alone, where |f(+-1)| = 2
+        f = IntPoly([10, 0, -2, 0, -10])
+        assert list(_root_intervals(f.derivative(), -1, 2, 1)) == [(0, 2, 0)]
+        assert sup_norm_enclosure(f, Interval(-1, 1), F(1, 1000)) == (10, 10)
+        assert reference_bernstein_enclosure(f, Interval(-1, 1), F(1, 1000)) == (10, 10)
+
     def test_degree_18_witness(self):
         (pair, poly, bound), = [w for w in table_witnesses() if w[1].degree == 18]
         lo, hi = sup_norm_enclosure(poly, pair.interval(), bound / 1000)
         assert lo <= bound <= hi and hi - lo <= bound / 1000
 
     def test_one_conversion_of_f_per_isolating_interval(self, monkeypatch):
-        # g is converted once, by to_bernstein, to isolate the critical
-        # points; then f once per isolating interval [u, v], by the integer
-        # kernel on [a/m, (a + w)/m] with m = lcm(den u, den v), and no
-        # Interval is built on the way
+        # g is converted once, by the integer kernel on [a/m, (a + w)/m], to
+        # isolate the critical points on integer nodes (a', m'); then f once
+        # per isolating node, on [a'/m', (a' + w)/m'].  No Interval is built,
+        # and the Fractions built are the same four however many refinement
+        # steps run: the tolerance, the width for the depth bound and the
+        # two ends of the bracket
         (pair, poly, bound), = [
             w for w in table_witnesses() if (w[0].lo, w[0].hi) == (F(6, 13), F(7, 15))
         ]
         assert poly.degree == 12
-        interval, tol = pair.interval(), bound / 1000
-        g = _squarefree_odd_part(poly.derivative())
-        isolating = [(u, v) for u, v, _ in _root_intervals(g, interval) if u != v]
-        assert len(isolating) >= 2
-        want = [to_bernstein(poly, Interval(u, v)) for u, v in isolating]
-        conversions = counting(monkeypatch, "to_bernstein")
-        kernel = counting(monkeypatch, "bernstein_numerators")
+        # the witness reaches its sup at an end, so its nodes are dropped
+        # early; TOUCH's sup, at the non-dyadic 1/3, is refined toward tol
+        cases = [(poly, pair.interval(), bound / 1000)] + [
+            (TOUCH, Interval(0, F(1, 2)), tol) for tol in (F(1, 10), F(1, 10**30))
+        ]
+        want = []
+        for f, interval, tol in cases:
+            a, w, m = integer_ends(interval)
+            g = _squarefree_odd_part(f.derivative())
+            nodes = [(a_k, m_k) for a_k, m_k, s in _root_intervals(g, a, w, m) if s]
+            nums = [to_bernstein(f, Interval(F(a_k, m_k), F(a_k + w, m_k))) for a_k, m_k in nodes]
+            want.append((a, w, m, g, nodes, nums, reference_bernstein_enclosure(f, interval, tol)))
+        assert len(want[0][4]) >= 2
         built = []
         post_init = Interval.__post_init__
         monkeypatch.setattr(
             Interval, "__post_init__", lambda self: built.append(self) or post_init(self)
         )
-        got = sup_norm_enclosure(poly, interval, tol)
-        assert built == []
-        assert [args for args, _ in conversions] == [(g, interval)]
-        assert len(kernel) == len(isolating)
-        for ((coeffs, a, w, m), result), (u, v), nums in zip(kernel, isolating, want):
-            assert coeffs == poly.coeffs
-            assert m == math.lcm(u.denominator, v.denominator)
-            assert (F(a, m), F(a + w, m)) == (u, v)
-            assert result == nums
-        monkeypatch.undo()
-        assert got == reference_bernstein_enclosure(poly, interval, tol)
+        made = []
+        monkeypatch.setattr(certify, "Fraction", lambda *args: made.append(args) or F(*args))
+        conversions = counting(monkeypatch, "to_bernstein")
+        kernel = counting(monkeypatch, "bernstein_numerators")
+        splits = counting(monkeypatch, "bernstein_split")
+        steps = []
+        for (f, interval, tol), (a, w, m, g, nodes, nums, ref) in zip(cases, want):
+            for calls in (made, kernel, splits):
+                calls.clear()
+            assert sup_norm_enclosure(f, interval, tol) == ref
+            assert built == [] and conversions == []
+            assert len(made) == 4 and made[:2] == [(tol,), (w, m)]
+            assert kernel[0][0] == (g.coeffs, a, w, m)
+            assert len(kernel) == 1 + len(nodes)
+            for ((coeffs, a_k, w_k, m_k), result), node, node_nums in zip(kernel[1:], nodes, nums):
+                assert coeffs == f.coeffs and w_k == w and (a_k, m_k) == node
+                assert result == node_nums
+            steps.append(len(splits))
+        assert steps[2] > steps[1] + 40
 
     def test_matches_reference_on_table(self):
         witnesses = [w for w in table_witnesses() if 4 <= w[1].degree <= 12]

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from monicheb import (
+    FareyPair,
     IntPoly,
     admissible_degree,
     bundled_table_path,
@@ -435,6 +436,37 @@ class TestParseTableFile:
             parse_table_file(path)
         assert f"{path}:5:" in str(exc.value)
         assert "integer coefficients" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "line, pair",
+        [
+            ("interval 2/6 4/10", FareyPair(2, 5, 1, 3)),
+            ("interval -1/2 1/-3", FareyPair(-1, 3, -1, 2)),
+            ("interval +0 -1/-1", FareyPair(1, 1, 0, 1)),
+        ],
+        ids=["reduces", "sign-normalised", "integer"],
+    )
+    def test_endpoints_read_to_reduced_pairs(self, tmp_path, line, pair):
+        path = tmp_path / "table.txt"
+        path.write_text(f"{line}\npoly 1 -3 1\n")
+        (entry,) = parse_table_file(path)
+        assert entry.pair == pair
+        assert (entry.pair.lo, entry.pair.hi) == (F(pair.a2, pair.b2), F(pair.a1, pair.b1))
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("1_0/3", "malformed rational: '1_0/3'"),
+            ("0x1/2", "malformed rational: '0x1/2'"),
+            ("1/0", "zero denominator in rational: '1/0'"),
+        ],
+    )
+    def test_bad_endpoint_refused_with_line(self, tmp_path, token, message):
+        path = tmp_path / "table.txt"
+        path.write_text(f"# header\ninterval {token} 1/2\npoly 1 -3 1\n")
+        with pytest.raises(ValueError) as exc:
+            parse_table_file(path)
+        assert str(exc.value) == f"{path}:2: {message}"
 
     def test_round_trip_polys(self):
         for entry in parse_table_file(bundled_table_path()):

@@ -23,7 +23,12 @@ from monicheb import (
     poly_integrate_product,
     to_bernstein,
 )
-from monicheb.numpoly import _RATIONAL_RE, _bernstein_weights, primitive_remainder
+from monicheb.numpoly import (
+    _RATIONAL_RE,
+    _bernstein_weights,
+    parse_rational_pair,
+    primitive_remainder,
+)
 
 from bernstein_helpers import (
     former_to_bernstein,
@@ -65,6 +70,22 @@ class TestParseRational:
 
     def test_plain_integer(self):
         assert parse_rational("-7") == F(-7)
+
+    @pytest.mark.parametrize("token", [
+        "0", "-0", "0/-5", "+007", "6/4", "-2/-4", "1/-3", "-12/8", "\u0663/\u0661",
+        "12345678901234567890/-24691357802469135780", "1/0", "1_0/3", "0x1/2",
+        "1/2/3", "/3", "+-1/3", "",
+    ])
+    def test_pair_is_the_reduced_fraction(self, token):
+        try:
+            q = parse_rational(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                parse_rational_pair(token)
+        else:
+            pair = parse_rational_pair(token)
+            assert pair == (q.numerator, q.denominator)
+            assert all(type(x) is int for x in pair)
 
 
 class TestEval:
