@@ -19,7 +19,6 @@ from pathlib import Path
 from . import certify as certify_mod
 from . import constants as constants_mod
 from .construct import (
-    CongruenceError,
     DegreeSearchError,
     multipoint_monic,
     pair_polynomial,
@@ -385,9 +384,6 @@ def run(argv: list[str]) -> RunReport:
         report.emit(f"error={exc}")
         report.emit(f"minimal_degree={exc.minimal}")
         report.exit_code = EXIT_INCONCLUSIVE
-    except CongruenceError as exc:
-        report.emit(f"error={exc}")
-        report.exit_code = EXIT_USAGE
     except (ValueError, ZeroDivisionError, OSError) as exc:
         report.emit(f"error={exc}")
         report.exit_code = EXIT_USAGE

@@ -3,9 +3,16 @@
 Values are pairs (r, k) denoting r**(1/k) with r a nonnegative rational,
 so quantities like 1/sqrt(2) are represented and compared exactly by
 cross-powering.  Interval endpoints may carry a single quadratic surd.
+
+Endpoints are compared by the exact sign of a rational plus at most two
+surd terms.  Split off the term v = c*sqrt(t) of the largest surd t and
+call the rest u.  If u is zero, or u and v have the same sign, that sign
+is the answer.  Otherwise the larger magnitude wins: the answer is the
+sign of u times the sign of u**2 - c**2*t, which has one surd fewer.
 """
 from __future__ import annotations
 
+import functools
 import re
 import warnings
 from dataclasses import dataclass
@@ -29,6 +36,7 @@ def _rational_kth_root(q: Fraction, k: int) -> Fraction | None:
     return Fraction(num, den)
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class ConstantValue:
     """Exact nonnegative real r**(1/k), canonicalized so k is minimal."""
@@ -45,18 +53,15 @@ class ConstantValue:
             raise ValueError("root index must be positive")
         if r in (0, 1):
             k = 1
-        else:
-            changed = True
-            while changed and k > 1:
-                changed = False
-                for d in range(k, 1, -1):
-                    if k % d:
-                        continue
-                    root = _rational_kth_root(r, d)
-                    if root is not None:
-                        r, k = root, k // d
-                        changed = True
+        elif k > 1:
+            # r**(1/k) = root**(1/(k/p)) whenever r = root**p; one pass over
+            # the primes p of k reaches the least k
+            for p in _factorize(k):
+                while k % p == 0:
+                    root = _rational_kth_root(r, p)
+                    if root is None:
                         break
+                    r, k = root, k // p
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "k", k)
 
@@ -80,18 +85,6 @@ class ConstantValue:
         a, b = self._pair(other)
         return a < b
 
-    def __le__(self, other) -> bool:
-        a, b = self._pair(other)
-        return a <= b
-
-    def __gt__(self, other) -> bool:
-        a, b = self._pair(other)
-        return a > b
-
-    def __ge__(self, other) -> bool:
-        a, b = self._pair(other)
-        return a >= b
-
     def __float__(self) -> float:
         return float(self.r) ** (1.0 / self.k)
 
@@ -105,6 +98,7 @@ class ConstantValue:
         return f"({format_rational(self.r)})^(1/{self.k})"
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class SymbolicEndpoint:
     """Exact real of the form rat + coef * sqrt(surd), surd squarefree."""
@@ -158,20 +152,12 @@ class SymbolicEndpoint:
     def sign(self) -> int:
         return _SurdSum.of(self).sign()
 
-    def _cmp(self, other) -> int:
-        return (_SurdSum.of(self) - _SurdSum.of(other)).sign()
-
     def __lt__(self, other) -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other) -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other) -> bool:
-        return self._cmp(other) >= 0
+        # canonical fields make the dataclass __eq__ exact, and the derived
+        # orderings rely on it, so only endpoints are ordered
+        if not isinstance(other, SymbolicEndpoint):
+            return NotImplemented
+        return (self - other).sign() < 0
 
     def __float__(self) -> float:
         return float(self.rat) + float(self.coef) * self.surd**0.5
@@ -215,40 +201,26 @@ class _SurdSum:
 
     def __sub__(self, other) -> "_SurdSum":
         other = _SurdSum.of(other)
-        terms = dict(self.terms)
-        for s, c in other.terms.items():
-            terms[s] = terms.get(s, Fraction(0)) - c
-        return _SurdSum(self.rat - other.rat, terms)
+        return self + _SurdSum(-other.rat, {s: -c for s, c in other.terms.items()})
 
     def sign(self) -> int:
-        surds = sorted(self.terms)
-        if not surds:
+        """Exact sign, by the rule in the module docstring."""
+        if not self.terms:
             return (self.rat > 0) - (self.rat < 0)
-        if len(surds) == 1:
-            s = surds[0]
-            return _sign_rat_plus_surd(self.rat, self.terms[s], s)
-        if len(surds) == 2:
-            # Split as u + v with u = rat + b*sqrt(s) and v = c*sqrt(t).
-            s, t = surds
-            b, c = self.terms[s], self.terms[t]
-            u_sign = _sign_rat_plus_surd(self.rat, b, s)
-            v_sign = (c > 0) - (c < 0)
-            if u_sign == 0:
-                return v_sign
-            if u_sign == v_sign:
-                return u_sign
-            # Opposite signs: compare |u|**2 with |v|**2; the difference
-            # u**2 - v**2 = rat**2 + b**2*s - c**2*t + 2*rat*b*sqrt(s)
-            # carries a single surd, so its sign is exact.
-            cmp_sq = _SurdSum(
-                self.rat**2 + b**2 * s - c**2 * t,
-                {s: 2 * self.rat * b},
-            ).sign()
-            if cmp_sq == 0:
-                return 0
-            return u_sign if cmp_sq > 0 else v_sign
-        raise ValueError("more than two distinct surds are not supported")
+        if len(self.terms) > 2:
+            raise ValueError("more than two distinct surds are not supported")
+        rest = dict(self.terms)
+        t = max(rest)
+        c = rest.pop(t)
+        u_sign, v_sign = _SurdSum(self.rat, rest).sign(), (c > 0) - (c < 0)
+        if u_sign in (0, v_sign):
+            return v_sign
+        # u = a + b*sqrt(s), so u**2 - c**2*t = a**2 + b**2*s - c**2*t + 2*a*b*sqrt(s)
+        a = self.rat
+        s, b = next(iter(rest.items()), (1, 0))
+        return u_sign * _SurdSum(a * a + b * b * s - c * c * t, {s: 2 * a * b}).sign()
 
+    @property
     def is_rational(self) -> bool:
         return not self.terms
 
@@ -258,24 +230,6 @@ class _SurdSum:
         return self.rat
 
 
-def _sign_rat_plus_surd(a: Fraction, b: Fraction, s: int) -> int:
-    """Exact sign of a + b*sqrt(s) for squarefree s >= 2."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # Opposite signs: compare a**2 with b**2 * s.
-    lhs, rhs = a * a, b * b * s
-    if lhs == rhs:
-        return 0
-    bigger_is_rat = lhs > rhs
-    return (1 if a > 0 else -1) if bigger_is_rat else (1 if b > 0 else -1)
-
-
 _SURD_TOKEN = re.compile(r"\Asqrt\((\d+)\)\Z")
 
 
@@ -283,27 +237,33 @@ def parse_endpoint(text: str) -> SymbolicEndpoint:
     """Parse endpoint text: rationals, surd terms, sums, and (expr)/q.
 
     Accepted forms include "3/7", "sqrt(2)", "-1/2*sqrt(5)", "1/sqrt(2)",
-    "(1-sqrt(2))/2", "1+sqrt(3)".
+    "(1-sqrt(2))/2", "1+sqrt(3)".  Whitespace may stand between tokens but
+    not inside a number or a name ("1 2"), and each sign must be followed
+    by a term ("1-", "--1", "-"): ValueError otherwise.
     """
-    text = text.strip().replace(" ", "")
+    if re.search(r"\w\s+\w", text):
+        raise ValueError(f"malformed endpoint: {text!r}")
+    text = "".join(text.split())
     if not text:
         raise ValueError("empty endpoint")
-    div = Fraction(1)
+    body, div = text, Fraction(1)
     m = re.match(r"\A\((.*)\)/(\d+)\Z", text)
     if m:
         q = int(m.group(2))
         if q == 0:
             raise ZeroDivisionError(f"zero denominator in endpoint: {text!r}")
-        text, div = m.group(1), Fraction(1, q)
-    m = re.match(r"\A(-?)1/sqrt\((\d+)\)\Z", text)
+        body, div = m.group(1), Fraction(1, q)
+    m = re.match(r"\A(-?)1/sqrt\((\d+)\)\Z", body)
     if m:
         s = int(m.group(2))
         if s < 1:
             raise ValueError("surd must be positive")
         sign = -1 if m.group(1) else 1
-        return SymbolicEndpoint(0, Fraction(sign, s), s)
+        return SymbolicEndpoint(0, Fraction(sign, s) * div, s)
     # Split an additive chain, keeping unary signs attached to terms.
-    tokens = re.findall(r"[+-]?[^+-]+", text)
+    tokens = re.findall(r"[+-]?[^+-]+", body)
+    if not tokens or "".join(tokens) != body:
+        raise ValueError(f"malformed endpoint: {text!r}")
     rat = Fraction(0)
     coef = Fraction(0)
     surd = 1
@@ -397,7 +357,7 @@ def interval_constant(lo, hi) -> tuple[ConstantValue, str] | None:
     lo_int = lo.is_rational and lo.rat.denominator == 1
     hi_int = hi.is_rational and hi.rat.denominator == 1
 
-    if diff.is_rational():
+    if diff.is_rational:
         width = diff.as_rational()
         if width == half and (lo_int or hi_int):
             return ConstantValue(half), PROV_HALF_UNIT
@@ -427,7 +387,7 @@ def interval_constant(lo, hi) -> tuple[ConstantValue, str] | None:
     if (lo - silver_lo).sign() == 0 and (hi - silver_hi).sign() == 0:
         return ConstantValue(half), PROV_SILVER
 
-    if diff.is_rational() and diff.as_rational() >= 4:
+    if diff.is_rational and diff.as_rational() >= 4:
         return ConstantValue(diff.as_rational() / 4), PROV_CAPACITY
 
     return None

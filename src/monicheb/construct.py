@@ -130,12 +130,15 @@ def _iroot(n: int, k: int) -> tuple[int, bool]:
     """Integer k-th root: (floor(n ** (1/k)), exact?).
 
     Integer Newton iteration from the overestimate 2**ceil(bits/k); the
-    iterates decrease strictly until they reach the floor root.
+    iterates decrease strictly until they reach the floor root.  A k of at
+    least bits answers 1 at once, so it never builds 2**(k - 1).
     """
     if n < 0:
         raise ValueError("negative radicand")
     if n < 2 or k == 1:
         return n, True
+    if k >= n.bit_length():
+        return 1, False
     r = 1 << -(-n.bit_length() // k)
     while True:
         s = ((k - 1) * r + n // r ** (k - 1)) // k

@@ -135,6 +135,12 @@ class TestConstantCommand:
         assert report.exit_code == EXIT_USAGE
         assert report.lines == ["error=zero denominator in endpoint: '(1)/0'"]
 
+    def test_malformed_endpoint_refused(self):
+        # once read as 1/2, with value=1/2 and exit 0
+        report = run(["constant", "--interval", "0", "1/2-"])
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == ["error=malformed endpoint: '1/2-'"]
+
     def test_point(self):
         report = run(["constant", "--point", "3/7"])
         assert "value=1/7" in report.lines
@@ -188,6 +194,12 @@ class TestConstructCommand:
     def test_pair_bad_targets(self):
         report = run(["construct", "pair", "1/3", "2/5", "--degree", "4", "--targets", "2,1"])
         assert report.exit_code == EXIT_USAGE
+
+    def test_pair_congruence_error_report(self):
+        # CongruenceError is a ValueError: one error= line and exit 3
+        report = run(["construct", "pair", "1/3", "2/5", "--degree", "3", "--targets", "2,1"])
+        assert report.exit_code == EXIT_USAGE
+        assert report.lines == ["error=2 is not congruent to 2^3 mod 5"]
 
     def test_triple(self):
         report = run(["construct", "triple", "0", "1", "--degree", "3", "--targets", "0,0,1"])

@@ -1,5 +1,7 @@
 import decimal
+import math
 import random
+import time
 from fractions import Fraction as F
 from unittest import mock
 
@@ -24,6 +26,7 @@ from monicheb import (
     verify_witness,
 )
 from monicheb.constants import (
+    _SurdSum,
     _iroot,
     PROV_CAPACITY,
     PROV_DOUBLE_UNIT,
@@ -104,6 +107,69 @@ class TestConstantValue:
                 assert v1 == v2
 
 
+def _canonical_by_divisors(r, k):
+    """Reference canonical form: take an exact d-th root for any d | k,
+    scanning d down from k, until none is left."""
+    if r in (0, 1):
+        return r, 1
+    d = k
+    while d > 1:
+        root = constants._rational_kth_root(r, d) if k % d == 0 else None
+        if root is None:
+            d -= 1
+        else:
+            r, k = root, k // d
+            d = k
+    return r, k
+
+
+class TestCanonicalizationBound:
+    def test_large_index_is_factored_not_scanned(self):
+        # the primes of k, not every d <= k: k = 10**12 once hung
+        start = time.perf_counter()
+        v = ConstantValue(F(2), 10**12)
+        assert time.perf_counter() - start < 1
+        assert (v.r, v.k) == (F(2), 10**12)
+
+    def test_each_prime_taken_while_it_divides(self):
+        v = ConstantValue(F(2) ** 30, 60)
+        assert (v.r, v.k) == (F(2), 2)
+        w = ConstantValue(F(3) ** 8, 24)
+        assert (w.r, w.k) == (F(3), 3)
+
+    def test_large_prime_index(self):
+        # 10**12 + 39 is prime and far above the radicand's bit length
+        start = time.perf_counter()
+        v = ConstantValue(F(2), 10**12 + 39)
+        assert time.perf_counter() - start < 1
+        assert (v.r, v.k) == (F(2), 10**12 + 39)
+
+    def test_unfactorable_index_refused(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot prove"):
+            ConstantValue(F(2), 10**30 + 57)
+        assert time.perf_counter() - start < 2
+
+    def test_no_factoring_at_index_one(self):
+        with mock.patch.object(constants, "_factorize", side_effect=AssertionError):
+            assert ConstantValue(F(1, 7)).k == 1
+            assert ConstantValue(F(0), 6).k == 1
+            assert ConstantValue(F(1), 6).k == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=60),
+)
+def test_canonical_form_matches_divisor_scan(num, den, e, k):
+    r = F(num, den) ** e
+    v = ConstantValue(r, k)
+    assert (v.r, v.k) == _canonical_by_divisors(r, k)
+
+
 class TestPointConstant:
     def test_reduced(self):
         assert point_constant(F(3, 7)) == ConstantValue(F(1, 7))
@@ -180,6 +246,41 @@ class TestEndpoints:
         with pytest.raises(ZeroDivisionError, match=r"zero denominator in endpoint: '\(1\)/0'"):
             parse_endpoint("(1)/0")
 
+    @pytest.mark.parametrize("text", ["1-", "3/7+", "-", "--1", "+-2", "1 2"])
+    def test_malformed_refused(self, text):
+        # once read as 1, 3/7, 0, -1, -2 and 12
+        with pytest.raises(ValueError, match="malformed endpoint"):
+            parse_endpoint(text)
+
+    @pytest.mark.parametrize(
+        "text, fields",
+        [
+            ("3/7", (F(3, 7), 0, 1)),
+            ("-2", (F(-2), 0, 1)),
+            ("sqrt(2)", (0, 1, 2)),
+            ("1/sqrt(2)", (0, F(1, 2), 2)),
+            ("-1/sqrt(3)", (0, F(-1, 3), 3)),
+            ("-1/2*sqrt(5)", (0, F(-1, 2), 5)),
+            ("(1-sqrt(2))/2", (F(1, 2), F(-1, 2), 2)),
+            ("(1+sqrt(2))/2", (F(1, 2), F(1, 2), 2)),
+            ("1+sqrt(3)", (1, 1, 3)),
+            ("1 + sqrt(3)", (1, 1, 3)),
+            (" -1/2 * sqrt(5) ", (0, F(-1, 2), 5)),
+            # the divisor once fell away from 1/sqrt(n)
+            ("(1/sqrt(2))/3", (0, F(1, 6), 2)),
+        ],
+    )
+    def test_documented_forms(self, text, fields):
+        e = parse_endpoint(text)
+        assert (e.rat, e.coef, e.surd) == fields
+
+    def test_orders_endpoints_only(self):
+        # the derived orderings use the field-wise __eq__, exact between
+        # endpoints only
+        assert SymbolicEndpoint(1) <= SymbolicEndpoint(1)
+        with pytest.raises(TypeError):
+            SymbolicEndpoint(1) <= 1
+
     def test_exact_comparisons(self):
         assert parse_endpoint("1/sqrt(2)") > SymbolicEndpoint(F(7, 10))
         assert parse_endpoint("1/sqrt(2)") < SymbolicEndpoint(F(71, 100))
@@ -189,6 +290,88 @@ class TestEndpoints:
         assert lhs.sign() > 0
         diff = SymbolicEndpoint(0, 1, 3) - SymbolicEndpoint(0, 1, 2)
         assert diff.sign() > 0
+
+
+_SQUAREFREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26, 29, 30]
+
+
+def _oracle_sign(rat, terms):
+    """Sign of rat + sum(c * sqrt(s)) from math.isqrt brackets alone.
+
+    Square roots of distinct squarefree integers are linearly independent
+    over the rationals, so the sum is zero only when every part is; any
+    other sum is decided once the brackets are narrow enough."""
+    if rat == 0 and not any(terms.values()):
+        return 0
+    den = math.lcm(rat.denominator, *(c.denominator for c in terms.values()))
+    a = int(rat * den)
+    bits = 8
+    while True:
+        # the sum, scaled by den * 2**bits, lies in [lo, lo + slack]
+        lo = a << bits
+        slack = 0
+        for s, c in terms.items():
+            cc = int(c * den)
+            if cc:
+                root = math.isqrt(cc * cc * s << 2 * bits)
+                lo += root if cc > 0 else -root - 1
+                slack += 1
+        if lo > 0:
+            return 1
+        if lo + slack < 0:
+            return -1
+        bits *= 2
+
+
+_coefs = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def _surd_sums(draw):
+    surds = draw(st.lists(st.sampled_from(_SQUAREFREE), max_size=2, unique=True))
+    rat = draw(_coefs)
+    terms = {s: draw(_coefs) for s in surds}
+    if terms and draw(st.booleans()):
+        # near cancellation: the rational part cancels the surds to ~2**-bits
+        bits = draw(st.integers(min_value=4, max_value=80))
+        total = 0
+        for s, c in terms.items():
+            num, den = c.numerator, c.denominator
+            root = math.isqrt(num * num * s << 2 * bits)
+            total += F(root if num > 0 else -root, den << bits)
+        rat = -total + draw(st.sampled_from([0, 1, -1])) * F(1, 2 ** (2 * bits))
+    return rat, terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(_surd_sums())
+def test_surd_sign_matches_isqrt_oracle(case):
+    rat, terms = case
+    assert _SurdSum(rat, terms).sign() == _oracle_sign(rat, terms)
+
+
+@pytest.mark.parametrize(
+    "rat, terms, sign",
+    [
+        (F(0), {}, 0),
+        (F(0), {2: F(0), 3: F(0)}, 0),
+        # sqrt(2) + sqrt(3) - sqrt(10) has the sign of its square's
+        # difference (sqrt(2) + sqrt(3))**2 - 10 = 2*sqrt(6) - 5
+        (F(-5), {6: F(2)}, -1),
+        (F(314626, 100000), {2: F(-1), 3: F(-1)}, -1),
+        (F(-314626, 100000), {2: F(1), 3: F(1)}, 1),
+        (F(-99, 70), {2: F(1)}, -1),
+        (F(665857, 470832), {2: F(-1)}, 1),
+        (F(0), {2: F(1), 3: F(-1)}, -1),
+    ],
+)
+def test_surd_sign_near_cancellations(rat, terms, sign):
+    assert _SurdSum(rat, terms).sign() == sign == _oracle_sign(rat, terms)
+
+
+def test_surd_sign_refuses_three_surds():
+    with pytest.raises(ValueError, match="more than two"):
+        _SurdSum(F(0), {2: F(1), 3: F(1), 5: F(-1)}).sign()
 
 
 class TestIntervalConstant:
