@@ -79,7 +79,9 @@ class ConstantValue:
         return a == b
 
     def __hash__(self) -> int:
-        return hash((self.r, self.k))
+        # a rational value (k = 1 in canonical form) hashes as the number,
+        # since it compares equal to it
+        return hash(self.r) if self.k == 1 else hash((self.r, self.k))
 
     def __lt__(self, other) -> bool:
         a, b = self._pair(other)

@@ -19,6 +19,12 @@ The induction needs only some Bezout pair a*l - b*f = 1 per point; it
 takes the one with -b/2 < l <= b/2.  So a point (b-1)/b with b > 2 gets
 the factor (1 - x), and its term's coefficients are +-scale * C(e, i)
 with no power of l or f in them; a point 1/b keeps the factor x.
+
+The kernel computes each row by the binomial recurrence, one exact
+division by a small int per coefficient, which is most of its cost.
+When l**2 = f**2 = 1, as for (1 - x), the row is symmetric up to one
+sign, so it takes floor(e/2) divisions, each result added at both ends;
+any other (l, f) takes e.
 """
 from __future__ import annotations
 
@@ -236,6 +242,12 @@ def _add_binomial_term(
     division.  Each one is added at once, times each factor[j], into
     coeffs[i + j]; no list of the power is built.  coeffs must have room for
     degree e + len(factor) - 1.
+
+    When l**2 = f**2 = 1 the row is symmetric up to sign: coefficient e - i
+    is (l*(-f))**(e - 2i) = (-l*f)**e times coefficient i.  Then only
+    i <= e // 2 is computed, floor(e/2) exact divisions in place of e, and
+    each c is added at both ends.  A factor entry of +-1 adds or subtracts
+    c rather than multiplying by it.
     """
     if scale == 0:
         return
@@ -245,12 +257,31 @@ def _add_binomial_term(
             coeffs[j] += c * v
         return
     c = scale * (-f) ** e
+    if l * l == f * f == 1:
+        step = -l * f
+        mirror = [v * step**e for v in factor]
+        for i in range(e // 2 + 1):
+            if i:
+                c = c * ((e - i + 1) * step) // i
+            _add_scaled(coeffs, i, c, factor)
+            if 2 * i != e:
+                _add_scaled(coeffs, e - i, c, mirror)
+        return
     for i in range(e + 1):
         if i:
             c = c * ((e - i + 1) * l) // (i * -f)
-        for j, v in enumerate(factor, i):
-            # a product by 1 would copy c
-            coeffs[j] += c if v == 1 else c * v
+        _add_scaled(coeffs, i, c, factor)
+
+
+def _add_scaled(coeffs: list, start: int, c: int, factor: Sequence[int]) -> None:
+    """coeffs[start + j] += c * factor[j], adding or subtracting c for +-1."""
+    for j, v in enumerate(factor, start):
+        if v == 1:
+            coeffs[j] += c
+        elif v == -1:
+            coeffs[j] -= c
+        else:
+            coeffs[j] += c * v
 
 
 def endpoint_corrections(

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -235,18 +235,26 @@ class IntPoly:
 
 # Runs of at most this many coefficients are evaluated by Horner's rule.
 _HORNER_LEAF = 32
+# Above _HORNER_LEAF, the halving stops at runs of at most this many
+# coefficients, each one dot product against a row of weights.
+_DOT_LEAF = 8
 
 
 def homogeneous_value(p: IntPoly, a: int, b: int) -> int:
     """b**deg(p) * p(a/b) as an exact integer; 0 for the zero polynomial.
 
     This is sum c_i a**i b**(n-i), n = deg p, defined for any integers a
-    and b.  The coefficients are split in halves lo and hi, whose values
-    combine as b**len(hi) * H(lo) + a**len(lo) * H(hi), H being the same
-    sum over a run of coefficients.  Balanced splits keep the big-integer
-    products balanced, where Horner's rule at high degree multiplies a
-    huge accumulator by a small factor once per coefficient (Brent &
-    Zimmermann, Modern Computer Arithmetic, 2010, section 1.7).
+    and b.  Up to _HORNER_LEAF coefficients it is Horner's rule.  Above,
+    the coefficients are split in halves lo and hi, whose values combine
+    as b**len(hi) * H(lo) + a**len(lo) * H(hi), H being the same sum over
+    a run of coefficients.  Balanced splits keep the big-integer products
+    balanced, where Horner's rule at high degree multiplies a huge
+    accumulator by a small factor once per coefficient (Brent &
+    Zimmermann, Modern Computer Arithmetic, 2010, section 1.7).  The
+    halving gives runs of at most two lengths per level, so each power of
+    a and b is computed once per call; a run of at most _DOT_LEAF
+    coefficients is the dot product sum c_i w_i with the weight row
+    w_i = a**i b**(L-1-i), also computed once per run length L.
     """
     return _homogeneous(p.coeffs, a, b)
 
@@ -260,11 +268,18 @@ def _homogeneous(coeffs: Sequence[int], a: int, b: int) -> int:
             acc = acc * a + c * scale
             scale *= b
         return acc
-    mid = len(coeffs) // 2
-    return (
-        b ** (len(coeffs) - mid) * _homogeneous(coeffs[:mid], a, b)
-        + a**mid * _homogeneous(coeffs[mid:], a, b)
-    )
+    a_power = functools.cache(lambda k: a**k)
+    b_power = functools.cache(lambda k: b**k)
+    weights = functools.cache(lambda size: [a**i * b ** (size - 1 - i) for i in range(size)])
+
+    def run(lo: int, hi: int) -> int:
+        size = hi - lo
+        if size <= _DOT_LEAF:
+            return sum(map(mul, coeffs[lo:hi], weights(size)))
+        mid = size // 2
+        return b_power(size - mid) * run(lo, lo + mid) + a_power(mid) * run(lo + mid, hi)
+
+    return run(0, len(coeffs))
 
 
 def poly_integrate_product(p: IntPoly, q: IntPoly, interval: Interval) -> Fraction:

@@ -90,6 +90,25 @@ class TestConstantValue:
         assert ConstantValue(F(1, 3)) == F(1, 3)
         assert ConstantValue(F(1, 2), 2) > F(7, 10)
 
+    def test_hash_agrees_with_equal_numbers(self):
+        third = ConstantValue(F(1, 3))
+        assert third in {F(1, 3)}
+        assert F(1, 3) in {third}
+        assert {F(1, 3): "x"}[third] == "x"
+        assert {third: "x"}[F(1, 3)] == "x"
+        assert len({third, F(1, 3)}) == 1
+        assert ConstantValue(F(4), 2) in {2}
+        assert 2 in {ConstantValue(F(4), 2)}
+        assert hash(ConstantValue(F(4), 2)) == hash(2)
+        assert hash(ConstantValue(F(1, 9), 2)) == hash(F(1, 3))
+
+    def test_irrational_value_hashes(self):
+        root2 = ConstantValue(F(2), 2)
+        assert (root2.r, root2.k) == (F(2), 2)
+        assert hash(root2) == hash(ConstantValue(F(4), 4))
+        assert len({root2, ConstantValue(F(4), 4), F(2), 2}) == 2
+        assert root2 not in {F(2), 2}
+
     def test_order_matches_high_precision(self):
         rng = random.Random(17)
         ctx = decimal.Context(prec=60)

@@ -280,6 +280,42 @@ class TestKernelsAgainstReference:
         assert added_term(base, scale, l, f, e, factor) == expected
         assert added_term([], 1, l, f, e) == reference_binomial_power(l, f, e)
 
+    @given(
+        st.sampled_from([-1, 1]),
+        st.sampled_from([-1, 1]),
+        st.integers(0, 150),
+        st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**30), 10**30)),
+        st.one_of(
+            st.sampled_from(TERM_FACTORS),
+            st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=3),
+            st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+        ),
+        st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=160),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mirrored_row_is_scaled_power(self, l, f, e, scale, factor, base):
+        # l**2 = f**2 = 1: the row is computed up to e // 2 and mirrored
+        expected = IntPoly(base) + scale * IntPoly([-f, l]) ** e * IntPoly(factor)
+        assert added_term(base, scale, l, f, e, factor) == expected
+        assert added_term([], 1, l, f, e) == reference_binomial_power(l, f, e)
+
+    @given(st.integers(2, 120), st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_polynomial_at_integer_endpoints(self, n, a_hi, a_lo):
+        # a denominator 1 makes a Bezout coefficient +-1, so these pairs
+        # take the mirrored row; every value is admissible mod 1
+        for lo, hi in ((F(0), F(1)), (F(1), F(2))):
+            pair = FareyPair.from_endpoints(lo, hi)
+            c1, c2 = construct.endpoint_corrections(pair, n, a_hi, a_lo)
+            expected = (
+                IntPoly([0] * n + [1])
+                + c1 * reference_binomial_power(pair.b2, pair.a2, n - 1)
+                + c2 * reference_binomial_power(-pair.b1, -pair.a1, n - 1)
+            )
+            p = pair_polynomial(pair, n, a_hi, a_lo)
+            assert p == expected
+            assert p(hi) == a_hi and p(lo) == a_lo
+
     @pytest.mark.parametrize(
         "l, f, e, scale",
         [(3, 0, 5, 7), (-2, 0, 4, -1), (0, 0, 0, 5), (5, 2, 0, 9), (4, -3, 6, 0), (-7, 2, 3, 1)],

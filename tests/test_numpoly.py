@@ -539,6 +539,33 @@ class TestHomogeneousValue:
         assert p(F(a, b)) == reference_horner(p, F(a, b))
         assert type(p(a)) is int and p(a) == reference_horner(p, a)
 
+    # above the leaf: memoized powers of a and b, and weight-row leaves
+    @given(
+        st.integers(32, 699).flatmap(
+            lambda size: st.lists(st.integers(-(10**12), 10**12), min_size=size, max_size=size)
+        ),
+        st.integers(-(10**12), 10**12).filter(bool),
+        st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40, 40)),
+        st.one_of(st.sampled_from([0, 1, -1]), st.integers(-40, 40)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_horner_above_leaf(self, coeffs, lead, a, b):
+        p = IntPoly(coeffs + [lead])
+        assert len(p.coeffs) > 32
+        value = homogeneous_value(p, a, b)
+        if b == 0:
+            assert value == lead * a**p.degree
+        else:
+            assert value == b**p.degree * reference_horner(p, F(a, b))
+
+    def test_wide_point_above_leaf(self):
+        rng = random.Random(28)
+        for size in (33, 64, 65, 257, 700):
+            p = IntPoly([rng.randrange(-(2**64), 2**64) for _ in range(size - 1)] + [1])
+            a, b = rng.randrange(-(2**200), 2**200), rng.randrange(2**199, 2**200)
+            assert homogeneous_value(p, a, b) == b ** (size - 1) * reference_horner(p, F(a, b))
+            assert homogeneous_value(p, a, -b) == (-b) ** (size - 1) * reference_horner(p, F(a, -b))
+
     def test_zero_polynomial(self):
         assert homogeneous_value(IntPoly(), 3, 7) == 0
         assert IntPoly()(F(2, 3)) == 0 and IntPoly()(5) == 0
