@@ -23,13 +23,15 @@ Appl. Math. 162, 2004), and its bounds are integer pairs compared by
 cross-multiplication: no Fraction is built per node.
 
 A Bernstein-coefficient subdivision prefilter runs first as a cheap
-sufficient check, on integer numerators over one denominator; it is sound
-but incomplete, stopping at a fixed depth, and the subdivision decision is
-the fallback.
+sufficient check; it is sound but incomplete, stopping at a fixed depth,
+and the subdivision decision is the fallback.  The prefilter and the
+decision share one walk, _first_exceeding, on the same integer nodes: a
+node is a leaf once its numerators are within a limit, here |c| within
+the bound for the prefilter and c >= 0 for a factor of the decision, and
+a midpoint beyond it is the refutation point, the one Fraction built.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -43,6 +45,7 @@ from .numpoly import (
     bernstein_split,
     format_rational,
     homogeneous_value,
+    interval_frame,
     poly_gcd,
     to_bernstein,
 )
@@ -194,34 +197,44 @@ def _depth_bound(q: IntPoly, width: Fraction) -> int:
     return max(0, -(-(top_bits - bottom.bit_length() + 1) // 2))
 
 
-def _first_negative(nums, interval: Interval, max_depth: int, accept=None):
-    """The first node endpoint inside the open interval where the Bernstein
-    numerators nums are negative, or None when every leaf has all of them
-    >= 0: so None proves the polynomial >= 0 on the interval.
+def _first_exceeding(nums, limit, signs, a, w, m, cap, accept=None):
+    """(point, complete, deepest) of an integer de Casteljau walk over the
+    interval [a/m, (a + w)/m] from its Bernstein numerators nums.
 
-    Integer de Casteljau subdivision, depth-first and left half first.  A
-    node with every numerator >= 0 is a leaf; any other is split, and the
-    last left numerator, its midpoint value, is checked before its halves.
-    A negative midpoint is returned only where accept, when given, holds
-    too.  Splitting a node deeper than max_depth is a failed assertion,
-    never an inconclusive answer.
+    Every node is an integer pair (a', m') for [a'/m', (a' + w)/m'], as in
+    _root_intervals.  A node is a leaf when s c <= limit for every numerator
+    c and every s in signs, each 1 or -1; limit is shifted left by
+    n = len(nums) - 1 at each halving, as the numerators are.  Any other
+    node is split, depth first and left half first, while its depth is
+    below cap: its midpoint numerator is checked before its halves, and the
+    first midpoint (2 a' + w)/(2 m') with s c > limit, where accept, when
+    given, holds too, is returned as point.  A non-leaf node at depth cap
+    is left undecided: it makes complete False, and the walk goes on.
+    point is None when no midpoint is returned; deepest is the deepest
+    level reached.
     """
-    lo, width = interval.lo, interval.width
-    stack = [(nums, 0, 0)]
+    n = len(nums) - 1
+    upper, lower = 1 in signs, -1 in signs
+    complete, deepest = True, 0
+    stack = [(nums, a, m, 0, limit)]
     while stack:
-        coeffs, depth, index = stack.pop()
-        if min(coeffs) >= 0:
+        nums, a, m, depth, limit = stack.pop()
+        if (not upper or max(nums) <= limit) and (not lower or min(nums) >= -limit):
             continue
-        assert depth <= max_depth, "subdivision passed the root-separation depth"
-        left, right = bernstein_split(coeffs)
-        depth += 1
-        if left[-1] < 0:
-            point = lo + width * Fraction(2 * index + 1, 1 << depth)
+        if depth >= cap:
+            complete = False
+            continue
+        left, right = bernstein_split(nums)
+        a, m, depth, limit = a << 1, m << 1, depth + 1, limit << n
+        deepest = max(deepest, depth)
+        mid = left[-1]
+        if (upper and mid > limit) or (lower and mid < -limit):
+            point = Fraction(a + w, m)
             if accept is None or accept(point):
-                return point
-        stack.append((right, depth, 2 * index + 1))
-        stack.append((left, depth, 2 * index))
-    return None
+                return point, complete, deepest
+        stack.append((right, a + w, m, depth, limit))
+        stack.append((left, a, m, depth, limit))
+    return None, complete, deepest
 
 
 def _root_intervals(g: IntPoly, a: int, w: int, m: int):
@@ -229,7 +242,7 @@ def _root_intervals(g: IntPoly, a: int, w: int, m: int):
     (a/m, (a + w)/m), for m > 0 and w > 0.
 
     Integer de Casteljau subdivision of g's Bernstein numerators,
-    depth-first and left half first, as in _first_negative.  Every node is
+    depth-first and left half first, as in _first_exceeding.  Every node is
     an integer pair: the node of index i at depth k is [a'/m', (a' + w)/m']
     with a' = (a << k) + i w and m' = m << k, so its halves are (2 a', 2 m')
     and (2 a' + w, 2 m'), and no Fraction is built.  By Descartes' rule the
@@ -279,22 +292,24 @@ def _negative_point(q: IntPoly, interval: Interval, nums) -> Fraction | None:
     _squarefree_odd_part(q) is not q itself, that odd-multiplicity part r
     of q, which is squarefree, is subdivided instead.  q / r is a constant
     times a square, so with lc(r) of the sign of lc(q), q < 0 exactly where
-    r < 0 and q != 0: a point where r < 0 is kept only where q < 0.
+    r < 0 and q != 0: a point where r < 0 is kept only where q < 0.  The
+    walk splits nodes down to depth _depth_bound(q, width), and a node it
+    would split deeper is a failed assertion, never an inconclusive answer.
     """
     if q.degree < 1:
         return None
-    max_depth = _depth_bound(q, interval.width)
+    cap = _depth_bound(q, interval.width) + 1
     r = _squarefree_odd_part(q)
-    if r is q:
-        return _first_negative(nums, interval, max_depth)
-    if (r.coeffs[-1] > 0) != (q.coeffs[-1] > 0):
-        r = -r
-    return _first_negative(
-        to_bernstein(r, interval)[0],
-        interval,
-        max_depth,
-        lambda x: _sign_at(q, x) < 0,
+    if r is not q:
+        if (r.coeffs[-1] > 0) != (q.coeffs[-1] > 0):
+            r = -r
+        nums = to_bernstein(r, interval)[0]
+    point, complete, _ = _first_exceeding(
+        nums, 0, (-1,), *interval_frame(interval), cap,
+        None if r is q else lambda x: _sign_at(q, x) < 0,
     )
+    assert complete, "subdivision passed the root-separation depth"
+    return point
 
 
 def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
@@ -337,58 +352,38 @@ def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
 
 def bernstein_prefilter(f: IntPoly, interval: Interval, bound) -> NormCertificate:
     """Sufficient subdivision check: certify when every Bernstein coefficient
-    of f lies in [-bound, bound] on every leaf, refute when an evaluated
-    endpoint or midpoint violates, else inconclusive once a leaf at
+    of f lies in [-bound, bound] on every leaf, refute at the first evaluated
+    endpoint or midpoint that violates, else inconclusive once a node at
     PREFILTER_DEPTH halvings is neither.  The certificate's depth is the
     deepest level visited.
 
-    All of it is integer arithmetic.  For bound = N/D, a coefficient c / den
-    is within the bound when |c| D <= N den: the root's numerators are
-    scaled by D once, and the limit N den is shifted left by n = deg f at
-    each halving, as the split's denominator is.  A node at depth k covers
-    [lo + i w / 2**k, lo + (i + 1) w / 2**k] for width w, and the point of a
-    refutation is built from its index i only when one is found.
+    The interval's ends are checked first, f > bound at lo, then at hi, then
+    f < -bound at lo, then at hi; then _first_exceeding walks the nodes,
+    the decision's walk with both signs.  An undecided node does not stop
+    the search: a later midpoint still refutes.  All of it is integer
+    arithmetic.  For bound = N/D, a coefficient c / den is within the bound
+    when |c| D <= N den: the root's numerators are scaled by D once, and the
+    limit N den is shifted left by n = deg f at each halving, as the
+    split's denominator is.
     """
     bound = Fraction(bound)
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     nums, den = to_bernstein(f, interval)
-    n = len(nums) - 1
-    deepest = 0
-
-    def grid(index, depth):
-        return interval.lo + interval.width * Fraction(index, 1 << depth)
-
-    def visit(coeffs, limit, depth, index):
-        nonlocal deepest
-        deepest = max(deepest, depth)
-        # f > bound at either end first, then f < -bound
-        for sign in (1, -1):
-            if sign * coeffs[0] > limit:
-                return Verdict.REFUTED, grid(index, depth)
-            if sign * coeffs[-1] > limit:
-                return Verdict.REFUTED, grid(index + 1, depth)
-        if -limit <= min(coeffs) and max(coeffs) <= limit:
-            return Verdict.CERTIFIED_AT_MOST, None
-        if depth >= PREFILTER_DEPTH:
-            return Verdict.INCONCLUSIVE, None
-        c_left, c_right = bernstein_split(coeffs)
-        limit <<= n
-        left, point = visit(c_left, limit, depth + 1, 2 * index)
-        if left is Verdict.REFUTED:
-            return left, point
-        right, point = visit(c_right, limit, depth + 1, 2 * index + 1)
-        if right is Verdict.REFUTED:
-            return right, point
-        if Verdict.INCONCLUSIVE in (left, right):
-            return Verdict.INCONCLUSIVE, None
-        return Verdict.CERTIFIED_AT_MOST, None
-
     scaled = [c * bound.denominator for c in nums]
-    verdict, point = visit(scaled, bound.numerator * den, 0, 0)
+    limit = bound.numerator * den
+    ends = ((scaled[0], interval.lo), (scaled[-1], interval.hi))
+    point = next((x for sign in (1, -1) for c, x in ends if sign * c > limit), None)
+    complete, deepest = True, 0
+    if point is None:
+        point, complete, deepest = _first_exceeding(
+            scaled, limit, (1, -1), *interval_frame(interval), PREFILTER_DEPTH
+        )
     if point is not None:
         assert abs(f(point)) > bound
-    return NormCertificate(verdict, bound, "bernstein", point, deepest)
+        return NormCertificate(Verdict.REFUTED, bound, "bernstein", point, deepest)
+    verdict = Verdict.CERTIFIED_AT_MOST if complete else Verdict.INCONCLUSIVE
+    return NormCertificate(verdict, bound, "bernstein", None, deepest)
 
 
 def certify_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
@@ -433,10 +428,7 @@ def sup_norm_enclosure(
         value = Fraction(abs(f.coeffs[0])) if f else Fraction(0)
         return value, value
     n = f.degree
-    lo, width = interval.lo, interval.width
-    m = math.lcm(lo.denominator, width.denominator)
-    a = lo.numerator * (m // lo.denominator)
-    w = width.numerator * (m // width.denominator)
+    a, w, m = interval_frame(interval)
     g = _squarefree_odd_part(f.derivative())
     # the best lower bound, low / low_den
     low = max(abs(homogeneous_value(f, a, m)), abs(homogeneous_value(f, a + w, m)))

@@ -301,18 +301,19 @@ def to_bernstein(p: IntPoly, interval: Interval) -> tuple[tuple[int, ...], int]:
     as integer numerators over one positive denominator: (nums, den).
 
     Coefficient j is nums[j] / den, and the first and last equal p at the
-    interval endpoints.  With m the least common denominator of lo and the
-    width, the interval is [a/m, (a + w)/m] for integers a and w, and
-    bernstein_numerators converts p's coefficients from those integers.
+    interval endpoints.  interval_frame writes the interval as
+    [a/m, (a + w)/m] in integers, and bernstein_numerators converts p's
+    coefficients from those integers.
     """
+    return bernstein_numerators(p.coeffs or (0,), *interval_frame(interval))
+
+
+def interval_frame(interval: Interval) -> tuple[int, int, int]:
+    """(a, w, m) with the interval [a/m, (a + w)/m]: m > 0 the least common
+    denominator of lo and the width, and w > 0."""
     lo, width = interval.lo, interval.width
     m = math.lcm(lo.denominator, width.denominator)
-    return bernstein_numerators(
-        p.coeffs or (0,),
-        lo.numerator * (m // lo.denominator),
-        width.numerator * (m // width.denominator),
-        m,
-    )
+    return lo.numerator * (m // lo.denominator), width.numerator * (m // width.denominator), m
 
 
 @functools.lru_cache(maxsize=32)

@@ -33,7 +33,7 @@ from monicheb.certify import (
     PREFILTER_DEPTH,
     _SQUAREFREE_PRIME,
     _depth_bound,
-    _first_negative,
+    _first_exceeding,
     _negative_point,
     _root_intervals,
     _sign_at,
@@ -42,6 +42,7 @@ from monicheb.certify import (
     _variations,
     _witness_bound,
 )
+from monicheb.numpoly import interval_frame
 
 from bernstein_helpers import reference_bernstein_enclosure, reference_bernstein_prefilter
 from sturm_helpers import (
@@ -223,6 +224,30 @@ class TestBernsteinPrefilter:
             sturm = reference_decide_factors(f, interval, bound)
             assert pre.verdict == exact.verdict
             assert (exact.verdict is Verdict.REFUTED) == (sturm is not None)
+
+    @pytest.mark.parametrize("f, prefilter, decision", [
+        # f > 1 at both ends is checked before f < -1, so the prefilter
+        # refutes at hi where the decision, lo before hi, refutes at lo
+        (IntPoly([-2, 4]), (Verdict.REFUTED, F(1), 0), F(0)),
+        # f touches 1 at 1/3 and equals it at 1/2, so the left half stops
+        # undecided at depth 12 and the right half still refutes
+        (IntPoly([0, 9, -29, 39, -18]), (Verdict.REFUTED, F(3, 4), 12), F(3, 4)),
+    ], ids=["ends-before-signs", "refuted-past-undecided"])
+    def test_walk_order_corners(self, f, prefilter, decision):
+        interval = Interval(0, 1)
+        pre = bernstein_prefilter(f, interval, 1)
+        assert (pre.verdict, pre.refutation_point, pre.depth) == prefilter
+        assert reference_bernstein_prefilter(f, interval, 1) == prefilter
+        assert decide_sup_bound(f, interval, 1).refutation_point == decision
+        cert = certify_sup_bound(f, interval, 1)
+        assert (cert.verdict, cert.refutation_point, cert.depth, cert.method) == (
+            *prefilter, "bernstein"
+        )
+        if prefilter[2] == PREFILTER_DEPTH:
+            left = Interval(0, F(1, 2))
+            undecided = bernstein_prefilter(f, left, 1)
+            assert (undecided.verdict, undecided.depth) == (Verdict.INCONCLUSIVE, PREFILTER_DEPTH)
+            assert decide_sup_bound(f, left, 1).verdict is Verdict.CERTIFIED_AT_MOST
 
 
 class TestRootIsolation:
@@ -902,25 +927,28 @@ class TestSubdivisionKernel:
 
     def test_near_touches_stay_within_the_depth_bound(self):
         # the least depth cap that lets each subdivision finish is at most
-        # the bound, and one level less fails loudly
+        # the bound, and one level less leaves the walk incomplete; a walk
+        # with cap + 1 splits nodes down to depth cap, as the decision's
+        # walk, with _depth_bound + 1, splits them down to the bound
         deepest = 0
         for f, interval, bound in near_touches():
             nums, den = to_bernstein(f, interval)
+            frame = interval_frame(interval)
             for sign in (1, -1):
                 q = IntPoly([bound.numerator]) - f * (sign * bound.denominator)
                 scaled = [bound.numerator * den - sign * bound.denominator * c for c in nums]
                 assert _squarefree_mod_p(q)
+
+                def walk(cap):
+                    return _first_exceeding(scaled, 0, (-1,), *frame, cap + 1)
+
                 cap = 0
-                while True:
-                    try:
-                        point = _first_negative(scaled, interval, cap)
-                        break
-                    except AssertionError:
-                        cap += 1
+                while not walk(cap)[1]:
+                    cap += 1
+                point = walk(cap)[0]
                 assert cap <= _depth_bound(q, interval.width), (f, bound)
                 if cap:
-                    with pytest.raises(AssertionError):
-                        _first_negative(scaled, interval, cap - 1)
+                    assert not walk(cap - 1)[1]
                 assert point is None or q(point) < 0
                 deepest = max(deepest, cap)
             want = Verdict.CERTIFIED_AT_MOST if bound > 1 else Verdict.REFUTED
