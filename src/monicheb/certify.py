@@ -45,7 +45,6 @@ from .numpoly import (
     bernstein_split,
     format_rational,
     homogeneous_value,
-    interval_frame,
     poly_gcd,
     to_bernstein,
 )
@@ -303,12 +302,13 @@ def _negative_point(q: IntPoly, interval: Interval, nums) -> Fraction | None:
     if r is not q:
         if (r.coeffs[-1] > 0) != (q.coeffs[-1] > 0):
             r = -r
-        nums = to_bernstein(r, interval)[0]
+        nums = bernstein_numerators(r.coeffs, *interval.frame)[0]
     point, complete, _ = _first_exceeding(
-        nums, 0, (-1,), *interval_frame(interval), cap,
+        nums, 0, (-1,), *interval.frame, cap,
         None if r is q else lambda x: _sign_at(q, x) < 0,
     )
-    assert complete, "subdivision passed the root-separation depth"
+    if not complete:
+        raise AssertionError("subdivision passed the root-separation depth")
     return point
 
 
@@ -346,7 +346,8 @@ def decide_sup_bound(f: IntPoly, interval: Interval, bound) -> NormCertificate:
                 break
     if point is None:
         return NormCertificate(Verdict.CERTIFIED_AT_MOST, bound, "subdivision")
-    assert point in interval and abs(f(point)) > bound
+    if point not in interval or abs(f(point)) <= bound:
+        raise AssertionError(f"refutation point {point} does not refute the bound")
     return NormCertificate(Verdict.REFUTED, bound, "subdivision", point)
 
 
@@ -377,10 +378,11 @@ def bernstein_prefilter(f: IntPoly, interval: Interval, bound) -> NormCertificat
     complete, deepest = True, 0
     if point is None:
         point, complete, deepest = _first_exceeding(
-            scaled, limit, (1, -1), *interval_frame(interval), PREFILTER_DEPTH
+            scaled, limit, (1, -1), *interval.frame, PREFILTER_DEPTH
         )
     if point is not None:
-        assert abs(f(point)) > bound
+        if abs(f(point)) <= bound:
+            raise AssertionError(f"refutation point {point} does not refute the bound")
         return NormCertificate(Verdict.REFUTED, bound, "bernstein", point, deepest)
     verdict = Verdict.CERTIFIED_AT_MOST if complete else Verdict.INCONCLUSIVE
     return NormCertificate(verdict, bound, "bernstein", None, deepest)
@@ -428,7 +430,7 @@ def sup_norm_enclosure(
         value = Fraction(abs(f.coeffs[0])) if f else Fraction(0)
         return value, value
     n = f.degree
-    a, w, m = interval_frame(interval)
+    a, w, m = interval.frame
     g = _squarefree_odd_part(f.derivative())
     # the best lower bound, low / low_den
     low = max(abs(homogeneous_value(f, a, m)), abs(homogeneous_value(f, a + w, m)))
@@ -554,6 +556,6 @@ def verify_witness(pair: FareyPair, f: IntPoly) -> WitnessRecord:
     bound = Fraction(1, b**n)
     cert = certify_sup_bound(f, pair.interval(), bound)
     record = WitnessRecord(pair, f, n, bound, cert, ConstantValue(Fraction(1, b)))
-    if cert.verdict is Verdict.CERTIFIED_AT_MOST:
-        assert abs(homogeneous_value(f, a, b)) == 1
+    if cert.verdict is Verdict.CERTIFIED_AT_MOST and abs(homogeneous_value(f, a, b)) != 1:
+        raise AssertionError(f"certified, but |f| at {a}/{b} is not the bound")
     return record

@@ -12,7 +12,6 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .construct import (
     pair_polynomial,
     triple_polynomial,
 )
-from .farey import FareyPair, farey_intervals, farey_sequence, is_consecutive_pair
+from .farey import FareyPair, farey_intervals, farey_sequence, is_consecutive_pair, mediant
 from .lattice import search_witness
 from .numpoly import (
     IntPoly,
@@ -47,8 +46,9 @@ EXIT_USAGE = 3
 # Python's 4300-digit int-to-str limit.
 MAX_CONSTRUCT_DEGREE = 4096
 # Largest --order that farey accepts, refused before any work.  The output
-# has about 0.3 order**2 lines: order 1000 takes 2.3 s and 71 MB, or 6.7 s
-# and 91 MB with --pairs (Python 3.11, 2-core host), growing as order**2.
+# has about 0.3 order**2 lines: order 1000 takes 1.1-1.3 s and 72 MB peak
+# RSS, or 3.6-3.9 s and 254 MB with --pairs (Python 3.11, 2-core host),
+# growing as order**2.
 MAX_FAREY_ORDER = 1000
 
 
@@ -211,7 +211,7 @@ def _cmd_farey(args, report: RunReport) -> None:
     if args.pairs:
         for pair in farey_intervals(args.order):
             report.emit(
-                f"pair={format_rational(pair.lo)},{format_rational(pair.hi)}"
+                f"pair={_format_endpoint(pair.a2, pair.b2)},{_format_endpoint(pair.a1, pair.b1)}"
             )
     else:
         fractions = farey_sequence(args.order)
@@ -245,7 +245,7 @@ def _cmd_construct(args, report: RunReport) -> None:
         poly = triple_polynomial(
             pair, args.degree, targets[0], targets[1], targets[2], args.split
         )
-        points = [pair.hi, pair.lo, Fraction(pair.a1 + pair.a2, pair.b1 + pair.b2)]
+        points = [pair.hi, pair.lo, mediant(pair)]
     else:
         points = [parse_rational(tok) for tok in args.points.split(",")]
         degree, poly = multipoint_monic(points, args.max_degree)

@@ -511,5 +511,6 @@ def multipoint_monic(points, max_degree: int) -> tuple[int, IntPoly]:
     assert poly.is_monic and poly.degree == n
     for p in pts:
         scaled = homogeneous_value(poly, p.numerator, p.denominator)
-        assert scaled == 1, f"construction failed at {p}"
+        if scaled != 1:
+            raise AssertionError(f"construction failed at {p}")
     return n, poly

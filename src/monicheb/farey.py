@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from math import gcd
 
 from .numpoly import Interval
@@ -52,21 +53,26 @@ class FareyPair:
         return f"({self.a2}/{self.b2}, {self.a1}/{self.b1})"
 
 
-def farey_sequence(order: int) -> list[Fraction]:
-    """All reduced fractions in [0, 1] with denominator <= order, ascending.
-
-    Uses the classic next-term recurrence from an adjacent pair, O(1) per
-    term; sorting all fractions is kept only as a test oracle.
-    """
+def _farey_terms(order: int):
+    """The terms (a, b) of a/b in the Farey sequence of the given order,
+    ascending, by the classic next-term recurrence from an adjacent pair:
+    O(1) per term, all in integers.  The recurrence steps from 1/1 on to
+    (order + 1)/order, where a > b ends the walk."""
     if order < 1:
         raise ValueError("order must be >= 1")
     a, b, c, d = 0, 1, 1, order
-    out = [Fraction(0, 1)]
-    while c <= order:
+    while a <= b:
+        yield a, b
         k = (order + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-        out.append(Fraction(a, b))
-    return out
+
+
+def farey_sequence(order: int) -> list[Fraction]:
+    """All reduced fractions in [0, 1] with denominator <= order, ascending.
+
+    Sorting all fractions is kept only as a test oracle.
+    """
+    return [Fraction(a, b) for a, b in _farey_terms(order)]
 
 
 def is_consecutive_pair(lo: Fraction, hi: Fraction) -> bool:
@@ -89,9 +95,6 @@ def mediant(pair: FareyPair) -> Fraction:
 
 
 def farey_intervals(order: int) -> list[FareyPair]:
-    """All adjacent pairs of the Farey sequence of the given order."""
-    seq = farey_sequence(order)
-    return [
-        FareyPair.from_endpoints(seq[i], seq[i + 1])
-        for i in range(len(seq) - 1)
-    ]
+    """All adjacent pairs of the Farey sequence of the given order, built
+    from the integer terms."""
+    return [FareyPair(a1, b1, a2, b2) for (a2, b2), (a1, b1) in pairwise(_farey_terms(order))]

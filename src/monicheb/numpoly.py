@@ -55,9 +55,11 @@ def format_rational(value: Rat) -> str:
 class Interval:
     """Closed interval [lo, hi] with exact rational endpoints, lo < hi.
 
-    The width hi - lo is computed once, in __post_init__.  It is a plain
+    The integer frame (a, w, m), with [lo, hi] = [a/m, (a + w)/m], m > 0
+    the least common denominator of lo and hi and w > 0, is computed once,
+    in __post_init__, from the endpoints' integers.  It is a plain
     attribute, not a field, so equality, hashing and repr see lo and hi
-    only.
+    only.  The width hi - lo is w/m.
     """
 
     lo: Fraction
@@ -65,11 +67,18 @@ class Interval:
 
     def __post_init__(self) -> None:
         lo, hi = Fraction(self.lo), Fraction(self.hi)
-        if not lo < hi:
+        m = math.lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (m // lo.denominator)
+        w = hi.numerator * (m // hi.denominator) - a
+        if w <= 0:
             raise ValueError(f"empty interval: [{lo}, {hi}]")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "width", hi - lo)
+        object.__setattr__(self, "frame", (a, w, m))
+
+    @property
+    def width(self) -> Fraction:
+        return Fraction(self.frame[1], self.frame[2])
 
     @property
     def midpoint(self) -> Fraction:
@@ -301,19 +310,10 @@ def to_bernstein(p: IntPoly, interval: Interval) -> tuple[tuple[int, ...], int]:
     as integer numerators over one positive denominator: (nums, den).
 
     Coefficient j is nums[j] / den, and the first and last equal p at the
-    interval endpoints.  interval_frame writes the interval as
-    [a/m, (a + w)/m] in integers, and bernstein_numerators converts p's
-    coefficients from those integers.
+    interval endpoints.  bernstein_numerators converts p's coefficients on
+    the interval's integer frame [a/m, (a + w)/m].
     """
-    return bernstein_numerators(p.coeffs or (0,), *interval_frame(interval))
-
-
-def interval_frame(interval: Interval) -> tuple[int, int, int]:
-    """(a, w, m) with the interval [a/m, (a + w)/m]: m > 0 the least common
-    denominator of lo and the width, and w > 0."""
-    lo, width = interval.lo, interval.width
-    m = math.lcm(lo.denominator, width.denominator)
-    return lo.numerator * (m // lo.denominator), width.numerator * (m // width.denominator), m
+    return bernstein_numerators(p.coeffs or (0,), *interval.frame)
 
 
 @functools.lru_cache(maxsize=32)

@@ -4,7 +4,9 @@ one reduced Fraction per coefficient, halved at every de Casteljau step.
 The former integer conversion, one math.comb per term, is kept as the
 exact oracle for the binomial transform that replaced it.
 The oracle enclosure isolates its critical points with the Sturm chain of
-sturm_helpers."""
+sturm_helpers.
+The former frame function of numpoly, from lo and the width, is kept as
+the oracle for Interval.frame."""
 import math
 from fractions import Fraction
 
@@ -14,14 +16,20 @@ from monicheb.certify import PREFILTER_DEPTH
 from sturm_helpers import _halve, _odd_part_chain, _root_intervals
 
 
+def reference_frame(interval):
+    """(a, w, m) with the interval [a/m, (a + w)/m], from lo and the width
+    hi - lo: m > 0 the least common denominator of lo and the width, and
+    w > 0."""
+    lo, width = interval.lo, interval.hi - interval.lo
+    m = math.lcm(lo.denominator, width.denominator)
+    return lo.numerator * (m // lo.denominator), width.numerator * (m // width.denominator), m
+
+
 def reference_to_bernstein(p, interval):
     """Bernstein coefficients of p on the interval as Fractions."""
     coeffs = p.coeffs or (0,)
     n = len(coeffs) - 1
-    lo, width = interval.lo, interval.width
-    m = math.lcm(lo.denominator, width.denominator)
-    a = lo.numerator * (m // lo.denominator)
-    w = width.numerator * (m // width.denominator)
+    a, w, m = reference_frame(interval)
     q = [c * m ** (n - i) for i, c in enumerate(coeffs)]
     if a:
         for i in range(n):
@@ -46,10 +54,7 @@ def former_to_bernstein(p, interval):
     nums[j] = L / C(n, j) * sum_i C(n-i, j-i) q_i, one math.comb per term."""
     coeffs = p.coeffs or (0,)
     n = len(coeffs) - 1
-    lo, width = interval.lo, interval.width
-    m = math.lcm(lo.denominator, width.denominator)
-    a = lo.numerator * (m // lo.denominator)
-    w = width.numerator * (m // width.denominator)
+    a, w, m = reference_frame(interval)
     q = [c * m ** (n - i) for i, c in enumerate(coeffs)]
     if a:
         for i in range(n):

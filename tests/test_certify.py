@@ -42,7 +42,6 @@ from monicheb.certify import (
     _variations,
     _witness_bound,
 )
-from monicheb.numpoly import interval_frame
 
 from bernstein_helpers import reference_bernstein_enclosure, reference_bernstein_prefilter
 from sturm_helpers import (
@@ -933,7 +932,7 @@ class TestSubdivisionKernel:
         deepest = 0
         for f, interval, bound in near_touches():
             nums, den = to_bernstein(f, interval)
-            frame = interval_frame(interval)
+            frame = interval.frame
             for sign in (1, -1):
                 q = IntPoly([bound.numerator]) - f * (sign * bound.denominator)
                 scaled = [bound.numerator * den - sign * bound.denominator * c for c in nums]

@@ -567,6 +567,32 @@ def test_module_entry_point_runs_without_warnings():
     assert "count=5" in result.stdout.splitlines()
 
 
+def test_depth_guard_survives_optimize(tmp_path):
+    # 6x - 9x**2 touches 1 at x = 1/3 on [0, 1/2], so 1 - 10**-9 is refuted
+    # only deep in the decision's walk; with the depth bound forced to 0 the
+    # walk ends incomplete, which must raise under -O too, not certify
+    path = tmp_path / "touch.poly"
+    path.write_text("poly 0 6 -9\n")
+    script = (
+        "import sys\n"
+        "from monicheb import certify, cli\n"
+        "certify._depth_bound = lambda q, width: 0\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    bound = "999999999/1000000000"
+    argv = ["certify", "--poly", str(path), "--interval", "0", "1/2", "--bound", bound]
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, *argv],
+        env=module_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert "status=certified" not in result.stdout
+    assert result.returncode != 0
+    assert "AssertionError: subdivision passed the root-separation depth" in result.stderr
+
+
 def test_closed_pipe_ends_quietly():
     # about 180 kB of output, more than a pipe holds, so the command writes
     # into the pipe after its reader has closed it

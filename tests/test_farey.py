@@ -8,10 +8,12 @@ import pytest
 from monicheb import (
     FareyPair,
     Interval,
+    bundled_table_path,
     farey_intervals,
     farey_sequence,
     is_consecutive_pair,
     mediant,
+    parse_table_file,
 )
 
 
@@ -158,3 +160,16 @@ class TestIntervals:
     def test_construction_invariant(self):
         for pair in farey_intervals(20):
             assert is_consecutive_pair(pair.lo, pair.hi)
+
+    def test_pair_frames(self):
+        # a1 b2 - a2 b1 = 1 puts [a2/b2, a1/b1] on [a/m, (a + 1)/m] with
+        # a = a2 b1 and m = b1 b2
+        pairs = farey_intervals(34) + [e.pair for e in parse_table_file(bundled_table_path())]
+        for pair in pairs:
+            assert pair.interval().frame == (pair.a2 * pair.b1, 1, pair.b1 * pair.b2), pair
+
+    def test_matches_the_fraction_route(self):
+        for order in range(1, 41):
+            seq = farey_sequence(order)
+            want = [FareyPair.from_endpoints(lo, hi) for lo, hi in zip(seq, seq[1:])]
+            assert farey_intervals(order) == want

@@ -33,6 +33,7 @@ from monicheb.numpoly import (
 from bernstein_helpers import (
     former_to_bernstein,
     reference_bernstein_split,
+    reference_frame,
     reference_to_bernstein,
 )
 
@@ -506,9 +507,29 @@ class TestIntervalType:
         assert type(i.lo) is type(i.width) is F
         assert dataclasses.replace(i, hi=4).width == 3
 
+    def test_frame_matches_the_width_route(self):
+        rng = random.Random(3201)
+        cases = [
+            Interval(F(2, 6), F(4, 10)),
+            Interval(F(-7, 4), F(-1, 6)),
+            Interval(-3, 5),
+            Interval(F(-1, 2), 2),
+            Interval(0, F(1, 2)),
+        ]
+        for _ in range(300):
+            lo = F(rng.randint(-60, 60), rng.randint(1, 40))
+            cases.append(Interval(lo, lo + F(rng.randint(1, 60), rng.randint(1, 40))))
+        for i in cases:
+            a, w, m = i.frame
+            assert i.frame == reference_frame(i), i
+            assert (F(a, m), F(a + w, m)) == (i.lo, i.hi) and w > 0 and m > 0
+            assert all(type(v) is int for v in i.frame)
+        assert Interval(F(2, 6), F(4, 10)).frame == (5, 1, 15)
+        assert Interval(-3, 5).frame == (-3, 8, 1)
+
     def test_frozen(self):
         i = Interval(F(1, 3), F(2, 5))
-        for name in ("lo", "hi", "width"):
+        for name in ("lo", "hi", "width", "frame"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(i, name, F(1, 2))
 
