@@ -1,8 +1,8 @@
 """The catalog of closed-form monic integer Chebyshev constants.
 
-Values are exact pairs (r, k) meaning r**(1/k); everything compares by
-cross-powering, so identities like "the double unit interval's constant
-is 1/sqrt(2)" are machine-checkable without floating point.
+Values are exact pairs (r, k) meaning r**(1/k) in a unique canonical
+form, so identities like "the double unit interval's constant is
+1/sqrt(2)" are machine-checkable without floating point.
 """
 from fractions import Fraction as F
 

@@ -13,6 +13,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import pairwise
 from pathlib import Path
 
 from . import certify as certify_mod
@@ -23,7 +24,7 @@ from .construct import (
     pair_polynomial,
     triple_polynomial,
 )
-from .farey import FareyPair, farey_intervals, farey_sequence, is_consecutive_pair, mediant
+from .farey import FareyPair, _farey_terms, is_consecutive_pair, mediant
 from .lattice import search_witness
 from .numpoly import (
     IntPoly,
@@ -46,9 +47,9 @@ EXIT_USAGE = 3
 # Python's 4300-digit int-to-str limit.
 MAX_CONSTRUCT_DEGREE = 4096
 # Largest --order that farey accepts, refused before any work.  The output
-# has about 0.3 order**2 lines: order 1000 takes 1.1-1.3 s and 72 MB peak
-# RSS, or 3.6-3.9 s and 254 MB with --pairs (Python 3.11, 2-core host),
-# growing as order**2.
+# has about 0.3 order**2 lines: order 1000 takes 0.5-0.6 s and 42 MB peak
+# RSS with or without --pairs (a child process's getrusage, Python 3.11,
+# 2-core host), growing as order**2.
 MAX_FAREY_ORDER = 1000
 
 
@@ -137,8 +138,10 @@ def _build_parser() -> _Parser:
     p_farey = sub.add_parser("farey", help="list a Farey sequence or its pairs")
     p_farey.add_argument("--order", type=int, required=True)
     p_farey.add_argument("--pairs", action="store_true")
+    p_farey.set_defaults(handler=_cmd_farey)
 
     p_con = sub.add_parser("construct", help="build monic integer polynomials")
+    p_con.set_defaults(handler=_cmd_construct)
     con_sub = p_con.add_subparsers(dest="mode", required=True)
 
     p_pair = con_sub.add_parser("pair")
@@ -164,20 +167,24 @@ def _build_parser() -> _Parser:
     group = p_cert.add_mutually_exclusive_group(required=True)
     group.add_argument("--bound")
     group.add_argument("--conjecture", action="store_true")
+    p_cert.set_defaults(handler=_cmd_certify)
 
     p_search = sub.add_parser("search", help="LLL witness search on a Farey interval")
     p_search.add_argument("--interval", nargs=2, required=True, metavar=("LO", "HI"))
     p_search.add_argument("--degree", type=int, required=True)
     p_search.add_argument("--radius", type=int, default=1)
+    p_search.set_defaults(handler=_cmd_search)
 
     p_const = sub.add_parser("constant", help="catalog constants")
     cgroup = p_const.add_mutually_exclusive_group(required=True)
     cgroup.add_argument("--interval", nargs=2, metavar=("LO", "HI"))
     cgroup.add_argument("--point")
     cgroup.add_argument("--set", dest="point_set")
+    p_const.set_defaults(handler=_cmd_constant)
 
     p_table = sub.add_parser("verify-table", help="certify every fixture entry")
     p_table.add_argument("file", nargs="?", default=None)
+    p_table.set_defaults(handler=_cmd_verify_table)
 
     # Endpoint values such as -1/2 or -1/sqrt(2) start with a dash; widen
     # the negative-token heuristic so they parse as values, not options.
@@ -208,48 +215,40 @@ def _witness_orientation(poly: IntPoly) -> IntPoly:
 def _cmd_farey(args, report: RunReport) -> None:
     if args.order > MAX_FAREY_ORDER:
         raise _UsageError(f"--order {args.order} is above the cap {MAX_FAREY_ORDER}")
+    terms = (_format_endpoint(a, b) for a, b in _farey_terms(args.order))
     if args.pairs:
-        for pair in farey_intervals(args.order):
-            report.emit(
-                f"pair={_format_endpoint(pair.a2, pair.b2)},{_format_endpoint(pair.a1, pair.b1)}"
-            )
+        for lo, hi in pairwise(terms):
+            report.emit(f"pair={lo},{hi}")
     else:
-        fractions = farey_sequence(args.order)
-        for q in fractions:
-            report.emit(f"fraction={format_rational(q)}")
-        report.emit(f"count={len(fractions)}")
+        for term in terms:
+            report.emit(f"fraction={term}")
+        # the fraction lines are the report's only lines
+        report.emit(f"count={len(report.lines)}")
 
 
 def _cmd_construct(args, report: RunReport) -> None:
-    if args.mode in ("pair", "triple") and args.degree > MAX_CONSTRUCT_DEGREE:
-        raise _UsageError(
-            f"--degree {args.degree} is above the cap {MAX_CONSTRUCT_DEGREE}"
-        )
-    if args.mode == "multi" and args.max_degree > MAX_CONSTRUCT_DEGREE:
-        raise _UsageError(
-            f"--max-degree {args.max_degree} is above the cap {MAX_CONSTRUCT_DEGREE}"
-        )
+    flag, degree = (
+        ("--max-degree", args.max_degree) if args.mode == "multi" else ("--degree", args.degree)
+    )
+    if degree > MAX_CONSTRUCT_DEGREE:
+        raise _UsageError(f"{flag} {degree} is above the cap {MAX_CONSTRUCT_DEGREE}")
     head: list[str] = []
-    if args.mode == "pair":
-        pair = FareyPair.from_endpoints(parse_rational(args.lo), parse_rational(args.hi))
-        targets = [int(t) for t in args.targets.split(",")]
-        if len(targets) != 2:
-            raise _UsageError("--targets needs exactly two integers A1,A2")
-        poly = pair_polynomial(pair, args.degree, targets[0], targets[1])
-        points = [pair.hi, pair.lo]
-    elif args.mode == "triple":
-        pair = FareyPair.from_endpoints(parse_rational(args.lo), parse_rational(args.hi))
-        targets = [int(t) for t in args.targets.split(",")]
-        if len(targets) != 3:
-            raise _UsageError("--targets needs exactly three integers A1,A2,A3")
-        poly = triple_polynomial(
-            pair, args.degree, targets[0], targets[1], targets[2], args.split
-        )
-        points = [pair.hi, pair.lo, mediant(pair)]
-    else:
+    if args.mode == "multi":
         points = [parse_rational(tok) for tok in args.points.split(",")]
-        degree, poly = multipoint_monic(points, args.max_degree)
+        degree, poly = multipoint_monic(points, degree)
         head.append(f"degree={degree}")
+    else:
+        pair = FareyPair.from_endpoints(parse_rational(args.lo), parse_rational(args.hi))
+        targets = [int(t) for t in args.targets.split(",")]
+        if args.mode == "pair":
+            count, points, build = "two", [pair.hi, pair.lo], pair_polynomial
+        else:
+            count, points = "three", [pair.hi, pair.lo, mediant(pair)]
+            build = functools.partial(triple_polynomial, j=args.split)
+        if len(targets) != len(points):
+            names = ",".join(f"A{i}" for i in range(1, len(points) + 1))
+            raise _UsageError(f"--targets needs exactly {count} integers {names}")
+        poly = build(pair, degree, *targets)
     # Every line is formatted before any is emitted, so an integer over the
     # interpreter's int-to-str digit limit refuses the whole report.
     try:
@@ -365,18 +364,7 @@ def run(argv: list[str]) -> RunReport:
     report = RunReport(command=" ".join(argv))
     try:
         args = _build_parser().parse_args(argv)
-        if args.cmd == "farey":
-            _cmd_farey(args, report)
-        elif args.cmd == "construct":
-            _cmd_construct(args, report)
-        elif args.cmd == "certify":
-            _cmd_certify(args, report)
-        elif args.cmd == "search":
-            _cmd_search(args, report)
-        elif args.cmd == "constant":
-            _cmd_constant(args, report)
-        elif args.cmd == "verify-table":
-            _cmd_verify_table(args, report)
+        args.handler(args, report)
     except _UsageError as exc:
         report.emit(f"error={exc}")
         report.exit_code = EXIT_USAGE

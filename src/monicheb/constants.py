@@ -1,8 +1,12 @@
 """Catalog of known monic integer Chebyshev constants and exact value algebra.
 
 Values are pairs (r, k) denoting r**(1/k) with r a nonnegative rational,
-so quantities like 1/sqrt(2) are represented and compared exactly by
-cross-powering.  Interval endpoints may carry a single quadratic surd.
+so quantities like 1/sqrt(2) are represented exactly.  The canonical
+form, with k least, is unique, so two values are equal exactly when their
+pairs are.  They are ordered by raising both radicands to the exponents
+k1/g and k2/g, g = gcd(k1, k2), and a comparison whose powers would pass
+MAX_COMPARE_BITS is refused.  Interval endpoints may carry a single
+quadratic surd.
 
 Endpoints are compared by the exact sign of a rational plus at most two
 surd terms.  Split off the term v = c*sqrt(t) of the largest surd t and
@@ -17,6 +21,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .construct import _factorize, _iroot
 from .farey import FareyPair
@@ -24,6 +29,16 @@ from .numpoly import parse_rational, format_rational
 
 CONJECTURED = "CONJECTURED"
 PROVEN_EQUAL = "PROVEN-EQUAL"
+
+# Largest power, in bits, that ordering two ConstantValues may build,
+# estimated as exponent times the larger bit length of the radicand's terms.
+# At the cap, q**34379 < s**34380 with q, s ratios of 61-bit integers takes
+# 1.0 s (Python 3.11, 2-core host), and the time grows faster than the bits.
+MAX_COMPARE_BITS = 2**21
+
+
+def _bit_size(q: Fraction) -> int:
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
 
 
 def _rational_kth_root(q: Fraction, k: int) -> Fraction | None:
@@ -54,29 +69,26 @@ class ConstantValue:
         if r in (0, 1):
             k = 1
         elif k > 1:
-            # r**(1/k) = root**(1/(k/p)) whenever r = root**p; one pass over
-            # the primes p of k reaches the least k
-            for p in _factorize(k):
-                while k % p == 0:
-                    root = _rational_kth_root(r, p)
+            # r**(1/k) = root**(1/(k/e)) whenever r = root**e.  Only e up to
+            # the bit length of r's terms can root r, and a composite e roots
+            # r only where its primes, tried first, already did: one pass
+            # over e reaches the least k without factoring it
+            for e in range(2, min(k, _bit_size(r)) + 1):
+                while k % e == 0:
+                    root = _rational_kth_root(r, e)
                     if root is None:
                         break
-                    r, k = root, k // p
+                    r, k = root, k // e
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "k", k)
 
-    def _pair(self, other) -> tuple[Fraction, Fraction]:
-        if isinstance(other, (int, Fraction)):
-            other = ConstantValue(Fraction(other))
-        if not isinstance(other, ConstantValue):
-            raise TypeError(f"cannot compare with {other!r}")
-        return self.r**other.k, other.r**self.k
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (ConstantValue, int, Fraction)):
-            return NotImplemented
-        a, b = self._pair(other)
-        return a == b
+        # the canonical form is unique, so equal values have equal fields
+        if isinstance(other, ConstantValue):
+            return (self.r, self.k) == (other.r, other.k)
+        if isinstance(other, (int, Fraction)):
+            return self.k == 1 and self.r == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         # a rational value (k = 1 in canonical form) hashes as the number,
@@ -84,8 +96,20 @@ class ConstantValue:
         return hash(self.r) if self.k == 1 else hash((self.r, self.k))
 
     def __lt__(self, other) -> bool:
-        a, b = self._pair(other)
-        return a < b
+        if isinstance(other, (int, Fraction)):
+            other = ConstantValue(other)
+        if not isinstance(other, ConstantValue):
+            return NotImplemented
+        # r1**(1/k1) < r2**(1/k2) iff r1**(k2/g) < r2**(k1/g)
+        g = gcd(self.k, other.k)
+        e1, e2 = other.k // g, self.k // g
+        bits = max(e1 * _bit_size(self.r), e2 * _bit_size(other.r))
+        if bits > MAX_COMPARE_BITS:
+            raise ValueError(
+                f"ordering roots of index {self.k} and {other.k} needs a power "
+                f"of about {bits} bits, over the cap of {MAX_COMPARE_BITS}"
+            )
+        return self.r**e1 < other.r**e2
 
     def __float__(self) -> float:
         return float(self.r) ** (1.0 / self.k)

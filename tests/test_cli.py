@@ -171,10 +171,9 @@ class TestFareyCommand:
         import monicheb.cli as cli_mod
 
         def no_work(order):
-            raise AssertionError("Farey sequence built before the order check")
+            raise AssertionError("Farey walk started before the order check")
 
-        monkeypatch.setattr(cli_mod, "farey_sequence", no_work)
-        monkeypatch.setattr(cli_mod, "farey_intervals", no_work)
+        monkeypatch.setattr(cli_mod, "_farey_terms", no_work)
         for order in (cli_mod.MAX_FAREY_ORDER + 1, 20000, 10**12):
             report = run(["farey", "--order", str(order), *extra])
             assert report.exit_code == EXIT_USAGE

@@ -144,7 +144,8 @@ def _canonical_by_divisors(r, k):
 
 class TestCanonicalizationBound:
     def test_large_index_is_factored_not_scanned(self):
-        # the primes of k, not every d <= k: k = 10**12 once hung
+        # exponents up to the radicand's bit length, not every d <= k:
+        # k = 10**12 once hung
         start = time.perf_counter()
         v = ConstantValue(F(2), 10**12)
         assert time.perf_counter() - start < 1
@@ -163,17 +164,52 @@ class TestCanonicalizationBound:
         assert time.perf_counter() - start < 1
         assert (v.r, v.k) == (F(2), 10**12 + 39)
 
-    def test_unfactorable_index_refused(self):
+    def test_unfactorable_index_accepted(self):
+        # a prime too large for _factorize to prove, and a product of two
+        # 20-digit primes past its rho budget: both are canonical as given
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="cannot prove"):
-            ConstantValue(F(2), 10**30 + 57)
-        assert time.perf_counter() - start < 2
+        v = ConstantValue(F(2), 10**30 + 57)
+        w = ConstantValue(F(3, 4), (10**20 + 39) * (10**20 + 129))
+        assert time.perf_counter() - start < 0.1
+        assert (v.r, v.k) == (F(2), 10**30 + 57)
+        assert (w.r, w.k) == (F(3, 4), (10**20 + 39) * (10**20 + 129))
 
     def test_no_factoring_at_index_one(self):
         with mock.patch.object(constants, "_factorize", side_effect=AssertionError):
             assert ConstantValue(F(1, 7)).k == 1
             assert ConstantValue(F(0), 6).k == 1
             assert ConstantValue(F(1), 6).k == 1
+            # nor at any other index
+            assert ConstantValue(F(2) ** 30, 60) == ConstantValue(F(2), 2)
+            assert ConstantValue(F(2), 10**30 + 57).k == 10**30 + 57
+            assert ConstantValue(F(6**12, 5**24), 2**40 * 3**3).k == 2**38 * 3**2
+
+
+class TestComparisonBound:
+    def test_unequal_indices_compare_fields(self):
+        start = time.perf_counter()
+        assert ConstantValue(F(2), 10**7) != ConstantValue(F(3), 10**7 + 1)
+        assert ConstantValue(F(2), 10**7) != 2
+        assert time.perf_counter() - start < 0.1
+
+    def test_order_divides_out_the_common_index(self):
+        # 2**(1/k) against 3**(1/(2k)) is 2**2 against 3
+        start = time.perf_counter()
+        assert not ConstantValue(F(2), 10**7) < ConstantValue(F(3), 2 * 10**7)
+        assert ConstantValue(F(3), 2 * 10**7) < ConstantValue(F(2), 10**7)
+        assert time.perf_counter() - start < 0.1
+
+    def test_power_over_the_cap_refused(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="over the cap of 2097152"):
+            ConstantValue(F(2), 10**7) < ConstantValue(F(3), 10**7 + 1)
+        assert time.perf_counter() - start < 0.1
+        # the estimate is exponent times bit length: 2**20 * 2 bits is at
+        # the cap, and one exponent more is over it
+        assert constants.MAX_COMPARE_BITS == 2**21
+        assert ConstantValue(F(3), 2**20) < ConstantValue(F(2))
+        with pytest.raises(ValueError, match="over the cap"):
+            ConstantValue(F(3), 2**20 + 1) < ConstantValue(F(2))
 
 
 @settings(max_examples=300, deadline=None)
